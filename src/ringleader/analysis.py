@@ -20,7 +20,7 @@ import numpy as np
 
 from .core.params import ProtocolParams
 from .core.state import CONSTRUCT, AgentState, Configuration, Token
-from .transition import TokenColor
+from .transition import TokenColor, _off_track
 
 
 class NoBorderError(ValueError):
@@ -158,15 +158,6 @@ def _color_d(which: TokenColor, psi: int) -> int:
     return 0 if which is TokenColor.BLACK else psi
 
 
-def _valid(dist: int, offset: int, d: int, psi: int, two_psi: int) -> bool:
-    # target position relative to the token's home border: rightward legs
-    # aim into the next segment, leftward legs back into the home segment
-    target_rel = (dist + offset + d) % two_psi
-    if offset > 0:
-        return psi <= target_rel
-    return 1 <= target_rel <= psi - 1
-
-
 def token_is_valid(config: Configuration, i: int, which: TokenColor) -> bool:
     """True iff the token at agent i is still on its shuttle trajectory."""
     agent = config.agents[i]
@@ -174,7 +165,9 @@ def token_is_valid(config: Configuration, i: int, which: TokenColor) -> bool:
     if token is None:
         raise NoTokenError(f"agent {i} holds no {which.value} token")
     p = config.params
-    return _valid(agent.dist, token.offset, _color_d(which, p.psi), p.psi, p.two_psi)
+    return not _off_track(
+        agent.dist, token.offset, _color_d(which, p.psi), p.two_psi, p.psi
+    )
 
 
 def _token_correct_rel(

@@ -20,17 +20,37 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
 
+def _ring_sizes(text: str) -> tuple[int, ...]:
+    sizes = tuple(_int_list(text))
+    if not sizes or min(sizes) < 2:
+        raise argparse.ArgumentTypeError(
+            f"need one or more comma-separated ring sizes >= 2, got {text!r}"
+        )
+    return sizes
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _cmd_sweep(args) -> int:
-    spec = ExperimentSpec(
-        protocol=Protocol(args.protocol),
-        n_values=tuple(_int_list(args.n)),
-        trials_per_n=args.trials,
-        base_seed=args.seed,
-        max_steps_multiplier=args.multiplier,
-        kappa_max_override=args.kappa_max,
-        instrument=frozenset(args.instrument.split(",")) if args.instrument else frozenset(),
-        workers=args.workers,
-    )
+    try:
+        spec = ExperimentSpec(
+            protocol=Protocol(args.protocol),
+            n_values=args.n,
+            trials_per_n=args.trials,
+            base_seed=args.seed,
+            max_steps_multiplier=args.multiplier,
+            kappa_max_override=args.kappa_max,
+            range_check=args.range_check,
+            workers=args.workers,
+        )
+    except ValueError as exc:  # e.g. n=2 for orientation
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     records = harness.run_convergence_sweep(spec)
     if args.out:
         harness.export_csv(records, args.out)
@@ -163,14 +183,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="convergence sweep from random configurations")
     p.add_argument("--protocol", choices=["ppl", "por"], default="ppl")
-    p.add_argument("--n", default="8,16,32,64", help="comma-separated ring sizes")
+    p.add_argument(
+        "--n", type=_ring_sizes, default=(8, 16, 32, 64), help="comma-separated ring sizes"
+    )
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--multiplier", type=float, default=harness.DEFAULT_MULTIPLIER)
     p.add_argument("--kappa-max", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--instrument", default="", help="comma list, e.g. 'range'")
-    p.add_argument("--out", default="results.csv")
+    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument(
+        "--range-check", action="store_true",
+        help="validate both touched agents after every step (slow)",
+    )
+    p.add_argument("--out", default=None, help="write the trial records as CSV")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("closure", help="safety preservation from safe starts")
@@ -179,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=harness.CLOSURE_STEPS)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("eliminate", help="leader elimination from multi-leader starts")
@@ -187,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaders", default="2,4,8", help="comma-separated counts")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_eliminate)
 
     p = sub.add_parser("orient", help="ring orientation trials, CSV to stdout")

@@ -8,7 +8,6 @@ else.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -62,12 +61,13 @@ class ProtocolParams:
 def make_params(n: int, kappa_max: int | None = None) -> ProtocolParams:
     """Build parameters for a ring of ``n`` agents.
 
-    ``psi`` is the smallest legal value, ``max(2, ceil(log2 n))``.
+    ``psi`` is the smallest legal value, ``max(2, ceil(log2 n))``, computed in
+    integers as ``(n - 1).bit_length()`` so that it stays exact for any n.
     ``kappa_max`` defaults to ``32*psi`` and may only be raised, not lowered.
     """
     if n < 2:
         raise InvalidSizeError(f"ring size must be >= 2, got {n}")
-    psi = max(2, math.ceil(math.log2(n)))
+    psi = max(2, (n - 1).bit_length())
     floor_kappa = KAPPA_FACTOR * psi
     if kappa_max is None:
         kappa_max = floor_kappa

@@ -30,6 +30,7 @@ def run(
     max_steps: int,
     stop: Callable[[Configuration], bool],
     check_interval: int | None = None,
+    on_step: Callable[[Configuration, int, list], None] | None = None,
 ) -> tuple[Configuration, int, bool]:
     """Drive the ring with scheduler-drawn interactions until ``stop`` or cutoff.
 
@@ -37,7 +38,13 @@ def run(
     ``check_interval`` steps (default: every n steps, so the check amortizes
     to constant work per step).  The reported step count is therefore the
     first checked multiple at which ``stop`` held -- an overcount of less
-    than one interval.  The input configuration is not mutated.
+    than one interval -- and never exceeds ``max_steps``.  The input
+    configuration is not mutated.
+
+    ``on_step(work, i, trace)``, when given, is called after every
+    interaction with the working configuration, the initiator index and the
+    list of events the transition emitted.  The list is reused from step to
+    step; copy it to keep it.  Without ``on_step`` no events are recorded.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
@@ -57,12 +64,16 @@ def run(
     psi, two_psi, kmax = p.psi, p.two_psi, p.kappa_max
     agents = work.agents
     nxt = [(i + 1) % n for i in range(n)]
+    trace = None if on_step is None else []
 
     done = 0
     while done < max_steps:
         block = min(check_interval, max_steps - done)
         for i in scheduler.draw(block):
-            interact_inplace(agents[i], agents[nxt[i]], psi, two_psi, kmax)
+            interact_inplace(agents[i], agents[nxt[i]], psi, two_psi, kmax, trace)
+            if trace is not None:
+                on_step(work, i, trace)
+                trace.clear()
         done += block
         if stop(work):
             return work, done, True

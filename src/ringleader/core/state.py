@@ -49,6 +49,11 @@ class AgentState:
         "last",
         "token_b",
         "token_w",
+        # ``mode`` is a function of ``clock`` once an interaction has written
+        # it, but it stays a stored field: the chained reference blocks
+        # (``create_leader_diststep``, ``move_token``) read the mode that
+        # ``determine_mode`` wrote, and the snapshot format and
+        # ``random_configuration``'s draw order both include it.
         "mode",
         "clock",
         "hits",

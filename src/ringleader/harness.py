@@ -28,7 +28,7 @@ from .orientation import (
     oriented_configuration,
     run_orientation,
 )
-from .transition import interact_inplace
+from .transition import _off_track
 
 DEFAULT_MULTIPLIER = 1e4
 CLOSURE_STEPS = 100_000
@@ -37,7 +37,6 @@ CLOSURE_STEPS = 100_000
 class Protocol(enum.Enum):
     PPL = "ppl"
     POR = "por"
-    LOTTERY = "lottery"
 
 
 @dataclass(frozen=True)
@@ -48,14 +47,24 @@ class ExperimentSpec:
     base_seed: int
     max_steps_multiplier: float = DEFAULT_MULTIPLIER
     kappa_max_override: int | None = None
-    instrument: frozenset[str] = frozenset()
+    range_check: bool = False  # validate both touched agents after every step
     workers: int = 1
 
     def __post_init__(self) -> None:
+        if not self.n_values:
+            raise ValueError("n_values must not be empty")
+        min_n = 2 if self.protocol is Protocol.PPL else 3  # a 2-hop coloring needs 3
+        if min(self.n_values) < min_n:
+            raise ValueError(
+                f"{self.protocol.value} needs ring sizes >= {min_n}, "
+                f"got {min(self.n_values)}"
+            )
         if self.trials_per_n < 1:
             raise ValueError("trials_per_n must be >= 1")
         if self.max_steps_multiplier <= 0:
             raise ValueError("max_steps_multiplier must be > 0")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,16 @@ def step_cutoff(n: int, multiplier: float) -> int:
     return math.ceil(multiplier * n * n * math.log2(n))
 
 
+def _map(fn, tasks: list, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, in a process pool when ``workers > 1``."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=1))
+
+
 # --------------------------------------------------------------------------
 # convergence sweep
 # --------------------------------------------------------------------------
@@ -90,19 +109,26 @@ def _ppl_trial(
     seed: int,
     multiplier: float,
     kappa_override: int | None,
-    instrument: frozenset[str],
+    range_check: bool,
 ) -> TrialRecord:
     params = make_params(n, kappa_override)
     config = random_configuration(params, seed)
+    scheduler = SchedulerStream(n, seed + 1)
     cutoff = step_cutoff(n, multiplier)
     violations = 0
-    if "range" in instrument:
-        final, steps, stopped, violations = _run_range_checked(
-            config, seed + 1, cutoff
-        )
-    else:
-        scheduler = SchedulerStream(n, seed + 1)
-        final, steps, stopped = run(config, scheduler, cutoff, analysis.in_S_PL)
+
+    def check_range(work: Configuration, i: int, trace: list) -> None:
+        nonlocal violations
+        try:
+            work.agents[i].validate(params)
+            work.agents[(i + 1) % n].validate(params)
+        except ValueError:
+            violations += 1
+
+    final, steps, stopped = run(
+        config, scheduler, cutoff, analysis.in_S_PL,
+        on_step=check_range if range_check else None,
+    )
     return TrialRecord(
         protocol=Protocol.PPL.value,
         n=n,
@@ -114,33 +140,6 @@ def _ppl_trial(
         final_leader_count=analysis.leader_count(final),
         violations=violations,
     )
-
-
-def _run_range_checked(config: Configuration, sched_seed: int, cutoff: int):
-    """Slow run variant validating both touched agents after every step."""
-    work = config.copy()
-    p = work.params
-    n = p.n
-    scheduler = SchedulerStream(n, sched_seed)
-    agents = work.agents
-    violations = 0
-    done = 0
-    if analysis.in_S_PL(work):
-        return work, 0, True, 0
-    while done < cutoff:
-        block = min(n, cutoff - done)
-        for i in scheduler.draw(block):
-            j = (i + 1) % n
-            interact_inplace(agents[i], agents[j], p.psi, p.two_psi, p.kappa_max)
-            try:
-                agents[i].validate(p)
-                agents[j].validate(p)
-            except ValueError:
-                violations += 1
-        done += block
-        if analysis.in_S_PL(work):
-            return work, done, True, violations
-    return work, cutoff, False, violations
 
 
 def _por_trial(n: int, seed: int, multiplier: float) -> TrialRecord:
@@ -181,26 +180,18 @@ def run_orientation_sweep(
         for n in n_values
         for t in range(trials)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_orientation_task, tasks, chunksize=1))
-    return [_orientation_task(t) for t in tasks]
+    return _map(_orientation_task, tasks, workers)
 
 
 def _sweep_task(args) -> TrialRecord:
-    protocol, n, seed, multiplier, kappa_override, instrument = args
+    protocol, n, seed, multiplier, kappa_override, range_check = args
     if protocol is Protocol.PPL:
-        return _ppl_trial(n, seed, multiplier, kappa_override, instrument)
+        return _ppl_trial(n, seed, multiplier, kappa_override, range_check)
     return _por_trial(n, seed, multiplier)
 
 
 def run_convergence_sweep(spec: ExperimentSpec) -> list[TrialRecord]:
     """Run every (n, trial) cell of the spec; deterministic in the spec."""
-    if spec.protocol is Protocol.LOTTERY:
-        raise ValueError(
-            "the sweep measures ring convergence; use the lottery module "
-            "or the 'lottery' CLI command for lottery statistics"
-        )
     tasks = [
         (
             spec.protocol,
@@ -208,17 +199,12 @@ def run_convergence_sweep(spec: ExperimentSpec) -> list[TrialRecord]:
             trial_seed(spec.base_seed, n, t),
             spec.max_steps_multiplier,
             spec.kappa_max_override,
-            spec.instrument,
+            spec.range_check,
         )
         for n in spec.n_values
         for t in range(spec.trials_per_n)
     ]
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            records = list(pool.map(_sweep_task, tasks, chunksize=1))
-    else:
-        records = [_sweep_task(t) for t in tasks]
-    return records
+    return _map(_sweep_task, tasks, spec.workers)
 
 
 # --------------------------------------------------------------------------
@@ -247,23 +233,21 @@ def _ppl_closure_task(args) -> tuple[int, list[str], bool]:
         config = analysis.construct_S_PL(make_params(n), seed)
     if not analysis.in_S_PL(config):
         return seed, [], True  # rejected by the precheck, not a violation
+    n = config.params.n
+    leader_home = next(i for i, a in enumerate(config.agents) if a.leader)
     violations: list[str] = []
-    p = config.params
-    work = config.copy()
-    agents = work.agents
-    leader_home = next(i for i, a in enumerate(agents) if a.leader)
-    scheduler = SchedulerStream(p.n, seed + 1)
-    done = 0
-    while done < steps and len(violations) < 10:
-        for i in scheduler.draw(p.n):
-            interact_inplace(
-                agents[i], agents[(i + 1) % p.n], p.psi, p.two_psi, p.kappa_max
-            )
-        done += p.n
+    done = 0  # steps run when ``check`` is next called
+
+    def check(work: Configuration) -> bool:
+        nonlocal done
         if not analysis.in_S_PL(work):
             violations.append(f"seed={seed} step={done}: left the safe set")
-        if not agents[leader_home].leader:
+        if not work.agents[leader_home].leader:
             violations.append(f"seed={seed} step={done}: leader moved or died")
+        done = min(done + n, steps)
+        return len(violations) >= 10
+
+    run(config, SchedulerStream(n, seed + 1), steps, check)
     return seed, violations, False
 
 
@@ -294,12 +278,7 @@ def run_closure_suite(
             if initial_configs is not None:
                 snapshot = initial_configs[t % len(initial_configs)].to_snapshot()
             tasks.append((n, tseed, steps, snapshot))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_ppl_closure_task, tasks, chunksize=1))
-        else:
-            results = [_ppl_closure_task(t) for t in tasks]
-        for tseed, violations, rejected in results:
+        for tseed, violations, rejected in _map(_ppl_closure_task, tasks, workers):
             report.violations.extend(violations)
             if rejected:
                 report.rejected_trials.append(tseed)
@@ -382,33 +361,12 @@ def _elimination_task(args) -> tuple[int, bool, int]:
     n, leaders, tseed, cutoff = args
     params = make_params(n)
     config = multi_leader_configuration(params, leaders, tseed)
-    scheduler = SchedulerStream(n, tseed + 1)
-    work = config.copy()
-    agents = work.agents
-    zero_events = 0
-    done = 0
-    converged = False
-    while done < cutoff:
-        count = sum(a.leader for a in agents)
-        if count == 0:
-            zero_events += 1
-            break
-        if count == 1:
-            converged = True
-            break
-        for i in scheduler.draw(n):
-            interact_inplace(
-                agents[i], agents[(i + 1) % n], params.psi, params.two_psi,
-                params.kappa_max,
-            )
-        done += n
-    else:
-        count = sum(a.leader for a in agents)
-        if count == 1:
-            converged = True
-        elif count == 0:
-            zero_events += 1
-    return done, converged, zero_events
+    final, done, _ = run(
+        config, SchedulerStream(n, tseed + 1), cutoff,
+        lambda c: analysis.leader_count(c) <= 1,
+    )
+    count = analysis.leader_count(final)
+    return done, count == 1, int(count == 0)
 
 
 def run_elimination_suite(
@@ -431,12 +389,7 @@ def run_elimination_suite(
     tasks = [
         (n, initial_leaders, trial_seed(seed, n, t), cutoff) for t in range(trials)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_elimination_task, tasks, chunksize=1))
-    else:
-        results = [_elimination_task(t) for t in tasks]
-    for done, converged, zero_events in results:
+    for done, converged, zero_events in _map(_elimination_task, tasks, workers):
         report.steps.append(done)
         report.converged.append(converged)
         report.zero_leader_events += zero_events
@@ -446,6 +399,10 @@ def run_elimination_suite(
 # --------------------------------------------------------------------------
 # instrumented audits
 # --------------------------------------------------------------------------
+
+def _never(config: Configuration) -> bool:
+    return False
+
 
 @dataclass
 class TokenAuditReport:
@@ -471,20 +428,15 @@ def run_token_audit(config: Configuration, seed: int, steps: int) -> TokenAuditR
     p = config.params
     n, psi, two_psi = p.n, p.psi, p.two_psi
     bound = 2 * psi * psi - 2 * psi + 1
-    work = config.copy()
-    agents = work.agents
-    scheduler = SchedulerStream(n, seed)
     tracked: dict[tuple[str, int], int] = {}
     births = 0
     max_moves = 0
     violations = 0
     invalid_moves = 0
-    trace: list = []
-    for _ in range(steps):
-        i = scheduler.next_index()
+
+    def follow_tokens(work: Configuration, i: int, trace: list) -> None:
+        nonlocal births, max_moves, violations, invalid_moves
         j = (i + 1) % n
-        trace.clear()
-        interact_inplace(agents[i], agents[j], psi, two_psi, p.kappa_max, trace)
         for ev in trace:
             kind = ev[0]
             if kind == "tgen":
@@ -504,12 +456,14 @@ def run_token_audit(config: Configuration, seed: int, steps: int) -> TokenAuditR
                 if moves > max_moves:
                     max_moves = moves
                 tracked[(color, dst)] = moves
-                holder = agents[dst]
+                holder = work.agents[dst]
                 token = holder.token_b if color == "B" else holder.token_w
-                if token is not None and not analysis._valid(
-                    holder.dist, token.offset, 0 if color == "B" else psi, psi, two_psi
+                if token is not None and _off_track(
+                    holder.dist, token.offset, 0 if color == "B" else psi, two_psi, psi
                 ):
                     invalid_moves += 1
+
+    run(config, SchedulerStream(n, seed), steps, _never, on_step=follow_tokens)
     return TokenAuditReport(
         steps=steps,
         births=births,
@@ -535,23 +489,17 @@ def run_peaceful_audit(
     config: Configuration, seed: int, steps: int
 ) -> PeacefulAuditReport:
     """Check that live bullets, once peaceful, stay peaceful until they die."""
-    p = config.params
-    n = p.n
-    work = config.copy()
-    agents = work.agents
-    scheduler = SchedulerStream(n, seed)
+    n = config.params.n
     live: dict[int, bool] = {}  # position -> has been seen peaceful
-    for pos, a in enumerate(agents):
+    for pos, a in enumerate(config.agents):
         if a.bullet == 2:
-            live[pos] = analysis.is_peaceful(work, pos)
+            live[pos] = analysis.is_peaceful(config, pos)
     tracked_total = len(live)
     violations = 0
-    trace: list = []
-    for _ in range(steps):
-        i = scheduler.next_index()
+
+    def follow_bullets(work: Configuration, i: int, trace: list) -> None:
+        nonlocal tracked_total, violations
         j = (i + 1) % n
-        trace.clear()
-        interact_inplace(agents[i], agents[j], p.psi, p.two_psi, p.kappa_max, trace)
         moved: list[tuple[int, int]] = []
         for ev in trace:
             kind = ev[0]
@@ -576,6 +524,8 @@ def run_peaceful_audit(
             if live[pos] and not peaceful_now:
                 violations += 1
             live[pos] = live[pos] or peaceful_now
+
+    run(config, SchedulerStream(n, seed), steps, _never, on_step=follow_bullets)
     return PeacefulAuditReport(
         steps=steps, bullets_tracked=tracked_total, violations=violations
     )

@@ -11,6 +11,7 @@ from ringleader.harness import (
     ExperimentSpec,
     Protocol,
     TrialRecord,
+    _map,
     dump_config,
     export_csv,
     load_config,
@@ -70,11 +71,11 @@ def test_sweep_kappa_override():
 
 
 def test_sweep_range_instrumented():
-    records = run_convergence_sweep(
-        small_spec(trials_per_n=1, instrument=frozenset({"range"}))
-    )
+    records = run_convergence_sweep(small_spec(trials_per_n=1, range_check=True))
     assert records[0].converged
     assert records[0].violations == 0
+    # the check observes the run without changing it
+    assert records == run_convergence_sweep(small_spec(trials_per_n=1))
 
 
 def test_sweep_por():
@@ -86,9 +87,33 @@ def test_sweep_por():
     assert all(r.psi is None and r.final_leader_count is None for r in records)
 
 
-def test_sweep_rejects_lottery():
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(n_values=()),
+        dict(n_values=(8, 1)),
+        dict(protocol=Protocol.POR, n_values=(2,)),
+        dict(workers=0),
+        dict(workers=-1),
+        dict(trials_per_n=0),
+        dict(max_steps_multiplier=0),
+    ],
+)
+def test_spec_rejects_bad_input(overrides):
     with pytest.raises(ValueError):
-        run_convergence_sweep(small_spec(protocol=Protocol.LOTTERY))
+        small_spec(**overrides)
+
+
+def test_spec_accepts_smallest_rings():
+    small_spec(n_values=(2,))
+    small_spec(protocol=Protocol.POR, n_values=(3,))
+
+
+def test_map_rejects_bad_worker_count():
+    assert _map(abs, [-1, 2], 1) == [1, 2]
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            _map(abs, [-1, 2], workers)
 
 
 def test_trial_seed_stability():
@@ -173,6 +198,16 @@ def test_elimination_two_leaders_small():
     assert report.passed
     assert report.zero_leader_events == 0
     assert all(s > 0 for s in report.steps)
+
+
+def test_elimination_cutoff_honesty():
+    # a budget that is not a multiple of n must not be overshot
+    cutoff = step_cutoff(12, 0.05)
+    assert cutoff % 12 != 0
+    report = run_elimination_suite(
+        n=12, initial_leaders=2, trials=3, seed=1, multiplier=0.05
+    )
+    assert all(s <= cutoff for s in report.steps)
 
 
 def test_elimination_rejects_bad_args():
@@ -315,6 +350,42 @@ def test_cli_sweep_and_csv(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "converged 2/2" in capsys.readouterr().out
+
+
+def test_cli_sweep_writes_no_csv_without_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["sweep", "--n", "8", "--trials", "1", "--seed", "5"]) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert "wrote" not in capsys.readouterr().out
+
+
+def test_cli_sweep_range_check(capsys):
+    code = cli_main(["sweep", "--n", "8", "--trials", "1", "--range-check"])
+    assert code == 0
+    assert "converged 1/1, violations 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n", ""],
+        ["sweep", "--n", "8,1"],
+        ["sweep", "--n", "eight"],
+        ["sweep", "--workers", "0"],
+        ["closure", "--workers", "-1"],
+        ["eliminate", "--workers", "0"],
+    ],
+)
+def test_cli_rejects_bad_sizes_and_workers(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_two_agent_orientation(capsys):
+    assert cli_main(["sweep", "--protocol", "por", "--n", "2"]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_cli_eliminate(capsys):

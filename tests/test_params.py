@@ -28,6 +28,17 @@ def test_invariants_hold(n):
     assert p.zeta == -(-n // p.psi)
 
 
+def test_psi_exact_beyond_float_precision():
+    # a float log2 rounds 2**53 + 1 down to 53 and then fails 2**psi >= n
+    assert make_params(2**53 + 1).psi == 54
+
+
+def test_psi_is_smallest_legal():
+    for n in range(3, 4097):
+        psi = make_params(n).psi
+        assert 2 ** (psi - 1) < n <= 2**psi, n
+
+
 def test_rejects_tiny_ring():
     with pytest.raises(InvalidSizeError):
         make_params(1)

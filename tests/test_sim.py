@@ -115,6 +115,29 @@ def test_run_matches_step_by_step():
     assert final == manual
 
 
+def test_on_step_sees_every_interaction():
+    cfg = random_configuration(P16, 14)
+    seen = []
+    run(cfg, SchedulerStream(16, 15), 1000, lambda c: False,
+        on_step=lambda work, i, trace: seen.append(i))
+    assert seen == SchedulerStream(16, 15).draw(1000)
+
+
+def test_on_step_does_not_change_the_run():
+    cfg = random_configuration(P16, 16)
+    plain = run(cfg, SchedulerStream(16, 17), 3000, in_S_PL, check_interval=7)
+    events = []
+
+    def hook(work, i, trace):
+        assert 0 <= i < 16
+        events.extend(trace)
+
+    hooked = run(cfg, SchedulerStream(16, 17), 3000, in_S_PL, check_interval=7,
+                 on_step=hook)
+    assert hooked[0] == plain[0] and hooked[1:] == plain[1:]
+    assert events  # a random start fires tokens, bullets and signals
+
+
 def test_range_preserved_along_run():
     cfg = random_configuration(P16, 12)
     final, _, _ = run(cfg, SchedulerStream(16, 13), 20_000, lambda c: False)
