@@ -12,9 +12,10 @@ position 0; they are rotation-invariant by construction.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -170,56 +171,31 @@ def token_is_valid(config: Configuration, i: int, which: TokenColor) -> bool:
     )
 
 
-def _token_correct_rel(
-    config: Configuration, leader_pos: int, k_abs: int, which: TokenColor
+def _tokens_correct(
+    tokens: Iterable[tuple[int, Token]],
+    targets: list[dict[int, tuple[int, int]]],
+    ids: list[int],
+    zeros: list[int],
 ) -> bool:
-    """Validity + working-pair + correctness for one token, leader at rel 0.
+    """Validity + working-pair + correctness for tokens of one color in a
+    ``C_DL`` ring.
 
-    Returns False for tokens that are invalid, anchored outside the segment
-    range, or targeting past the ring's end; otherwise evaluates the carry
-    and value bits against the home segment's ID.
+    ``tokens`` holds ``(k, token)`` pairs, ``k`` being the holder's distance
+    from the leader; ``targets`` is the color's table from :func:`_layout`,
+    and ``ids``/``zeros`` come from :func:`_full_segments`.  A token fails
+    when its table row has no slot for its offset, or when its carry and
+    value bits disagree with its home segment's ID.
     """
-    p = config.params
-    n, psi, two_psi = p.n, p.psi, p.two_psi
-    agents = config.agents
-    agent = agents[k_abs]
-    token = _token_of(agent, which)
-    d = _color_d(which, psi)
-    offset = token.offset
-
-    k_rel = (k_abs - leader_pos) % n
-    rel = (agent.dist + d) % two_psi  # position within the two-segment window
-    anchor = k_rel - rel  # home border, relative to the leader
-    if anchor < 0 or anchor % psi != 0:
-        return False
-    seg_index = anchor // psi
-    if seg_index > p.zeta - 2:
-        return False
-
-    window = rel + offset  # target position within the window, unwrapped
-    if offset > 0:
-        if not psi <= window <= two_psi - 1:
-            return False  # off its trajectory
-        x = window - psi
-    else:
-        if not 1 <= window <= psi - 1:
+    for k, (offset, value, carry) in tokens:
+        slot = targets[k].get(offset)
+        if slot is None:
             return False
-        x = window - 1
-    if anchor + window >= n:
-        return False  # target past the ring's end: not working for any pair
-
-    base = leader_pos + anchor
-    j = psi
-    for jj in range(psi):
-        if agents[(base + jj) % n].b == 0:
-            j = jj
-            break
-    carry_expected = 1 if x < j else 0
-    if token.carry_bit != carry_expected:
-        return False
-    b_x = agents[(base + x) % n].b
-    value_expected = b_x ^ (1 if x <= j else 0)
-    return token.value_bit == value_expected
+        seg, x = slot
+        # the +1 addition flips ID bits 0..j, where j is the lowest zero bit
+        j = zeros[seg]
+        if carry != (x < j) or value != ((ids[seg] >> x) & 1) ^ (x <= j):
+            return False
+    return True
 
 
 def token_is_correct(config: Configuration, i: int, which: TokenColor) -> bool:
@@ -237,16 +213,14 @@ def token_is_correct(config: Configuration, i: int, which: TokenColor) -> bool:
         raise PreconditionError("configuration is not in C_DL")
     if not token_is_valid(config, i, which):
         raise PreconditionError("token is not valid")
+    ring, layout = _from_leader(config)
     leader_pos = next(k for k, a in enumerate(config.agents) if a.leader)
-    p = config.params
-    k_rel = (i - leader_pos) % p.n
-    rel = (agent.dist + _color_d(which, p.psi)) % p.two_psi
-    anchor = k_rel - rel
-    if anchor < 0 or anchor % p.psi != 0 or anchor // p.psi > p.zeta - 2:
+    k = (i - leader_pos) % config.params.n
+    targets = layout.black if which is TokenColor.BLACK else layout.white
+    if token.offset not in targets[k]:
         raise PreconditionError("token is not working for any segment pair")
-    if anchor + rel + token.offset >= p.n:
-        raise PreconditionError("token is not working for any segment pair")
-    return _token_correct_rel(config, leader_pos, i, which)
+    ids, zeros = _full_segments(ring, config.params)
+    return _tokens_correct([(k, token)], targets, ids, zeros)
 
 
 # --------------------------------------------------------------------------
@@ -279,72 +253,137 @@ def in_C_PB(config: Configuration) -> bool:
     return True
 
 
-def _unique_leader(config: Configuration) -> int | None:
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+class _Layout(NamedTuple):
+    """The fixed shape of a ``C_DL`` ring, by distance k from its leader.
+
+    Built once per :class:`ProtocolParams` and shared: do not modify.
+    """
+
+    dist: list[int]  # settled dist values
+    last: list[int]  # settled last flags
+    black: list[dict[int, tuple[int, int]]]  # token targets, see _targets
+    white: list[dict[int, tuple[int, int]]]
+
+
+def _targets(p: ProtocolParams, d: int) -> list[dict[int, tuple[int, int]]]:
+    """Where each token of one color may work, in a ``C_DL`` ring.
+
+    ``d`` is the color's home border (0 black, psi white).  For a token held
+    ``k`` agents right of the leader, ``table[k][offset]`` is ``(seg, x)``:
+    its home segment S_seg and the index x of the ID bit it carries.  The
+    offset is missing when the token is invalid, anchored outside
+    S_0 .. S_{zeta-2}, or targeting past the ring's end.
+    """
+    n, psi, two_psi = p.n, p.psi, p.two_psi
+    table = []
+    for k in range(n):
+        row: dict[int, tuple[int, int]] = {}
+        rel = (k + d) % two_psi  # position within the two-segment window
+        anchor = k - rel  # home border, a multiple of psi
+        if 0 <= anchor <= psi * (p.zeta - 2):
+            # every offset that can land in the window, legal or not, so
+            # that a token outside the declared range is judged as well
+            for offset in range(1, two_psi):  # rightward: target in the next segment
+                window = rel + offset
+                if psi <= window < two_psi and anchor + window < n:
+                    row[offset] = (anchor // psi, window - psi)
+            for offset in range(2 - two_psi, 0):  # leftward: target in the home segment
+                window = rel + offset
+                if 1 <= window < psi and anchor + window < n:
+                    row[offset] = (anchor // psi, window - 1)
+        table.append(row)
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(p: ProtocolParams) -> _Layout:
+    last_from = p.psi * (p.zeta - 1)
+    return _Layout(
+        dist=[k % p.two_psi for k in range(p.n)],
+        last=[1 if k >= last_from else 0 for k in range(p.n)],
+        black=_targets(p, 0),
+        white=_targets(p, p.psi),
+    )
+
+
+def _from_leader(config: Configuration) -> tuple[list[AgentState], _Layout] | None:
+    """The agents rotated to start at the unique leader, and the ring's
+    layout, provided there is exactly one leader and every dist/last field
+    is settled; otherwise None."""
+    agents = config.agents
     pos = None
-    for i, a in enumerate(config.agents):
+    for i, a in enumerate(agents):
         if a.leader:
             if pos is not None:
                 return None
             pos = i
-    return pos
+    if pos is None:
+        return None
+    ring = agents[pos:] + agents[:pos]
+    layout = _layout(config.params)
+    if [a.dist for a in ring] != layout.dist or [a.last for a in ring] != layout.last:
+        return None
+    return ring, layout
 
 
-def _dist_last_settled(config: Configuration, leader_pos: int) -> bool:
-    p = config.params
-    n, two_psi = p.n, p.two_psi
-    last_from = p.psi * (p.zeta - 1)
-    agents = config.agents
-    for i in range(n):
-        a = agents[(leader_pos + i) % n]
-        if a.dist != i % two_psi:
-            return False
-        if a.last != (1 if i >= last_from else 0):
-            return False
-    return True
+def _bullets_peaceful(ring: list[AgentState]) -> bool:
+    """Every live bullet is peaceful, for a ring that starts at its unique
+    leader: the leader is shielded and no bullet-absence signal sits between
+    it and the rightmost live bullet (both ends included)."""
+    bullets = [a.bullet for a in ring]
+    if 2 not in bullets:
+        return True
+    rightmost = len(bullets) - 1 - bullets[::-1].index(2)
+    return ring[0].shield == 1 and not any([a.signal_b for a in ring[: rightmost + 1]])
+
+
+def _full_segments(
+    ring: list[AgentState], p: ProtocolParams
+) -> tuple[list[int], list[int]]:
+    """IDs of the full segments S_0 .. S_{zeta-2} of a ring that starts at
+    its leader, and each ID's lowest zero bit (psi when all bits are one)."""
+    psi = p.psi
+    full = ring[: psi * (p.zeta - 1)]
+    if not full:
+        return [], []
+    # the b bits as one integer, agent k at bit k: the bytes 0/1 become the
+    # digits "0"/"1", most significant (rightmost agent) first
+    word = int(bytes([a.b for a in reversed(full)]).translate(_BIT_CHARS), 2)
+    mask = (1 << psi) - 1
+    ids = [(word >> shift) & mask for shift in range(0, len(full), psi)]
+    zeros = [(~sid & (sid + 1)).bit_length() - 1 for sid in ids]
+    return ids, zeros
 
 
 def in_C_DL(config: Configuration) -> bool:
     """Unique leader, every live bullet peaceful, dist/last fully settled."""
-    leader_pos = _unique_leader(config)
-    if leader_pos is None:
-        return False
-    if not _dist_last_settled(config, leader_pos):
-        return False
-    return in_C_PB(config)
+    found = _from_leader(config)
+    return found is not None and _bullets_peaceful(found[0])
 
 
 def in_S_PL(config: Configuration) -> bool:
     """The safe set: ``C_DL``, all tokens valid and correct, and consecutive
     full segments carrying consecutive IDs."""
-    leader_pos = _unique_leader(config)
-    if leader_pos is None:
+    found = _from_leader(config)
+    if found is None:
         return False
-    if not _dist_last_settled(config, leader_pos):
-        return False
+    ring, layout = found
     p = config.params
-    agents = config.agents
-    modulus = 1 << p.psi
-    chain = []
-    for s in range(p.zeta - 1):  # IDs of the full segments S_0 .. S_{zeta-2}
-        base = leader_pos + s * p.psi
-        sid = 0
-        for j in range(p.psi):
-            sid |= agents[(base + j) % p.n].b << j
-        chain.append(sid)
-    for i in range(p.zeta - 2):  # consecutive pairs up to (S_{zeta-3}, S_{zeta-2})
-        if chain[i + 1] != (chain[i] + 1) % modulus:
+    ids, zeros = _full_segments(ring, p)
+    mask = (1 << p.psi) - 1
+    for s in range(len(ids) - 1):
+        if ids[s + 1] != (ids[s] + 1) & mask:
             return False
-    for k in range(p.n):
-        a = agents[k]
-        if a.token_b is not None and not _token_correct_rel(
-            config, leader_pos, k, TokenColor.BLACK
-        ):
-            return False
-        if a.token_w is not None and not _token_correct_rel(
-            config, leader_pos, k, TokenColor.WHITE
-        ):
-            return False
-    return in_C_PB(config)
+    black = [(k, a.token_b) for k, a in enumerate(ring) if a.token_b is not None]
+    if not _tokens_correct(black, layout.black, ids, zeros):
+        return False
+    white = [(k, a.token_w) for k, a in enumerate(ring) if a.token_w is not None]
+    if not _tokens_correct(white, layout.white, ids, zeros):
+        return False
+    return _bullets_peaceful(ring)
 
 
 # --------------------------------------------------------------------------

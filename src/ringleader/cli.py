@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import analysis, harness, lottery
-from .core.params import make_params
+from .core.params import InvalidSizeError, make_params
 from .core.state import random_configuration
 from .harness import ConfigFormatError, ExperimentSpec, Protocol
 from .orientation import generate_two_hop_coloring, run_orientation
@@ -27,6 +27,13 @@ def _ring_sizes(text: str) -> tuple[int, ...]:
             f"need one or more comma-separated ring sizes >= 2, got {text!r}"
         )
     return sizes
+
+
+def _ring_size(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need a ring size >= 2, got {value}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -62,14 +69,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    report = harness.run_closure_suite(
-        Protocol(args.protocol),
-        n=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        steps=args.steps,
-        workers=args.workers,
-    )
+    try:
+        report = harness.run_closure_suite(
+            Protocol(args.protocol),
+            n=args.n,
+            trials=args.trials,
+            seed=args.seed,
+            steps=args.steps,
+            workers=args.workers,
+        )
+    except InvalidSizeError as exc:  # e.g. n=2 for orientation
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for line in report.violations:
         print(f"VIOLATION {line}")
     if report.rejected_trials:
@@ -82,8 +93,15 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_eliminate(args) -> int:
+    counts = _int_list(args.leaders)
+    if not counts or not all(1 <= c <= args.n for c in counts):
+        print(
+            f"error: --leaders needs counts in [1, {args.n}], got {args.leaders!r}",
+            file=sys.stderr,
+        )
+        return 2
     ok = True
-    for leaders in _int_list(args.leaders):
+    for leaders in counts:
         report = harness.run_elimination_suite(
             n=args.n,
             initial_leaders=leaders,
@@ -186,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n", type=_ring_sizes, default=(8, 16, 32, 64), help="comma-separated ring sizes"
     )
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--multiplier", type=float, default=harness.DEFAULT_MULTIPLIER)
     p.add_argument("--kappa-max", type=int, default=None)
@@ -200,17 +218,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="safety preservation from safe starts")
     p.add_argument("--protocol", choices=["ppl", "por"], default="ppl")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--n", type=_ring_size, default=16)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=harness.CLOSURE_STEPS)
+    p.add_argument("--steps", type=_positive_int, default=harness.CLOSURE_STEPS)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("eliminate", help="leader elimination from multi-leader starts")
-    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--n", type=_ring_size, default=32)
     p.add_argument("--leaders", default="2,4,8", help="comma-separated counts")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_eliminate)

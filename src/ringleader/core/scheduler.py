@@ -32,12 +32,19 @@ class SchedulerStream:
         return idx
 
     def draw(self, count: int) -> list[int]:
-        """Consume and return the next ``count`` indices."""
+        """Consume and return the next ``count`` indices.
+
+        Served from the same ``_CHUNK``-index buffer as :meth:`next_index`.
+        The stream does not depend on how it is cut into chunks: PCG64 keeps
+        the unused half of a 64-bit output in the bit generator between
+        ``integers`` calls.
+        """
         out = self._buf[self._pos : self._pos + count]
         self._pos += len(out)
         while len(out) < count:
-            take = min(_CHUNK, count - len(out))
-            out.extend(self._rng.integers(0, self.n, size=take).tolist())
+            self._buf = self._rng.integers(0, self.n, size=_CHUNK).tolist()
+            self._pos = min(_CHUNK, count - len(out))
+            out.extend(self._buf[: self._pos])
         return out
 
     def __iter__(self):

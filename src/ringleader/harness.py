@@ -251,6 +251,20 @@ def _ppl_closure_task(args) -> tuple[int, list[str], bool]:
     return seed, violations, False
 
 
+def _por_closure_task(args) -> list[str]:
+    n, seed, steps = args
+    config = oriented_configuration(n, seed)
+    trial = run_orientation(config, seed + 1, max_steps=0, post_steps=steps)
+    violations = []
+    if trial.post_dir_changes:
+        violations.append(
+            f"seed={seed}: {trial.post_dir_changes} direction changes after orientation"
+        )
+    if trial.monotone_violations:
+        violations.append(f"seed={seed}: segment count increased")
+    return violations
+
+
 def run_closure_suite(
     protocol: Protocol,
     n: int,
@@ -283,19 +297,9 @@ def run_closure_suite(
             if rejected:
                 report.rejected_trials.append(tseed)
     elif protocol is Protocol.POR:
-        for t in range(trials):
-            tseed = trial_seed(seed, n, t)
-            config = oriented_configuration(n, tseed)
-            trial = run_orientation(config, tseed + 1, max_steps=0, post_steps=steps)
-            if trial.post_dir_changes:
-                report.violations.append(
-                    f"seed={tseed}: {trial.post_dir_changes} direction changes "
-                    "after orientation"
-                )
-            if trial.monotone_violations:
-                report.violations.append(
-                    f"seed={tseed}: segment count increased"
-                )
+        tasks = [(n, trial_seed(seed, n, t), steps) for t in range(trials)]
+        for violations in _map(_por_closure_task, tasks, workers):
+            report.violations.extend(violations)
     else:
         raise ValueError("closure suite supports PPL and POR only")
     return report

@@ -16,13 +16,14 @@ bullet-absence signal cleared before the elimination block runs) and must not
 be rearranged.
 
 Two implementations exist: the five standalone blocks below, and a fused
-``interact_ppl`` used by the simulation loop, which short-circuits the token
-blocks when no token activity is possible.  The acceptance suite asserts they
-are bit-identical on random state pairs.
+``interact_inplace`` used by the simulation loop, which short-circuits the
+token blocks when no token activity is possible.  The acceptance suite
+asserts they are bit-identical on random state pairs.
 """
 from __future__ import annotations
 
 import enum
+import functools
 
 from .core.params import ProtocolParams
 from .core.state import CONSTRUCT, DETECT, AgentState, Token
@@ -119,16 +120,34 @@ def _off_track(dist: int, offset: int, d: int, two_psi: int, psi: int) -> bool:
     return target_rel == 0 or target_rel >= psi
 
 
+@functools.cache
+def _token_table(psi: int) -> list[Token | None]:
+    """Every legal token for ``psi``, built once and shared by all moves.
+
+    ``table[4*offset + 2*value_bit + carry_bit]`` is
+    ``Token(offset, value_bit, carry_bit)``.  Negative offsets index from the
+    end; at length ``8*psi`` the two offset ranges do not overlap.
+    """
+    table: list[Token | None] = [None] * (8 * psi)
+    for offset in (*range(1 - psi, 0), *range(1, psi + 1)):
+        for value in (0, 1):
+            for carry in (0, 1):
+                table[4 * offset + 2 * value + carry] = Token(offset, value, carry)
+    return table
+
+
 def _relay_inplace(l, r, lt, rt, d, psi, two_psi, trace, color):
     """One color's token block.  Returns the pair's new token fields.
 
     ``lt``/``rt`` are the current token values of this color at l and r;
     other agent fields are read and written through ``l``/``r`` directly.
     """
+    tokens = _token_table(psi)
     # an idle border (not in the final segment) arms a fresh token carrying
     # the first bit of its segment ID plus one: value 1-b, carry b
     if lt is None and l.dist == d and l.last == 0:
-        lt = Token(psi, 1 - l.b, l.b)
+        b = l.b
+        lt = tokens[4 * psi + 2 * (1 - b) + b]  # Token(psi, 1 - b, b)
         if trace is not None:
             trace.append(("tgen", color))
     # a token never moves onto an occupied agent or into the final segment;
@@ -141,8 +160,9 @@ def _relay_inplace(l, r, lt, rt, d, psi, two_psi, trace, color):
         # rightward arrival: construction writes the carried bit, detection
         # checks it and creates a leader on mismatch; then the token turns
         # around toward the matching agent of its home segment
+        _, value, carry = lt
         if r.mode == DETECT:
-            if lt.value_bit != r.b:
+            if value != r.b:
                 if trace is not None and r.bullet > 0:
                     trace.append(("bdel", "r"))
                 r.leader = 1
@@ -152,28 +172,31 @@ def _relay_inplace(l, r, lt, rt, d, psi, two_psi, trace, color):
                 if trace is not None:
                     trace.append(("bfire", "r", 2))
         else:
-            r.b = lt.value_bit
-        rt = Token(1 - psi, lt.value_bit, lt.carry_bit)
+            r.b = value
+        rt = tokens[4 * (1 - psi) + 2 * value + carry]  # Token(1 - psi, value, carry)
         lt = None
         if trace is not None:
             trace.append(("tmove", color, "lr"))
     elif lt is not None and lt.offset >= 2:
-        rt = Token(lt.offset - 1, lt.value_bit, lt.carry_bit)
+        offset, value, carry = lt
+        rt = tokens[4 * (offset - 1) + 2 * value + carry]
         lt = None
         if trace is not None:
             trace.append(("tmove", color, "lr"))
     elif rt is not None and rt.offset == -1:
         # leftward arrival: fold l's bit into the running +1 addition and
         # re-arm for the next round
+        b = l.b
         if rt.carry_bit == 1:
-            lt = Token(psi, 1 - l.b, l.b)
+            lt = tokens[4 * psi + 2 * (1 - b) + b]  # Token(psi, 1 - b, b)
         else:
-            lt = Token(psi, l.b, 0)
+            lt = tokens[4 * psi + 2 * b]  # Token(psi, b, 0)
         rt = None
         if trace is not None:
             trace.append(("tmove", color, "rl"))
     elif rt is not None and rt.offset <= -2:
-        lt = Token(rt.offset + 1, rt.value_bit, rt.carry_bit)
+        offset, value, carry = rt
+        lt = tokens[4 * (offset + 1) + 2 * value + carry]
         rt = None
         if trace is not None:
             trace.append(("tmove", color, "rl"))

@@ -519,6 +519,86 @@ def test_peaceful_bullet_set_is_closed():
             assert in_C_PB(work), f"seed {seed} left the peaceful set"
 
 
+_MUTABLE_FIELDS = (
+    "leader", "b", "dist", "last", "bullet", "shield", "signal_b", "token",
+)
+
+
+def _mutate_one_field(cfg, rng):
+    """A copy of ``cfg`` with one field of one agent set to another legal value."""
+    p = cfg.params
+    work = cfg.copy()
+    agent = work.agents[int(rng.integers(0, p.n))]
+    field = _MUTABLE_FIELDS[int(rng.integers(0, len(_MUTABLE_FIELDS)))]
+    if field == "dist":
+        agent.dist = (agent.dist + int(rng.integers(1, p.two_psi))) % p.two_psi
+    elif field == "bullet":
+        agent.bullet = (agent.bullet + int(rng.integers(1, 3))) % 3
+    elif field == "token":
+        offsets = [o for o in range(1 - p.psi, p.psi + 1) if o != 0]
+        tokens = [None] + [
+            Token(o, v, c) for o in offsets for v in (0, 1) for c in (0, 1)
+        ]
+        token = tokens[int(rng.integers(0, len(tokens)))]
+        setattr(agent, "token_b" if rng.integers(0, 2) else "token_w", token)
+    else:
+        setattr(agent, field, 1 - getattr(agent, field))
+    return work
+
+
+def _predicate_corpus(n):
+    """Seeded configurations at ring size n from three sources: states along
+    safe runs (rotated so the leader sits anywhere), uniform-random
+    configurations, and the safe states with one field of one agent mutated."""
+    from ringleader.core.scheduler import SchedulerStream
+    from ringleader.core.sim import run
+
+    params = make_params(n)
+    rng = np.random.Generator(np.random.PCG64(n))
+    safe = []
+
+    def sample(work):
+        shift = int(rng.integers(0, n))
+        rotated = work.copy()
+        rotated.agents = rotated.agents[shift:] + rotated.agents[:shift]
+        safe.append(rotated)
+        return False
+
+    for seed in range(3):
+        start = construct_S_PL(params, seed)
+        run(start, SchedulerStream(n, seed + 100), 200 * n, sample)
+    uniform = [random_configuration(params, 1000 + seed) for seed in range(50)]
+    mutated = [_mutate_one_field(c, rng) for c in safe for _ in range(4)]
+    return safe + uniform + mutated
+
+
+# (corpus size, in_S_PL-true, in_C_DL-true) per ring size, as evaluated by
+# the predicates' earlier agent-by-agent implementation
+_CORPUS_COUNTS = {
+    2: (3065, 1646, 1947),
+    3: (3065, 1597, 1930),
+    5: (3065, 1569, 1888),
+    8: (3065, 1474, 1950),
+    16: (3065, 1461, 1918),
+    32: (3065, 1405, 1957),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_CORPUS_COUNTS))
+def test_predicate_corpus_counts(n):
+    corpus = _predicate_corpus(n)
+    safe = [c for c in corpus if in_S_PL(c)]
+    dl = [c for c in corpus if in_C_DL(c)]
+    assert (len(corpus), len(safe), len(dl)) == _CORPUS_COUNTS[n]
+    assert all(in_C_DL(c) for c in safe)
+    for cfg in safe:
+        for i, a in enumerate(cfg.agents):
+            if a.token_b is not None:
+                assert token_is_correct(cfg, i, TokenColor.BLACK)
+            if a.token_w is not None:
+                assert token_is_correct(cfg, i, TokenColor.WHITE)
+
+
 # --------------------------------------------------------------------------
 # safe-set constructor details
 # --------------------------------------------------------------------------

@@ -171,6 +171,14 @@ def test_closure_por_small():
     assert report.passed
 
 
+def test_closure_por_workers():
+    with pytest.raises(ValueError):
+        run_closure_suite(Protocol.POR, n=8, trials=1, seed=0, steps=10, workers=0)
+    a = run_closure_suite(Protocol.POR, n=8, trials=3, seed=2, steps=500)
+    b = run_closure_suite(Protocol.POR, n=8, trials=3, seed=2, steps=500, workers=2)
+    assert a == b
+
+
 # --------------------------------------------------------------------------
 # elimination suite
 # --------------------------------------------------------------------------
@@ -374,6 +382,12 @@ def test_cli_sweep_range_check(capsys):
         ["sweep", "--workers", "0"],
         ["closure", "--workers", "-1"],
         ["eliminate", "--workers", "0"],
+        ["closure", "--n", "1"],
+        ["eliminate", "--n", "1"],
+        ["closure", "--n", "8", "--trials", "0"],
+        ["closure", "--steps", "0"],
+        ["eliminate", "--trials", "0"],
+        ["sweep", "--trials", "0"],
     ],
 )
 def test_cli_rejects_bad_sizes_and_workers(argv, capsys):
@@ -385,6 +399,19 @@ def test_cli_rejects_bad_sizes_and_workers(argv, capsys):
 
 def test_cli_sweep_rejects_two_agent_orientation(capsys):
     assert cli_main(["sweep", "--protocol", "por", "--n", "2"]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closure", "--protocol", "por", "--n", "2", "--trials", "1"],
+        ["eliminate", "--n", "8", "--leaders", "9"],
+        ["eliminate", "--n", "8", "--leaders", ","],
+    ],
+)
+def test_cli_rejects_unusable_closure_and_elimination_runs(argv, capsys):
+    assert cli_main(argv) == 2
     assert "error" in capsys.readouterr().err
 
 

@@ -51,3 +51,30 @@ def test_chi_square_sane():
 def test_rejects_tiny_ring():
     with pytest.raises(ValueError):
         SchedulerStream(1, 0)
+
+
+class _CountingGenerator:
+    """Wraps a numpy Generator and counts its ``integers`` calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n", [3, 10, 32, 100])
+def test_draw_is_served_from_chunks(n):
+    s = SchedulerStream(n, 17)
+    s._rng = counting = _CountingGenerator(s._rng)
+    got = []
+    for k, size in enumerate([1, n, 7, 8191, 8192, 8193, 20_000, 3, n, 100] * 3):
+        got += s.draw(size)
+        if k % 3 == 0:
+            got.append(s.next_index())
+    total = len(got)
+    assert counting.calls <= total // 8192 + 1
+    one_call = np.random.Generator(np.random.PCG64(17)).integers(0, n, size=total)
+    assert got == one_call.tolist()

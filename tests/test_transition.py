@@ -14,6 +14,7 @@ from ringleader.core.state import CONSTRUCT, DETECT, AgentState, Token
 from ringleader.transition import (
     TokenColor,
     _off_track,
+    _token_table,
     create_leader_diststep,
     determine_mode,
     eliminate_leaders,
@@ -303,6 +304,16 @@ def test_leftward_move_keeps_payload():
     l2, r2 = move_token(l, r, TokenColor.BLACK, P4)
     assert l2.token_b == Token(-1, 1, 0)
     assert r2.token_b is None
+
+
+@pytest.mark.parametrize("psi", range(2, 10))
+def test_token_table_holds_every_legal_token_once(psi):
+    offsets = [*range(1 - psi, 0), *range(1, psi + 1)]
+    legal = [Token(o, v, c) for o in offsets for v in (0, 1) for c in (0, 1)]
+    table = _token_table(psi)
+    for t in legal:
+        assert table[4 * t.offset + 2 * t.value_bit + t.carry_bit] == t
+    assert sorted(t for t in table if t is not None) == sorted(legal)
 
 
 def test_sweep_deletes_off_track_rightward_token():
