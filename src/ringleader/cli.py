@@ -36,6 +36,15 @@ def _ring_size(text: str) -> int:
     return value
 
 
+def _orient_size(text: str) -> int:
+    value = int(text)
+    if value < 3:
+        raise argparse.ArgumentTypeError(
+            f"need a ring size >= 3 for orientation, got {value}"
+        )
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -139,7 +148,11 @@ def _cmd_orient(args) -> int:
 
 def _cmd_lottery(args) -> int:
     which = lottery.Bound(args.bound)
-    rate = lottery.estimate_bound(args.k, args.c, which, args.trials, args.seed)
+    try:
+        rate = lottery.estimate_bound(args.k, args.c, which, args.trials, args.seed)
+    except ValueError as exc:  # e.g. the lower bound with k = 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ceiling = lottery.bound_probability(args.k, args.c)
     print(
         f"lottery k={args.k} c={args.c} bound={args.bound}: "
@@ -171,7 +184,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    params = make_params(args.n, args.kappa_max)
+    try:
+        params = make_params(args.n, args.kappa_max)
+    except InvalidSizeError as exc:  # e.g. kappa_max below 32*psi
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.kind == "random":
         config = random_configuration(params, args.seed)
     else:
@@ -234,17 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eliminate)
 
     p = sub.add_parser("orient", help="ring orientation trials, CSV to stdout")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--seeds", type=int, default=100)
+    p.add_argument("--n", type=_orient_size, default=16)
+    p.add_argument("--seeds", type=_positive_int, default=100)
     p.add_argument("--max-steps", type=int, default=10_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_orient)
 
     p = sub.add_parser("lottery", help="lottery-game bound estimation")
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--c", type=int, default=1)
+    p.add_argument("--k", type=_positive_int, default=4)
+    p.add_argument("--c", type=_positive_int, default=1)
     p.add_argument("--bound", choices=["upper", "lower"], default="upper")
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_lottery)
 
@@ -254,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("dump", help="write a configuration snapshot")
-    p.add_argument("--n", type=int, default=16)
+    p.add_argument("--n", type=_ring_size, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", choices=["random", "safe"], default="random")
     p.add_argument("--kappa-max", type=int, default=None)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..transition import interact_inplace
+from ..transition import interact_block, interact_traced
 from .scheduler import SchedulerStream
 from .state import Configuration
 
@@ -18,8 +18,8 @@ def step(config: Configuration, index: int) -> Configuration:
         raise ValueError(f"index {index} out of range [0, {n})")
     new = config.copy()
     p = config.params
-    interact_inplace(
-        new.agents[index], new.agents[(index + 1) % n], p.psi, p.two_psi, p.kappa_max
+    interact_block(
+        new.agents, (index,), {index: (index + 1) % n}, p.psi, p.two_psi, p.kappa_max
     )
     return new
 
@@ -41,10 +41,13 @@ def run(
     than one interval -- and never exceeds ``max_steps``.  The input
     configuration is not mutated.
 
-    ``on_step(work, i, trace)``, when given, is called after every
-    interaction with the working configuration, the initiator index and the
-    list of events the transition emitted.  The list is reused from step to
-    step; copy it to keep it.  Without ``on_step`` no events are recorded.
+    Without ``on_step``, each block of drawn indices runs in one call to the
+    fused, event-free ``interact_block``.  ``on_step(work, i, trace)``, when
+    given, is called after every interaction with the working configuration,
+    the initiator index and the list of events the transition emitted; such
+    runs go through the five reference blocks (``interact_traced``) one
+    interaction at a time and cost more.  The list is reused from step to step; copy it to keep it.
+    Both paths compute the same run.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
@@ -64,14 +67,16 @@ def run(
     psi, two_psi, kmax = p.psi, p.two_psi, p.kappa_max
     agents = work.agents
     nxt = [(i + 1) % n for i in range(n)]
-    trace = None if on_step is None else []
+    trace: list = []
 
     done = 0
     while done < max_steps:
         block = min(check_interval, max_steps - done)
-        for i in scheduler.draw(block):
-            interact_inplace(agents[i], agents[nxt[i]], psi, two_psi, kmax, trace)
-            if trace is not None:
+        if on_step is None:
+            interact_block(agents, scheduler.draw(block), nxt, psi, two_psi, kmax)
+        else:
+            for i in scheduler.draw(block):
+                interact_traced(agents[i], agents[nxt[i]], psi, two_psi, kmax, trace)
                 on_step(work, i, trace)
                 trace.clear()
         done += block

@@ -15,15 +15,21 @@ The block order is load-bearing (e.g. a freshly created leader has its
 bullet-absence signal cleared before the elimination block runs) and must not
 be rearranged.
 
-Two implementations exist: the five standalone blocks below, and a fused
-``interact_inplace`` used by the simulation loop, which short-circuits the
-token blocks when no token activity is possible.  The acceptance suite
-asserts they are bit-identical on random state pairs.
+Two implementations exist.  The five standalone blocks below are the
+reference: ``interact_traced`` runs them in order in place and records
+events, and ``interact_chained`` composes their pure forms.  The fused
+``interact_block`` runs the whole transition over a block of scheduler
+indices in one call, records no events, and short-circuits the token blocks
+when no token activity is possible; ``run`` uses it unless an ``on_step``
+hook asks for events, in which case the run goes through ``interact_traced``.
+The acceptance suite asserts the fused and chained forms are bit-identical
+on random state pairs.
 """
 from __future__ import annotations
 
 import enum
 import functools
+from typing import Iterable, Mapping, Sequence
 
 from .core.params import ProtocolParams
 from .core.state import CONSTRUCT, DETECT, AgentState, Token
@@ -267,126 +273,229 @@ def _eliminate_inplace(l: AgentState, r: AgentState, trace=None) -> None:
     l.signal_b = sb
 
 
+def interact_traced(
+    l: AgentState, r: AgentState, psi: int, two_psi: int, kappa_max: int, trace: list
+) -> None:
+    """The five blocks in order, in place, appending their events to ``trace``."""
+    _determine_mode_inplace(l, r, psi, kappa_max)
+    _dist_last_inplace(l, r, psi, two_psi)
+    l.token_b, r.token_b = _relay_inplace(
+        l, r, l.token_b, r.token_b, 0, psi, two_psi, trace, "B"
+    )
+    l.token_w, r.token_w = _relay_inplace(
+        l, r, l.token_w, r.token_w, psi, psi, two_psi, trace, "W"
+    )
+    _eliminate_inplace(l, r, trace)
+
+
 # --------------------------------------------------------------------------
-# fused hot-path transition
+# fused block loop
 # --------------------------------------------------------------------------
 
-def interact_inplace(
-    l: AgentState,
-    r: AgentState,
+def interact_block(
+    agents: Sequence[AgentState],
+    indices: Iterable[int],
+    nxt: Sequence[int] | Mapping[int, int],
     psi: int,
     two_psi: int,
     kappa_max: int,
-    trace=None,
 ) -> None:
-    """Apply the full transition to ``l`` and ``r`` in place.
+    """Apply the full transition on arc ``(i, nxt[i])`` for each ``i`` in turn.
 
-    Semantically identical to running the five blocks in order; the token
-    blocks are skipped outright when neither agent holds a token of that
-    color and the initiator cannot arm one.
+    Semantically identical to ``interact_traced`` for every index, but
+    records no events.  Both token colors are written out inline and skipped
+    outright when neither agent holds a token of that color and the
+    initiator cannot arm one; the off-track sweep inlines ``_off_track``.
     """
-    # mode determination
-    if l.leader:
-        l.signal_r = kappa_max
-    l.hits = 0
-    rh = r.hits + 1
-    if rh > psi:
-        rh = psi
-    ls = l.signal_r
-    rs = r.signal_r
-    if ls > 0 or rs > 0:
-        l.clock = 0
-        r.clock = 0
-        if rs > 0 and ls >= rs:
+    tokens = _token_table(psi)
+    arm = 4 * psi  # tokens[arm + 2*value + carry] is Token(psi, value, carry)
+    back = 4 * (1 - psi)  # tokens[back + ...] is Token(1 - psi, value, carry)
+    for i in indices:
+        l = agents[i]
+        r = agents[nxt[i]]
+
+        # mode determination
+        if l.leader:
+            l.signal_r = kappa_max
+        l.hits = 0
+        rh = r.hits + 1
+        if rh > psi:
+            rh = psi
+        ls = l.signal_r
+        rs = r.signal_r
+        if ls > 0 or rs > 0:
+            l.clock = 0
+            r.clock = 0
+            if rs > 0 and ls >= rs:
+                rh = 0
+            merged = ls if ls > rs else rs
+            l.signal_r = 0
+            if rh == psi:
+                r.signal_r = merged - 1
+                rh = 0
+            else:
+                r.signal_r = merged
+        elif rh == psi:
+            if r.clock < kappa_max:
+                r.clock = r.clock + 1
             rh = 0
-        merged = ls if ls > rs else rs
-        l.signal_r = 0
-        if rh == psi:
-            r.signal_r = merged - 1
-            rh = 0
+        r.hits = rh
+        l.mode = DETECT if l.clock == kappa_max else CONSTRUCT
+        rmode = DETECT if r.clock == kappa_max else CONSTRUCT
+        r.mode = rmode
+
+        # distance chain
+        ld = l.dist
+        if rmode == DETECT:
+            rd = r.dist
+            if (0 if r.leader else (ld + 1) % two_psi) != rd:
+                r.leader = 1
+                r.bullet = 2
+                r.shield = 1
+                r.signal_b = 0
         else:
-            r.signal_r = merged
-    elif rh == psi:
-        if r.clock < kappa_max:
-            r.clock = r.clock + 1
-        rh = 0
-    r.hits = rh
-    l.mode = DETECT if l.clock == kappa_max else CONSTRUCT
-    rmode = DETECT if r.clock == kappa_max else CONSTRUCT
-    r.mode = rmode
-
-    # distance chain
-    tmp = 0 if r.leader else (l.dist + 1) % two_psi
-    if rmode == DETECT:
-        if tmp != r.dist:
-            r.leader = 1
-            r.bullet = 2
-            r.shield = 1
-            r.signal_b = 0
-    else:
-        r.dist = tmp
-    if r.leader:
-        l.last = 1
-    elif r.dist == 0 or r.dist == psi:
-        l.last = 0
-    else:
-        l.last = r.last
-
-    # token relays, black (home border at relative 0) then white (at psi)
-    lt = l.token_b
-    rt = r.token_b
-    if lt is not None or rt is not None or (l.dist == 0 and l.last == 0):
-        l.token_b, r.token_b = _relay_inplace(
-            l, r, lt, rt, 0, psi, two_psi, trace, "B"
-        )
-    lt = l.token_w
-    rt = r.token_w
-    if lt is not None or rt is not None or (l.dist == psi and l.last == 0):
-        l.token_w, r.token_w = _relay_inplace(
-            l, r, lt, rt, psi, psi, two_psi, trace, "W"
-        )
-
-    # leader elimination
-    if l.leader and l.signal_b:
-        if trace is not None and l.bullet > 0:
-            trace.append(("bdel", "l"))
-        l.bullet = 2
-        l.shield = 1
-        l.signal_b = 0
-        if trace is not None:
-            trace.append(("bfire", "l", 2))
-    if r.leader and r.signal_b:
-        if trace is not None and r.bullet > 0:
-            trace.append(("bdel", "r"))
-        r.bullet = 1
-        r.shield = 0
-        r.signal_b = 0
-        if trace is not None:
-            trace.append(("bfire", "r", 1))
-    lb = l.bullet
-    if lb > 0:
+            rd = 0 if r.leader else (ld + 1) % two_psi
+            r.dist = rd
+        rlast = r.last
         if r.leader:
-            killed = lb == 2 and r.shield == 0
-            if killed:
-                r.leader = 0
-            l.bullet = 0
-            if trace is not None:
-                trace.append(("bhit", killed))
+            llast = 1
+        elif rd == 0 or rd == psi:
+            llast = 0
         else:
-            if r.bullet == 0:
-                r.bullet = lb
-                if trace is not None:
-                    trace.append(("bmove",))
-            elif trace is not None:
-                trace.append(("bdel", "l"))
-            l.bullet = 0
+            llast = rlast
+        l.last = llast
+
+        # black token relay: home border at relative 0
+        lt = l.token_b
+        rt = r.token_b
+        if lt is None and ld == 0 and llast == 0:
+            b = l.b
+            lt = tokens[arm + 2 - b]  # Token(psi, 1 - b, b)
+        if lt is not None or rt is not None:
+            if lt is not None and (rt is not None or rlast == 1):
+                lt = None
+            if lt is not None:  # then rt is None: at most one token moves
+                offset, value, carry = lt
+                if offset == 1:
+                    if rmode == DETECT:
+                        if value != r.b:
+                            r.leader = 1
+                            r.bullet = 2
+                            r.shield = 1
+                            r.signal_b = 0
+                    else:
+                        r.b = value
+                    rt = tokens[back + 2 * value + carry]
+                    lt = None
+                elif offset > 1:
+                    rt = tokens[4 * offset - 4 + 2 * value + carry]
+                    lt = None
+            elif rt is not None:
+                offset, value, carry = rt
+                if offset == -1:
+                    b = l.b
+                    lt = tokens[arm + 2 - b if carry else arm + 2 * b]
+                    rt = None
+                elif offset < -1:
+                    lt = tokens[4 * offset + 4 + 2 * value + carry]
+                    rt = None
+            if lt is not None:
+                if llast == 1:
+                    lt = None
+                else:
+                    offset = lt[0]
+                    t = (ld + offset) % two_psi
+                    if (t < psi) if offset > 0 else (t == 0 or t >= psi):
+                        lt = None
+            if rt is not None:
+                if rlast == 1:
+                    rt = None
+                else:
+                    offset = rt[0]
+                    t = (rd + offset) % two_psi
+                    if (t < psi) if offset > 0 else (t == 0 or t >= psi):
+                        rt = None
+            l.token_b = lt
+            r.token_b = rt
+
+        # white token relay: home border at relative psi
+        lt = l.token_w
+        rt = r.token_w
+        if lt is None and ld == psi and llast == 0:
+            b = l.b
+            lt = tokens[arm + 2 - b]  # Token(psi, 1 - b, b)
+        if lt is not None or rt is not None:
+            if lt is not None and (rt is not None or rlast == 1):
+                lt = None
+            if lt is not None:  # then rt is None: at most one token moves
+                offset, value, carry = lt
+                if offset == 1:
+                    if rmode == DETECT:
+                        if value != r.b:
+                            r.leader = 1
+                            r.bullet = 2
+                            r.shield = 1
+                            r.signal_b = 0
+                    else:
+                        r.b = value
+                    rt = tokens[back + 2 * value + carry]
+                    lt = None
+                elif offset > 1:
+                    rt = tokens[4 * offset - 4 + 2 * value + carry]
+                    lt = None
+            elif rt is not None:
+                offset, value, carry = rt
+                if offset == -1:
+                    b = l.b
+                    lt = tokens[arm + 2 - b if carry else arm + 2 * b]
+                    rt = None
+                elif offset < -1:
+                    lt = tokens[4 * offset + 4 + 2 * value + carry]
+                    rt = None
+            if lt is not None:
+                if llast == 1:
+                    lt = None
+                else:
+                    offset = lt[0]
+                    t = (ld + offset + psi) % two_psi
+                    if (t < psi) if offset > 0 else (t == 0 or t >= psi):
+                        lt = None
+            if rt is not None:
+                if rlast == 1:
+                    rt = None
+                else:
+                    offset = rt[0]
+                    t = (rd + offset + psi) % two_psi
+                    if (t < psi) if offset > 0 else (t == 0 or t >= psi):
+                        rt = None
+            l.token_w = lt
+            r.token_w = rt
+
+        # leader elimination
+        if l.leader and l.signal_b:
+            l.bullet = 2
+            l.shield = 1
+            l.signal_b = 0
+        if r.leader and r.signal_b:
+            r.bullet = 1
+            r.shield = 0
             r.signal_b = 0
-    sb = l.signal_b
-    if r.signal_b > sb:
-        sb = r.signal_b
-    if r.leader > sb:
-        sb = r.leader
-    l.signal_b = sb
+        lb = l.bullet
+        if lb > 0:
+            if r.leader:
+                if lb == 2 and r.shield == 0:
+                    r.leader = 0
+            else:
+                if r.bullet == 0:
+                    r.bullet = lb
+                r.signal_b = 0
+            l.bullet = 0
+        sb = l.signal_b
+        if r.signal_b > sb:
+            sb = r.signal_b
+        if r.leader > sb:
+            sb = r.leader
+        l.signal_b = sb
 
 
 # --------------------------------------------------------------------------
@@ -398,7 +507,7 @@ def interact_ppl(
 ) -> tuple[AgentState, AgentState]:
     """Full transition as a pure function: returns successor states."""
     l2, r2 = l.copy(), r.copy()
-    interact_inplace(l2, r2, params.psi, params.two_psi, params.kappa_max)
+    interact_block([l2, r2], (0,), (1,), params.psi, params.two_psi, params.kappa_max)
     return l2, r2
 
 

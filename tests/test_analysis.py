@@ -495,7 +495,7 @@ def test_peaceful_bullet_set_is_closed():
     # live bullet peaceful: runs from them must stay that way and never
     # lose the last leader
     from ringleader.core.scheduler import SchedulerStream
-    from ringleader.transition import interact_inplace
+    from ringleader.core.sim import run
 
     p = P8
     sampled = []
@@ -507,16 +507,18 @@ def test_peaceful_bullet_set_is_closed():
         seed += 1
     assert len(sampled) == 20
     for seed, cfg in sampled:
-        work = cfg.copy()
-        agents = work.agents
+        failures = []
+
+        def check(work):
+            if leader_count(work) < 1:
+                failures.append("lost all leaders")
+            elif not in_C_PB(work):
+                failures.append("left the peaceful set")
+            return bool(failures)
+
         sched = SchedulerStream(p.n, seed + 1_000_000)
-        for block in range(100_000 // p.n):
-            for i in sched.draw(p.n):
-                interact_inplace(
-                    agents[i], agents[(i + 1) % p.n], p.psi, p.two_psi, p.kappa_max
-                )
-            assert leader_count(work) >= 1, f"seed {seed} lost all leaders"
-            assert in_C_PB(work), f"seed {seed} left the peaceful set"
+        _, steps, _ = run(cfg, sched, 100_000 // p.n * p.n, check)
+        assert not failures, f"seed {seed} {failures[0]} by step {steps}"
 
 
 _MUTABLE_FIELDS = (

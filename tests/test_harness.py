@@ -388,6 +388,12 @@ def test_cli_sweep_range_check(capsys):
         ["closure", "--steps", "0"],
         ["eliminate", "--trials", "0"],
         ["sweep", "--trials", "0"],
+        ["orient", "--n", "2"],
+        ["orient", "--n", "8", "--seeds", "0"],
+        ["dump", "--n", "1"],
+        ["lottery", "--k", "0"],
+        ["lottery", "--c", "0"],
+        ["lottery", "--trials", "0"],
     ],
 )
 def test_cli_rejects_bad_sizes_and_workers(argv, capsys):
@@ -408,6 +414,8 @@ def test_cli_sweep_rejects_two_agent_orientation(capsys):
         ["closure", "--protocol", "por", "--n", "2", "--trials", "1"],
         ["eliminate", "--n", "8", "--leaders", "9"],
         ["eliminate", "--n", "8", "--leaders", ","],
+        ["dump", "--n", "8", "--kappa-max", "3"],
+        ["lottery", "--bound", "lower", "--k", "1"],
     ],
 )
 def test_cli_rejects_unusable_closure_and_elimination_runs(argv, capsys):

@@ -104,10 +104,12 @@ def test_run_reports_check_interval_multiple():
     assert steps % 13 == 0
 
 
-def test_run_matches_step_by_step():
-    cfg = random_configuration(P16, 10)
-    sched = SchedulerStream(16, 11)
-    indices = SchedulerStream(16, 11).draw(500)
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_run_matches_step_by_step(n):
+    # at n = 2 both arcs join the same two agents, so nxt wraps at once
+    cfg = random_configuration(make_params(n), 10)
+    sched = SchedulerStream(n, 11)
+    indices = SchedulerStream(n, 11).draw(500)
     final, steps, stopped = run(cfg, sched, 500, lambda c: False)
     manual = cfg
     for idx in indices:
@@ -123,19 +125,64 @@ def test_on_step_sees_every_interaction():
     assert seen == SchedulerStream(16, 15).draw(1000)
 
 
-def test_on_step_does_not_change_the_run():
-    cfg = random_configuration(P16, 16)
-    plain = run(cfg, SchedulerStream(16, 17), 3000, in_S_PL, check_interval=7)
+def _leaderless_settled(params, seed):
+    """A safe configuration with its leader's leader and shield bits cleared."""
+    cfg = construct_S_PL(params, seed)
+    for agent in cfg.agents:
+        if agent.leader:
+            agent.leader = 0
+            agent.shield = 0
+    return cfg
+
+
+_STARTS = {
+    # start -> (configuration builder, stop predicate)
+    "random": (random_configuration, in_S_PL),
+    "safe": (construct_S_PL, lambda c: not in_S_PL(c)),
+    "leaderless": (_leaderless_settled, in_S_PL),
+}
+
+
+@pytest.mark.parametrize("start", sorted(_STARTS))
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
+def test_on_step_does_not_change_the_run(n, start):
+    # the hooked run goes through the reference blocks, the plain run
+    # through the fused block loop: both must compute the same run
+    build, stop = _STARTS[start]
+    cfg = build(make_params(n), 16)
+    plain = run(cfg, SchedulerStream(n, 17), 3000, stop, check_interval=7)
     events = []
 
     def hook(work, i, trace):
-        assert 0 <= i < 16
+        assert 0 <= i < n
         events.extend(trace)
 
-    hooked = run(cfg, SchedulerStream(16, 17), 3000, in_S_PL, check_interval=7,
+    hooked = run(cfg, SchedulerStream(n, 17), 3000, stop, check_interval=7,
                  on_step=hook)
     assert hooked[0] == plain[0] and hooked[1:] == plain[1:]
-    assert events  # a random start fires tokens, bullets and signals
+    assert events  # every start fires tokens or bullets
+
+
+class _CountingScheduler(SchedulerStream):
+    def __init__(self, n, seed):
+        super().__init__(n, seed)
+        self.sizes = []
+
+    def draw(self, count):
+        self.sizes.append(count)
+        return super().draw(count)
+
+
+@pytest.mark.parametrize("hooked", [False, True])
+def test_run_draws_once_per_block(hooked):
+    # timing layers outside the library split a run at each draw, so run
+    # must call draw exactly once per check block, remainder last
+    sched = _CountingScheduler(8, 3)
+    on_step = (lambda work, i, trace: None) if hooked else None
+    _, steps, _ = run(random_configuration(P8, 2), sched, 45, lambda c: False,
+                      check_interval=10, on_step=on_step)
+    assert steps == 45
+    assert sched.sizes == [10, 10, 10, 10, 5]
 
 
 def test_range_preserved_along_run():
