@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orient", help="ring orientation trials, CSV to stdout")
     p.add_argument("--n", type=_orient_size, default=16)
     p.add_argument("--seeds", type=_positive_int, default=100)
-    p.add_argument("--max-steps", type=int, default=10_000_000)
+    p.add_argument("--max-steps", type=_positive_int, default=10_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_orient)
 

@@ -13,6 +13,7 @@ protocol is out of scope); orientation never writes ``color``/``c1``/``c2``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import length_hint
 
 import numpy as np
 
@@ -201,6 +202,134 @@ class OrientationTrial:
     initial_segment_count: int = field(default=0)
 
 
+_FIGHT = -1  # ``act`` entry of an arc whose two agents point at each other
+
+
+class _ArcRing:
+    """Flat state and per-arc tables for one ``run_orientation`` call.
+
+    ``color``, ``dir`` and ``strong`` are per-agent lists; ``strong`` has one
+    scratch slot at index n.  Arc ``t`` of the 2n ordered arcs has initiator
+    ``us[t]`` and responder ``vs[t]`` (arc ``2i`` is ``(i, i + 1)``, arc
+    ``2i + 1`` is ``(i + 1, i)``); ``redirect_u[t]`` and ``redirect_v[t]``
+    are where each side turns when it loses a head fight on that arc.
+    Colors and memories never change, so these tables are fixed.
+
+    ``act[t]`` is what arc ``t`` does under the current ``dir`` values: the
+    index of the agent whose ``strong`` it clears (n, the scratch slot, when
+    neither agent points at the other) or ``_FIGHT``.  Only a head fight
+    changes a ``dir``, and it then recomputes the four entries of the arcs
+    touching that agent.  ``sides`` holds +1/-1 per agent as
+    ``_directions`` does, ``boundaries`` the number of adjacent agents whose
+    sides differ and ``violations`` how often a flip raised that number.
+    """
+
+    __slots__ = (
+        "n", "color", "dir", "strong", "us", "vs", "redirect_u", "redirect_v",
+        "act", "sides", "boundaries", "violations",
+    )
+
+    def __init__(self, agents: list[OrientAgentState], sides: list[int]):
+        n = len(agents)
+        self.n = n
+        self.color = [a.color for a in agents]
+        self.dir = [a.dir for a in agents]
+        self.strong = [a.strong for a in agents] + [0]
+        self.us, self.vs, self.redirect_u, self.redirect_v = [], [], [], []
+        for t in range(2 * n):
+            i, j = t >> 1, ((t >> 1) + 1) % n
+            u, v = (j, i) if t & 1 else (i, j)
+            a, b = agents[u], agents[v]
+            self.us.append(u)
+            self.vs.append(v)
+            self.redirect_u.append(a.c1 if a.c1 != b.color else a.c2)
+            self.redirect_v.append(b.c1 if b.c1 != a.color else b.c2)
+        self.act = [0] * (2 * n)
+        for e in range(n):
+            self._set_edge(e)
+        self.sides = sides
+        self.boundaries = sum(1 for i in range(n) if sides[i] != sides[(i + 1) % n])
+        self.violations = 0
+
+    def _set_edge(self, e: int) -> None:
+        # both arcs of edge (e, e + 1) demote the same agent or both fight
+        x, y = e, (e + 1) % self.n
+        d, c = self.dir, self.color
+        if d[x] == c[y]:
+            a = _FIGHT if d[y] == c[x] else x
+        elif d[y] == c[x]:
+            a = y
+        else:
+            a = self.n
+        self.act[2 * e] = self.act[2 * e + 1] = a
+
+    def _fight(self, t: int) -> int | None:
+        """Head fight on arc ``t``; return the agent whose ``dir`` changed,
+        or None if none did."""
+        u, v = self.us[t], self.vs[t]
+        strong = self.strong
+        if strong[u] == 0 and strong[v] == 1:
+            k, new = u, self.redirect_u[t]
+            strong[u], strong[v] = 1, 0
+        else:
+            k, new = v, self.redirect_v[t]
+            strong[u], strong[v] = 0, 1
+        if self.dir[k] == new:
+            return None  # corrupted memories can turn a loser to where it points
+        self.dir[k] = new
+        self._set_edge((k - 1) % self.n)
+        self._set_edge(k)
+        return k
+
+    def _flip_side(self, k: int) -> bool:
+        """Flip agent ``k``'s side; return True once no boundary is left."""
+        sides, n = self.sides, self.n
+        left, right = sides[(k - 1) % n], sides[(k + 1) % n]
+        before = (left != sides[k]) + (sides[k] != right)
+        sides[k] = -sides[k]
+        after = (left != sides[k]) + (sides[k] != right)
+        if after > before:
+            self.violations += 1
+        self.boundaries += after - before
+        return self.boundaries == 0
+
+    def drive(self, draws: list[int], track: bool) -> int | None:
+        """Apply the arcs ``draws`` in order.
+
+        With ``track``, keep ``sides``, ``boundaries`` and ``violations`` up
+        to date and stop at the draw that leaves no boundary, returning its
+        1-based position in ``draws``.  Return None when no draw does so
+        (always, without ``track``).
+        """
+        act, strong = self.act, self.strong
+        rest = iter(draws)
+        for t in rest:
+            a = act[t]
+            if a >= 0:
+                strong[a] = 0
+                continue
+            k = self._fight(t)
+            if k is not None and track and self._flip_side(k):
+                # a list iterator's length hint is the exact number left
+                return len(draws) - length_hint(rest)
+        return None
+
+    def demote_all(self, draws: np.ndarray) -> None:
+        """Apply ``draws`` when no ``act`` entry is a head fight.
+
+        No draw can then change a ``dir``, so ``act`` stays as it is and the
+        draws only clear ``strong`` flags, in any order: one scatter.
+        """
+        strong = np.array(self.strong)
+        strong[np.array(self.act)[draws]] = 0
+        self.strong = strong.tolist()
+
+    def write_back(self, agents: list[OrientAgentState]) -> None:
+        for a, d, s in zip(agents, self.dir, self.strong):
+            a.dir = d
+            a.strong = s
+
+
 def run_orientation(
     config: OrientConfiguration,
     seed: int,
@@ -209,70 +338,58 @@ def run_orientation(
 ) -> OrientationTrial:
     """Drive one ring until oriented (or cutoff), checking every step.
 
-    The scheduler draws uniformly among the 2n ordered arcs.  The directed
-    segment count is maintained incrementally and asserted non-increasing at
-    every step; after orientation, ``post_steps`` further interactions are
-    applied and any change to any ``dir`` is counted.  The input
-    configuration is not mutated.
+    The scheduler draws uniformly among the 2n ordered arcs, in chunks of
+    4096 draws.  The directed segment count is maintained incrementally and
+    asserted non-increasing at every step; after orientation, ``post_steps``
+    further interactions are applied and any change to any ``dir`` is
+    counted.  The input configuration is not mutated.  Raises ValueError for
+    a negative ``max_steps`` or ``post_steps``.
+
+    This is the fast path; ``_interact_or_inplace`` is the reference
+    transition, and the tests hold the two bit-exact.  The run keeps flat
+    lists and a per-arc action table (``_ArcRing``): each draw is one table
+    lookup, a demotion is one store, and only a head fight, the one event
+    that can change a ``dir``, runs the transition and updates the table and
+    the segment count.  If no arc is a head fight once the ring is oriented,
+    no post-step can change a ``dir`` and demotions commute, so the whole
+    post-orientation stretch is one numpy scatter of zeros into ``strong``;
+    otherwise it goes through the same per-draw loop.
     """
+    if max_steps < 0 or post_steps < 0:
+        raise ValueError(
+            f"need max_steps >= 0 and post_steps >= 0, got {max_steps} and {post_steps}"
+        )
     work = config.copy()
     agents = work.agents
     n = len(agents)
     rng = np.random.Generator(np.random.PCG64(seed))
-    dirs = _directions(work)
-    boundaries = sum(1 for i in range(n) if dirs[i] != dirs[(i + 1) % n])
-    initial_count = 1 if boundaries == 0 else boundaries
-
-    monotone_violations = 0
-    steps_to_oriented: int | None = 0 if boundaries == 0 else None
-
-    def local_boundaries(j: int) -> int:
-        return (1 if dirs[(j - 1) % n] != dirs[j] else 0) + (
-            1 if dirs[j] != dirs[(j + 1) % n] else 0
-        )
+    ring = _ArcRing(agents, _directions(work))
+    initial_count = max(ring.boundaries, 1)
+    steps_to_oriented: int | None = 0 if ring.boundaries == 0 else None
 
     step_no = 0
     chunk = 4096
     while steps_to_oriented is None and step_no < max_steps:
         draws = rng.integers(0, 2 * n, size=min(chunk, max_steps - step_no)).tolist()
-        for t in draws:
-            i = t >> 1
-            if t & 1:
-                u_idx, v_idx = (i + 1) % n, i
-            else:
-                u_idx, v_idx = i, (i + 1) % n
-            u, v = agents[u_idx], agents[v_idx]
-            old_u, old_v = u.dir, v.dir
-            _interact_or_inplace(u, v)
-            step_no += 1
-            changed = u_idx if u.dir != old_u else (v_idx if v.dir != old_v else None)
-            if changed is not None:
-                before = local_boundaries(changed)
-                dirs[changed] = -dirs[changed]
-                after = local_boundaries(changed)
-                if after > before:
-                    monotone_violations += 1
-                boundaries += after - before
-                if boundaries == 0:
-                    steps_to_oriented = step_no
-                    break
+        pos = ring.drive(draws, track=True)
+        if pos is not None:
+            steps_to_oriented = step_no + pos
+        step_no += len(draws)
 
     converged = steps_to_oriented is not None
     post_dir_changes = 0
     if converged and post_steps > 0:
-        frozen = [a.dir for a in agents]
-        draws = rng.integers(0, 2 * n, size=post_steps).tolist()
-        for t in draws:
-            i = t >> 1
-            if t & 1:
-                _interact_or_inplace(agents[(i + 1) % n], agents[i])
-            else:
-                _interact_or_inplace(agents[i], agents[(i + 1) % n])
-        post_dir_changes = sum(
-            1 for a, d in zip(agents, frozen) if a.dir != d
-        )
+        draws = rng.integers(0, 2 * n, size=post_steps)
+        if _FIGHT in ring.act:
+            frozen = list(ring.dir)
+            ring.drive(draws.tolist(), track=False)
+            post_dir_changes = sum(1 for d, f in zip(ring.dir, frozen) if d != f)
+        else:
+            ring.demote_all(draws)
 
+    ring.write_back(agents)
     final_count = segment_count(work)
+    monotone_violations = ring.violations
     if converged and final_count != 1:
         monotone_violations += 1  # incremental counter disagreed with recount
     return OrientationTrial(

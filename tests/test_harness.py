@@ -390,6 +390,8 @@ def test_cli_sweep_range_check(capsys):
         ["sweep", "--trials", "0"],
         ["orient", "--n", "2"],
         ["orient", "--n", "8", "--seeds", "0"],
+        ["orient", "--n", "8", "--seeds", "1", "--max-steps", "-5"],
+        ["orient", "--n", "8", "--seeds", "1", "--max-steps", "0"],
         ["dump", "--n", "1"],
         ["lottery", "--k", "0"],
         ["lottery", "--c", "0"],

@@ -1,10 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ringleader.core.params import InvalidSizeError
+from ringleader.harness import run_orientation_sweep
 from ringleader.orientation import (
+    XI,
     OrientAgentState,
+    OrientationTrial,
     OrientConfiguration,
+    _ArcRing,
+    _directions,
+    _interact_or_inplace,
     blank_memories,
     generate_two_hop_coloring,
     interact_or,
@@ -240,3 +248,184 @@ def test_amnesiac_start_relearns_and_orients():
 def test_trivial_ring_size_guard():
     with pytest.raises(InvalidSizeError):
         OrientConfiguration(5, [agent(0, 1, 2, 1) for _ in range(2)])
+
+
+def test_run_rejects_negative_step_budgets():
+    cfg = generate_two_hop_coloring(8, 1)
+    with pytest.raises(ValueError):
+        run_orientation(cfg, 2, max_steps=-1)
+    with pytest.raises(ValueError):
+        run_orientation(cfg, 2, max_steps=1000, post_steps=-1)
+    oriented = oriented_configuration(8, 1)
+    with pytest.raises(ValueError):
+        run_orientation(oriented, 2, max_steps=0, post_steps=-5)
+    assert run_orientation(oriented, 2, max_steps=0).steps_to_oriented == 0
+
+
+# --------------------------------------------------------------------------
+# the fast run loop against a step-by-step reference
+# --------------------------------------------------------------------------
+
+def _arc(t, n):
+    i = t >> 1
+    return ((i + 1) % n, i) if t & 1 else (i, (i + 1) % n)
+
+
+def reference_run(config, seed, max_steps, post_steps=0):
+    """``run_orientation`` with one ``_interact_or_inplace`` call per draw.
+
+    Draws the same ``rng.integers`` chunks (4096 while orienting, then one
+    ``post_steps`` array) and updates the segment count from the directions
+    around each changed agent.
+    """
+    work = config.copy()
+    agents = work.agents
+    n = len(agents)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dirs = _directions(work)
+    boundaries = sum(dirs[i] != dirs[(i + 1) % n] for i in range(n))
+    initial_count = max(boundaries, 1)
+    violations = 0
+    steps_to_oriented = 0 if boundaries == 0 else None
+
+    def local(j):
+        return (dirs[(j - 1) % n] != dirs[j]) + (dirs[j] != dirs[(j + 1) % n])
+
+    step_no = 0
+    while steps_to_oriented is None and step_no < max_steps:
+        for t in rng.integers(0, 2 * n, size=min(4096, max_steps - step_no)).tolist():
+            u, v = _arc(t, n)
+            old_u, old_v = agents[u].dir, agents[v].dir
+            _interact_or_inplace(agents[u], agents[v])
+            step_no += 1
+            changed = u if agents[u].dir != old_u else (v if agents[v].dir != old_v else None)
+            if changed is not None:
+                before = local(changed)
+                dirs[changed] = -dirs[changed]
+                violations += local(changed) > before
+                boundaries += local(changed) - before
+                if boundaries == 0:
+                    steps_to_oriented = step_no
+                    break
+    converged = steps_to_oriented is not None
+    post_dir_changes = 0
+    if converged and post_steps > 0:
+        frozen = [a.dir for a in agents]
+        for t in rng.integers(0, 2 * n, size=post_steps).tolist():
+            u, v = _arc(t, n)
+            _interact_or_inplace(agents[u], agents[v])
+        post_dir_changes = sum(a.dir != d for a, d in zip(agents, frozen))
+    final_count = segment_count(work)
+    if converged and final_count != 1:
+        violations += 1
+    return OrientationTrial(
+        seed, n, steps_to_oriented, converged, violations, post_dir_changes,
+        final_count, initial_count,
+    )
+
+
+def _both_runs(monkeypatch, config, seed, max_steps, post_steps):
+    """Trial (or ValueError) and final ring of ``run_orientation`` and of
+    ``reference_run``; each run's working copy is caught by wrapping
+    ``OrientConfiguration.copy``."""
+    outcomes = []
+    for run in (run_orientation, reference_run):
+        copies = []
+        original = OrientConfiguration.copy
+
+        def recording_copy(self):
+            copies.append(original(self))
+            return copies[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(OrientConfiguration, "copy", recording_copy)
+            try:
+                trial = run(config, seed, max_steps, post_steps)
+            except ValueError:
+                trial = ValueError
+        outcomes.append((trial, copies[-1].agents))
+    return outcomes
+
+
+def _corrupted_start(n, seed, rate):
+    """Seeded coloring with random ``strong`` flags and, at ``rate``, memories
+    (and at ``rate / 20`` directions) replaced by random colors."""
+    cfg = generate_two_hop_coloring(n, seed)
+    rng = np.random.Generator(np.random.PCG64(seed + 1000))
+    for a in cfg.agents:
+        if rng.random() < rate:
+            a.c1 = int(rng.integers(0, XI))
+        if rng.random() < rate:
+            a.c2 = int(rng.integers(0, XI))
+        if rng.random() < rate / 20:
+            a.dir = int(rng.integers(0, XI))
+        a.strong = int(rng.integers(0, 2))
+    return cfg
+
+
+@pytest.mark.parametrize("post_steps", [0, 7, 3000])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 33])
+def test_run_matches_step_by_step_reference(monkeypatch, n, post_steps):
+    seen = set()
+    for seed in range(8):
+        # odd seeds corrupt about 20 % of the memories; larger rings then
+        # rarely orient, so even seeds keep them intact
+        cfg = _corrupted_start(n, 31 * n + seed, 0.2 * (seed % 2))
+        # one budget below convergence, one spanning several 4096-draw
+        # chunks; neither is a multiple of 4096
+        for max_steps in (n // 2 + 1, 9_001):
+            got, want = _both_runs(monkeypatch, cfg, seed, max_steps, post_steps)
+            assert got == want
+            seen.add(want[0] if want[0] is ValueError else want[0].converged)
+    assert {True, False} <= seen
+
+
+def _head_fight_ring():
+    # colors 0,1,0,2 are not a two-hop coloring: the clockwise ring is
+    # oriented, yet agents 0 and 1 (and 2 and 3) point at each other
+    colors = [0, 1, 0, 2]
+    agents = [
+        OrientAgentState(c, colors[i - 1], colors[(i + 1) % 4], colors[(i + 1) % 4], i % 2)
+        for i, c in enumerate(colors)
+    ]
+    return OrientConfiguration(XI, agents)
+
+
+@pytest.mark.parametrize("post_steps", [5, 3000])
+@pytest.mark.parametrize("scatter", [True, False])
+def test_post_stretch_branches_match_reference(monkeypatch, scatter, post_steps):
+    scattered = []
+    original = _ArcRing.demote_all
+
+    def recording_demote_all(self, draws):
+        scattered.append(len(draws))
+        original(self, draws)
+
+    monkeypatch.setattr(_ArcRing, "demote_all", recording_demote_all)
+    changes = []
+    for seed in range(6):
+        cfg = oriented_configuration(9, seed) if scatter else _head_fight_ring()
+        got, want = _both_runs(monkeypatch, cfg, seed, 0, post_steps)
+        assert got == want
+        changes.append(want[0].post_dir_changes)
+    assert scattered == ([post_steps] * 6 if scatter else [])
+    # a loser can be turned back, so not every seed ends with a changed dir
+    assert (max(changes) == 0) if scatter else (max(changes) > 0)
+
+
+# measured on the step-by-step run loop this fast path replaced
+PINNED_SWEEP = [
+    (9109029401027928854, 64, 1827, True, 0, 0, 1, 30),
+    (35263859679851091, 64, 1899, True, 0, 0, 1, 36),
+    (3921589804171773997, 64, 3301, True, 0, 0, 1, 32),
+    (216044374187339223, 64, 1603, True, 0, 0, 1, 34),
+    (11315353418722502954, 128, 8312, True, 0, 0, 1, 60),
+    (8906950841086418076, 128, 16151, True, 0, 0, 1, 58),
+    (10980026525941854359, 128, 6212, True, 0, 0, 1, 68),
+    (3478918954629728131, 128, 5558, True, 0, 0, 1, 64),
+]
+
+
+def test_pinned_orientation_sweep():
+    trials = run_orientation_sweep((64, 128), 4, seed=5, post_steps=2000)
+    assert [dataclasses.astuple(t) for t in trials] == PINNED_SWEEP
