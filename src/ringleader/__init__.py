@@ -13,7 +13,6 @@ from .analysis import (
     nearest_leader_distances,
     segment_id,
     segments,
-    sequence_occurs,
     token_is_correct,
     token_is_valid,
 )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -421,23 +421,3 @@ def construct_S_PL(params: ProtocolParams, seed: int) -> Configuration:
         for i in range(n)
     ]
     return Configuration(params, agents)
-
-
-# --------------------------------------------------------------------------
-# interaction-sequence predicates
-# --------------------------------------------------------------------------
-
-def sequence_occurs(trace: Sequence[int], pattern: Sequence[int]) -> bool:
-    """True iff ``pattern`` is a subsequence of ``trace`` (order, not runs)."""
-    it = iter(trace)
-    return all(any(seen == want for seen in it) for want in pattern)
-
-
-def seq_r(i: int, length: int, n: int) -> list[int]:
-    """Consecutive rightward interaction indices i, i+1, ... (mod n)."""
-    return [(i + j) % n for j in range(length)]
-
-
-def seq_l(i: int, length: int, n: int) -> list[int]:
-    """Consecutive leftward interaction indices i-1, i-2, ... (mod n)."""
-    return [(i - 1 - j) % n for j in range(length)]

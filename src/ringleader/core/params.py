@@ -18,6 +18,12 @@ class InvalidSizeError(ValueError):
 KAPPA_FACTOR = 32  # minimum clock ceiling is 32*psi
 
 
+def require_int(name: str, value: object) -> None:
+    """Raise InvalidSizeError unless ``value`` is an ``int`` (``bool`` is not)."""
+    if type(value) is not int:
+        raise InvalidSizeError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class ProtocolParams:
     """Sizing truth for one ring: agent count and derived quantities.
@@ -36,6 +42,8 @@ class ProtocolParams:
     zeta: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "psi", "kappa_max", "zeta"):
+            require_int(name, getattr(self, name))
         if self.n < 2:
             raise InvalidSizeError(f"ring size must be >= 2, got {self.n}")
         if self.psi < 2:
@@ -65,15 +73,18 @@ def make_params(n: int, kappa_max: int | None = None) -> ProtocolParams:
     integers as ``(n - 1).bit_length()`` so that it stays exact for any n.
     ``kappa_max`` defaults to ``32*psi`` and may only be raised, not lowered.
     """
+    require_int("n", n)
     if n < 2:
         raise InvalidSizeError(f"ring size must be >= 2, got {n}")
     psi = max(2, (n - 1).bit_length())
     floor_kappa = KAPPA_FACTOR * psi
     if kappa_max is None:
         kappa_max = floor_kappa
-    elif kappa_max < floor_kappa:
-        raise InvalidSizeError(
-            f"kappa_max={kappa_max} below minimum {floor_kappa} for n={n}"
-        )
+    else:
+        require_int("kappa_max", kappa_max)
+        if kappa_max < floor_kappa:
+            raise InvalidSizeError(
+                f"kappa_max={kappa_max} below minimum {floor_kappa} for n={n}"
+            )
     zeta = -(-n // psi)
     return ProtocolParams(n=n, psi=psi, kappa_max=kappa_max, zeta=zeta)

@@ -18,25 +18,16 @@ class SchedulerStream:
         if n < 2:
             raise ValueError(f"need at least 2 agents, got n={n}")
         self.n = n
-        self.seed = seed
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._buf: list[int] = []
         self._pos = 0
 
-    def next_index(self) -> int:
-        if self._pos >= len(self._buf):
-            self._buf = self._rng.integers(0, self.n, size=_CHUNK).tolist()
-            self._pos = 0
-        idx = self._buf[self._pos]
-        self._pos += 1
-        return idx
-
     def draw(self, count: int) -> list[int]:
         """Consume and return the next ``count`` indices.
 
-        Served from the same ``_CHUNK``-index buffer as :meth:`next_index`.
-        The stream does not depend on how it is cut into chunks: PCG64 keeps
-        the unused half of a 64-bit output in the bit generator between
+        Served from a buffer refilled ``_CHUNK`` indices at a time.  The
+        stream does not depend on how it is cut into draws or chunks: PCG64
+        keeps the unused half of a 64-bit output in the bit generator between
         ``integers`` calls.
         """
         out = self._buf[self._pos : self._pos + count]
@@ -46,7 +37,3 @@ class SchedulerStream:
             self._pos = min(_CHUNK, count - len(out))
             out.extend(self._buf[: self._pos])
         return out
-
-    def __iter__(self):
-        while True:
-            yield self.next_index()

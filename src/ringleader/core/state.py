@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .params import ProtocolParams
+from .params import ProtocolParams, require_int
 
 # mode values; an agent is in detection mode exactly when its clock is full,
 # except transiently in adversarial initial states (repaired on first contact)
@@ -50,10 +50,11 @@ class AgentState:
         "token_b",
         "token_w",
         # ``mode`` is a function of ``clock`` once an interaction has written
-        # it, but it stays a stored field: the chained reference blocks
-        # (``create_leader_diststep``, ``move_token``) read the mode that
-        # ``determine_mode`` wrote, and the snapshot format and
-        # ``random_configuration``'s draw order both include it.
+        # it, but it stays a stored field: the reference blocks that follow
+        # mode determination (run in order by ``interact_traced``, or alone
+        # through ``create_leader_diststep`` and ``move_token``) read the mode
+        # it wrote, and the snapshot format and ``random_configuration``'s
+        # draw order both include it.
         "mode",
         "clock",
         "hits",
@@ -215,13 +216,15 @@ class Configuration:
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "Configuration":
-        from .params import ProtocolParams  # local to avoid cycle at import time
-
         for key in ("n", "psi", "kappa_max", "agents"):
             if key not in data:
                 raise ValueError(f"snapshot missing field {key!r}")
         n, psi, kmax = data["n"], data["psi"], data["kappa_max"]
-        params = ProtocolParams(n=n, psi=psi, kappa_max=kmax, zeta=-(-n // psi))
+        require_int("n", n)
+        require_int("psi", psi)
+        # psi=0 must reach ProtocolParams' range check, not divide by zero
+        zeta = -(-n // psi) if psi else 0
+        params = ProtocolParams(n=n, psi=psi, kappa_max=kmax, zeta=zeta)
         raw_agents = data["agents"]
         if not isinstance(raw_agents, list) or len(raw_agents) != n:
             raise ValueError(f"agents: expected a list of {n} entries")
@@ -254,6 +257,11 @@ def _agent_to_dict(a: AgentState) -> dict:
     }
 
 
+_INT_FIELDS = tuple(
+    f for f in AgentState.__slots__ if f not in ("token_b", "token_w", "mode")
+)
+
+
 def _agent_from_dict(entry: dict) -> AgentState:
     if not isinstance(entry, dict):
         raise ValueError("agent entry is not an object")
@@ -267,22 +275,18 @@ def _agent_from_dict(entry: dict) -> AgentState:
             return None
         if not isinstance(raw, (list, tuple)) or len(raw) != 3:
             raise ValueError(f"{name}: expected null or [offset, value, carry]")
-        return Token(int(raw[0]), int(raw[1]), int(raw[2]))
+        for k, value in enumerate(raw):
+            require_int(f"{name}[{k}]", value)
+        return Token(*raw)
 
+    # no coercion: 1.7, "3" and true are errors, not 1, 3 and 1
+    for f in _INT_FIELDS:
+        require_int(f, entry[f])
     return AgentState(
-        leader=int(entry["leader"]),
-        b=int(entry["b"]),
-        dist=int(entry["dist"]),
-        last=int(entry["last"]),
         token_b=token("token_b"),
         token_w=token("token_w"),
         mode=MODE_VALUES[mode],
-        clock=int(entry["clock"]),
-        hits=int(entry["hits"]),
-        signal_r=int(entry["signal_r"]),
-        bullet=int(entry["bullet"]),
-        shield=int(entry["shield"]),
-        signal_b=int(entry["signal_b"]),
+        **{f: entry[f] for f in _INT_FIELDS},
     )
 
 

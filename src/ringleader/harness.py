@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .core.params import ProtocolParams, make_params
+from .core.params import ProtocolParams, make_params, require_int
 from .core.scheduler import SchedulerStream
 from .core.sim import run
 from .core.state import AgentState, Configuration, random_configuration
@@ -53,6 +53,12 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.n_values:
             raise ValueError("n_values must not be empty")
+        for n in self.n_values:
+            require_int("n_values entry", n)
+        require_int("trials_per_n", self.trials_per_n)
+        require_int("workers", self.workers)
+        if self.kappa_max_override is not None:
+            require_int("kappa_max_override", self.kappa_max_override)
         min_n = 2 if self.protocol is Protocol.PPL else 3  # a 2-hop coloring needs 3
         if min(self.n_values) < min_n:
             raise ValueError(
@@ -142,9 +148,15 @@ def _ppl_trial(
     )
 
 
-def _por_trial(n: int, seed: int, multiplier: float) -> TrialRecord:
+def _orientation_task(args) -> OrientationTrial:
+    n, seed, cutoff, post_steps = args
     coloring = generate_two_hop_coloring(n, seed)
-    trial = run_orientation(coloring, seed + 1, step_cutoff(n, multiplier))
+    return run_orientation(coloring, seed + 1, cutoff, post_steps=post_steps)
+
+
+def _por_trial(n: int, seed: int, multiplier: float) -> TrialRecord:
+    cutoff = step_cutoff(n, multiplier)
+    trial = _orientation_task((n, seed, cutoff, 0))
     return TrialRecord(
         protocol=Protocol.POR.value,
         n=n,
@@ -153,17 +165,11 @@ def _por_trial(n: int, seed: int, multiplier: float) -> TrialRecord:
         seed=seed,
         steps=trial.steps_to_oriented
         if trial.steps_to_oriented is not None
-        else step_cutoff(n, multiplier),
+        else cutoff,
         converged=trial.converged,
         final_leader_count=None,
         violations=trial.monotone_violations,
     )
-
-
-def _orientation_task(args) -> OrientationTrial:
-    n, seed, cutoff, post_steps = args
-    coloring = generate_two_hop_coloring(n, seed)
-    return run_orientation(coloring, seed + 1, cutoff, post_steps=post_steps)
 
 
 def run_orientation_sweep(

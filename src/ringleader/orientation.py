@@ -61,10 +61,9 @@ class OrientAgentState:
 class OrientConfiguration:
     """Undirected ring of orientation agents."""
 
-    __slots__ = ("xi", "agents")
+    __slots__ = ("agents",)
 
-    def __init__(self, xi: int, agents):
-        self.xi = xi
+    def __init__(self, agents):
         self.agents = list(agents)
         if len(self.agents) < 3:
             raise InvalidSizeError("orientation needs a ring of at least 3 agents")
@@ -73,7 +72,7 @@ class OrientConfiguration:
         return len(self.agents)
 
     def copy(self) -> "OrientConfiguration":
-        return OrientConfiguration(self.xi, [a.copy() for a in self.agents])
+        return OrientConfiguration([a.copy() for a in self.agents])
 
     def check_two_hop(self) -> None:
         n = len(self.agents)
@@ -117,7 +116,7 @@ def generate_two_hop_coloring(n: int, seed: int) -> OrientConfiguration:
                 strong=int(rng.integers(0, 2)),
             )
         )
-    config = OrientConfiguration(XI, agents)
+    config = OrientConfiguration(agents)
     config.check_two_hop()
     return config
 

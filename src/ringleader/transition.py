@@ -16,14 +16,15 @@ bullet-absence signal cleared before the elimination block runs) and must not
 be rearranged.
 
 Two implementations exist.  The five standalone blocks below are the
-reference: ``interact_traced`` runs them in order in place and records
-events, and ``interact_chained`` composes their pure forms.  The fused
-``interact_block`` runs the whole transition over a block of scheduler
-indices in one call, records no events, and short-circuits the token blocks
-when no token activity is possible; ``run`` uses it unless an ``on_step``
-hook asks for events, in which case the run goes through ``interact_traced``.
-The acceptance suite asserts the fused and chained forms are bit-identical
-on random state pairs.
+reference, and ``interact_traced`` is their one composition: it runs them in
+order in place and records events.  Each block also has a pure public
+wrapper (``determine_mode``, ``create_leader_diststep``, ``move_token``,
+``eliminate_leaders``).  The fused ``interact_block`` runs the whole
+transition over a block of scheduler indices in one call, records no events,
+and short-circuits the token blocks when no token activity is possible;
+``run`` uses it unless an ``on_step`` hook asks for events, in which case the
+run goes through ``interact_traced``.  The acceptance suite asserts the fused
+form and ``interact_traced`` are bit-identical on random state pairs.
 """
 from __future__ import annotations
 
@@ -553,14 +554,3 @@ def eliminate_leaders(
     l2, r2 = l.copy(), r.copy()
     _eliminate_inplace(l2, r2)
     return l2, r2
-
-
-def interact_chained(
-    l: AgentState, r: AgentState, params: ProtocolParams
-) -> tuple[AgentState, AgentState]:
-    """The five public blocks composed in order; reference for the fused op."""
-    l, r = determine_mode(l, r, params)
-    l, r = create_leader_diststep(l, r, params)
-    l, r = move_token(l, r, TokenColor.BLACK, params)
-    l, r = move_token(l, r, TokenColor.WHITE, params)
-    return eliminate_leaders(l, r)

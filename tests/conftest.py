@@ -3,6 +3,7 @@ import pytest
 
 from ringleader.core.params import make_params
 from ringleader.core.state import AgentState, Token
+from ringleader.transition import interact_traced
 
 
 @pytest.fixture
@@ -48,3 +49,10 @@ def random_state_pairs(seed: int, count: int, psi: int, kappa_max: int):
     rng = np.random.Generator(np.random.PCG64(seed))
     for _ in range(count):
         yield random_agent(rng, psi, kappa_max), random_agent(rng, psi, kappa_max)
+
+
+def reference_pair(l: AgentState, r: AgentState, params) -> tuple[AgentState, AgentState]:
+    """The reference composition ``interact_traced`` applied to copies."""
+    l2, r2 = l.copy(), r.copy()
+    interact_traced(l2, r2, params.psi, params.two_psi, params.kappa_max, [])
+    return l2, r2

@@ -24,9 +24,9 @@ from ringleader.harness import (
     run_orientation_sweep,
     run_token_audit,
 )
-from ringleader.transition import interact_chained, interact_ppl
+from ringleader.transition import interact_ppl
 
-from conftest import random_state_pairs
+from conftest import random_state_pairs, reference_pair
 
 WORKERS = 2
 
@@ -210,7 +210,7 @@ def test_c7_orientation():
 
 
 # --------------------------------------------------------------------------
-# 8. the fused transition equals the chained blocks bit-exactly
+# 8. the fused transition equals the reference blocks bit-exactly
 # --------------------------------------------------------------------------
 
 def test_c8_fused_equals_chained_100k():
@@ -220,7 +220,7 @@ def test_c8_fused_equals_chained_100k():
         for l, r in random_state_pairs(
             80_000 + n, 25_000, params.psi, params.kappa_max
         ):
-            assert interact_ppl(l, r, params) == interact_chained(l, r, params)
+            assert interact_ppl(l, r, params) == reference_pair(l, r, params)
             checked += 1
     assert checked == 100_000
-    _report("C8 fused vs chained transition, 100000 random pairs bit-exact")
+    _report("C8 fused vs reference transition, 100000 random pairs bit-exact")

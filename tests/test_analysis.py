@@ -22,9 +22,6 @@ from ringleader.analysis import (
     nearest_leader_distances,
     segment_id,
     segments,
-    seq_l,
-    seq_r,
-    sequence_occurs,
     token_is_correct,
     token_is_valid,
 )
@@ -635,43 +632,3 @@ def test_leader_count_monte_carlo(params8):
         leader_count(random_configuration(params8, seed)) for seed in range(10_000)
     )
     assert abs(total / 10_000 - 4.0) < 0.1
-
-
-# --------------------------------------------------------------------------
-# interaction sequences
-# --------------------------------------------------------------------------
-
-def test_empty_pattern_occurs():
-    assert sequence_occurs([], [])
-    assert sequence_occurs([1, 2], [])
-
-
-def test_subsequence_detected():
-    assert sequence_occurs([0, 2, 1], [0, 1])
-
-
-def test_order_matters():
-    assert not sequence_occurs([1, 0], [0, 1])
-
-
-def test_seq_helpers_wrap():
-    assert seq_r(6, 4, 8) == [6, 7, 0, 1]
-    assert seq_l(1, 3, 8) == [0, 7, 6]
-
-
-def test_rightward_sweep_completion_time():
-    # a full rightward sweep (length n) completes in about n*n steps
-    n = 16
-    rng = np.random.Generator(np.random.PCG64(99))
-    times = []
-    for _ in range(300):
-        pattern = seq_r(int(rng.integers(0, n)), n, n)
-        want = 0
-        steps = 0
-        while want < n:
-            if int(rng.integers(0, n)) == pattern[want]:
-                want += 1
-            steps += 1
-        times.append(steps)
-    mean = float(np.mean(times))
-    assert 0.5 * n * n <= mean <= 2 * n * n, mean

@@ -97,6 +97,12 @@ def test_sweep_por():
         dict(workers=-1),
         dict(trials_per_n=0),
         dict(max_steps_multiplier=0),
+        dict(n_values=(8.5,)),
+        dict(n_values=(8, 16.0)),
+        dict(trials_per_n=1.5),
+        dict(trials_per_n=True),
+        dict(workers=2.0),
+        dict(kappa_max_override=300.5),
     ],
 )
 def test_spec_rejects_bad_input(overrides):
@@ -341,6 +347,22 @@ def test_cli_load_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert cli_main(["load", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("leader", 1.7), ("dist", "3"), ("leader", True), ("token_b", [1.9, 0, 0])],
+)
+@pytest.mark.parametrize("command", [["load"], ["check", "s-pl"]])
+def test_cli_rejects_coercible_snapshot_values(tmp_path, capsys, field, value, command):
+    snap = tmp_path / "safe.json"
+    dump_config(analysis.construct_S_PL(P16, 3), snap)
+    data = json.loads(snap.read_text())
+    data["agents"][5][field] = value
+    snap.write_text(json.dumps(data))
+    assert cli_main([*command, str(snap)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
 
 
 def test_cli_lottery(capsys):

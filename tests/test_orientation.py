@@ -247,7 +247,7 @@ def test_amnesiac_start_relearns_and_orients():
 
 def test_trivial_ring_size_guard():
     with pytest.raises(InvalidSizeError):
-        OrientConfiguration(5, [agent(0, 1, 2, 1) for _ in range(2)])
+        OrientConfiguration([agent(0, 1, 2, 1) for _ in range(2)])
 
 
 def test_run_rejects_negative_step_budgets():
@@ -388,7 +388,7 @@ def _head_fight_ring():
         OrientAgentState(c, colors[i - 1], colors[(i + 1) % 4], colors[(i + 1) % 4], i % 2)
         for i, c in enumerate(colors)
     ]
-    return OrientConfiguration(XI, agents)
+    return OrientConfiguration(agents)
 
 
 @pytest.mark.parametrize("post_steps", [5, 3000])

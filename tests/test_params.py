@@ -62,3 +62,22 @@ def test_rejects_undersized_knowledge():
 def test_rejects_inconsistent_zeta():
     with pytest.raises(InvalidSizeError):
         ProtocolParams(n=16, psi=4, kappa_max=128, zeta=5)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(16.0,), (True,), ("16",), (16, 200.5), (16, 256.0), (16, True)],
+)
+def test_make_params_rejects_non_int_sizes(args):
+    with pytest.raises(InvalidSizeError, match="must be an int"):
+        make_params(*args)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n", 8.0), ("psi", 3.0), ("kappa_max", 96.5), ("zeta", 3.0)]
+)
+def test_params_reject_non_int_fields(field, value):
+    fields = dict(n=8, psi=3, kappa_max=96, zeta=3)
+    fields[field] = value
+    with pytest.raises(InvalidSizeError, match=field):
+        ProtocolParams(**fields)

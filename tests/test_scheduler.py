@@ -10,16 +10,19 @@ def test_determinism():
     assert a.draw(5000) == b.draw(5000)
 
 
-def test_next_index_matches_draw():
+def test_single_draws_match_one_block():
     a = SchedulerStream(10, 7)
     b = SchedulerStream(10, 7)
-    assert [a.next_index() for _ in range(20_000)] == b.draw(20_000)
+    got = []
+    for _ in range(20_000):
+        got += a.draw(1)
+    assert got == b.draw(20_000)
 
 
 def test_mixed_consumption_is_one_stream():
     a = SchedulerStream(10, 9)
     b = SchedulerStream(10, 9)
-    got = a.draw(3) + [a.next_index()] + a.draw(10_000)
+    got = a.draw(3) + a.draw(0) + a.draw(1) + a.draw(10_000) + a.draw(0)
     assert got == b.draw(10_004)
 
 
@@ -70,10 +73,8 @@ def test_draw_is_served_from_chunks(n):
     s = SchedulerStream(n, 17)
     s._rng = counting = _CountingGenerator(s._rng)
     got = []
-    for k, size in enumerate([1, n, 7, 8191, 8192, 8193, 20_000, 3, n, 100] * 3):
+    for size in [1, n, 0, 7, 8191, 1, 8192, 8193, 0, 20_000, 3, n, 100, 1] * 3:
         got += s.draw(size)
-        if k % 3 == 0:
-            got.append(s.next_index())
     total = len(got)
     assert counting.calls <= total // 8192 + 1
     one_call = np.random.Generator(np.random.PCG64(17)).integers(0, n, size=total)

@@ -74,6 +74,29 @@ def test_snapshot_rejects_bad_fields(params8):
         Configuration.from_snapshot(snap)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("leader", 1.7), ("dist", "3"), ("leader", True), ("token_b", [1.9, 0, 0])],
+)
+def test_snapshot_rejects_coercible_values(params8, field, value):
+    snap = random_configuration(params8, 1).to_snapshot()
+    snap["agents"][4][field] = value
+    with pytest.raises(ValueError, match=rf"agents\[4\]: {field}"):
+        Configuration.from_snapshot(snap)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("n", 8.0, "n must be an int"), ("psi", 3.0, "psi must be an int"),
+     ("psi", 0, "psi must be >= 2")],
+)
+def test_snapshot_rejects_bad_sizes(params8, field, value, message):
+    snap = random_configuration(params8, 1).to_snapshot()
+    snap[field] = value
+    with pytest.raises(ValueError, match=message):
+        Configuration.from_snapshot(snap)
+
+
 def test_validate_catches_mode_and_token(params8):
     cfg = random_configuration(params8, 1)
     cfg.agents[4].mode = 7

@@ -18,12 +18,11 @@ from ringleader.transition import (
     create_leader_diststep,
     determine_mode,
     eliminate_leaders,
-    interact_chained,
     interact_ppl,
     move_token,
 )
 
-from conftest import random_state_pairs
+from conftest import random_state_pairs, reference_pair
 
 P4 = make_params(16)  # psi=4, kappa_max=128
 
@@ -532,14 +531,14 @@ def test_bullets_increase_only_by_firing_or_creation():
 
 def test_fused_equals_chained_sample():
     for l, r in random_state_pairs(23, 20_000, P4.psi, P4.kappa_max):
-        assert interact_ppl(l, r, P4) == interact_chained(l, r, P4)
+        assert interact_ppl(l, r, P4) == reference_pair(l, r, P4)
 
 
 @pytest.mark.parametrize("n", [2, 5, 100])
 def test_fused_equals_chained_other_sizes(n):
     p = make_params(n)
     for l, r in random_state_pairs(29 + n, 3000, p.psi, p.kappa_max):
-        assert interact_ppl(l, r, p) == interact_chained(l, r, p)
+        assert interact_ppl(l, r, p) == reference_pair(l, r, p)
 
 
 def test_range_preservation_bulk():
@@ -597,7 +596,7 @@ def test_range_preservation_property(l, r):
 @settings(max_examples=300, deadline=None)
 @given(agent_states(), agent_states())
 def test_fused_equals_chained_property(l, r):
-    assert interact_ppl(l, r, P4) == interact_chained(l, r, P4)
+    assert interact_ppl(l, r, P4) == reference_pair(l, r, P4)
 
 
 def test_valid_tokens_with_consistent_dists_stay_valid():
