@@ -7,6 +7,7 @@ convergence; anything else exits 1.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import analysis, harness, lottery
@@ -49,6 +50,20 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need a seed >= 0, got {value}")
+    return value
+
+
+def _multiplier(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"need a finite multiplier > 0, got {text!r}")
     return value
 
 
@@ -222,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=_ring_sizes, default=(8, 16, 32, 64), help="comma-separated ring sizes"
     )
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--multiplier", type=float, default=harness.DEFAULT_MULTIPLIER)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--multiplier", type=_multiplier, default=harness.DEFAULT_MULTIPLIER)
     p.add_argument("--kappa-max", type=int, default=None)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument(
@@ -237,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=["ppl", "por"], default="ppl")
     p.add_argument("--n", type=_ring_size, default=16)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--steps", type=_positive_int, default=harness.CLOSURE_STEPS)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_closure)
@@ -246,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_ring_size, default=32)
     p.add_argument("--leaders", default="2,4,8", help="comma-separated counts")
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_eliminate)
 
@@ -254,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_orient_size, default=16)
     p.add_argument("--seeds", type=_positive_int, default=100)
     p.add_argument("--max-steps", type=_positive_int, default=10_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_orient)
 
     p = sub.add_parser("lottery", help="lottery-game bound estimation")
@@ -262,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_positive_int, default=1)
     p.add_argument("--bound", choices=["upper", "lower"], default="upper")
     p.add_argument("--trials", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_lottery)
 
     p = sub.add_parser("check", help="evaluate a predicate on a snapshot")
@@ -272,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump", help="write a configuration snapshot")
     p.add_argument("--n", type=_ring_size, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--kind", choices=["random", "safe"], default="random")
     p.add_argument("--kappa-max", type=int, default=None)
     p.add_argument("--out", default="config.json")

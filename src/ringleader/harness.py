@@ -13,6 +13,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,31 @@ class Protocol(enum.Enum):
     POR = "por"
 
 
+def _require_sizes(protocol: str, n_values: tuple[int, ...], min_n: int) -> None:
+    """Raise ValueError unless ``n_values`` is a non-empty sequence of ints >= ``min_n``."""
+    if not n_values:
+        raise ValueError("n_values must not be empty")
+    for n in n_values:
+        require_int("n_values entry", n)
+    if min(n_values) < min_n:
+        raise ValueError(f"{protocol} needs ring sizes >= {min_n}, got {min(n_values)}")
+
+
+def _require_seed(name: str, value: object) -> None:
+    """Raise ValueError unless ``value`` is an ``int`` >= 0 (``bool`` is not),
+    the seeds ``SeedSequence`` takes."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
+
+
+def _require_multiplier(name: str, value: object) -> None:
+    """Raise ValueError unless ``value`` is a finite real number > 0."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not (
+        math.isfinite(value) and value > 0
+    ):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     protocol: Protocol
@@ -51,24 +77,16 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not self.n_values:
-            raise ValueError("n_values must not be empty")
-        for n in self.n_values:
-            require_int("n_values entry", n)
+        min_n = 2 if self.protocol is Protocol.PPL else 3  # a 2-hop coloring needs 3
+        _require_sizes(self.protocol.value, self.n_values, min_n)
         require_int("trials_per_n", self.trials_per_n)
         require_int("workers", self.workers)
         if self.kappa_max_override is not None:
             require_int("kappa_max_override", self.kappa_max_override)
-        min_n = 2 if self.protocol is Protocol.PPL else 3  # a 2-hop coloring needs 3
-        if min(self.n_values) < min_n:
-            raise ValueError(
-                f"{self.protocol.value} needs ring sizes >= {min_n}, "
-                f"got {min(self.n_values)}"
-            )
         if self.trials_per_n < 1:
             raise ValueError("trials_per_n must be >= 1")
-        if self.max_steps_multiplier <= 0:
-            raise ValueError("max_steps_multiplier must be > 0")
+        _require_seed("base_seed", self.base_seed)
+        _require_multiplier("max_steps_multiplier", self.max_steps_multiplier)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -180,7 +198,21 @@ def run_orientation_sweep(
     post_steps: int = 0,
     workers: int = 1,
 ) -> list[OrientationTrial]:
-    """Instrumented orientation trials over several ring sizes."""
+    """Instrumented orientation trials over several ring sizes.
+
+    Raises ValueError, before any trial runs, for ring sizes below 3 or not
+    ints, ``trials`` < 1, ``post_steps`` < 0, a bad ``seed`` or
+    ``multiplier`` (see ``ExperimentSpec``) or ``workers`` < 1.
+    """
+    _require_sizes(Protocol.POR.value, n_values, 3)
+    require_int("trials", trials)
+    require_int("post_steps", post_steps)
+    if trials < 1 or post_steps < 0:
+        raise ValueError(
+            f"need trials >= 1 and post_steps >= 0, got {trials} and {post_steps}"
+        )
+    _require_seed("seed", seed)
+    _require_multiplier("multiplier", multiplier)
     tasks = [
         (n, trial_seed(seed, n, t), step_cutoff(n, multiplier), post_steps)
         for n in n_values

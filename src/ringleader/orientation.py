@@ -90,19 +90,27 @@ def generate_two_hop_coloring(n: int, seed: int) -> OrientConfiguration:
     at an actual neighbor: the transition redirects an agent only when the
     agent and a neighbor point at each other, so a direction value naming
     neither neighbor could never be corrected.
+
+    Agent i, in index order, takes a uniform pick among the colors not yet
+    used by agents i - 2 and i + 2 (mod n).  Draw order:
+    one array call for the picks of agents 0 .. n - 3, whose choice counts
+    are fixed (5 for i < 2, else 4, since agent i + 2 is not colored yet);
+    one scalar call each for agents n - 2 and n - 1, whose count depends on
+    the colors they wrap onto; then one array of 2n bits, read as (dir,
+    strong) per agent.  Every bounded draw below 2**32 consumes the same
+    32-bit outputs whether it is made alone or in an array, so this is the
+    stream of one call per value in that order.
     """
     if n < 3:
         raise InvalidSizeError(f"need n >= 3 for a two-hop coloring, got n={n}")
     rng = np.random.Generator(np.random.PCG64(seed))
     colors: list[int | None] = [None] * n
+    picks = rng.integers(0, [XI if i < 2 else XI - 1 for i in range(n - 2)]).tolist()
     for i in range(n):
-        banned = set()
-        for j in (i - 2, i + 2):
-            c = colors[j % n]
-            if c is not None:
-                banned.add(c)
+        banned = (colors[i - 2], colors[(i + 2) % n])  # None: not colored yet
         choices = [c for c in range(XI) if c not in banned]
-        colors[i] = int(choices[rng.integers(0, len(choices))])
+        colors[i] = choices[picks[i] if i < n - 2 else rng.integers(0, len(choices))]
+    bits = rng.integers(0, 2, size=2 * n).tolist()
     agents = []
     for i in range(n):
         left = colors[(i - 1) % n]
@@ -112,8 +120,8 @@ def generate_two_hop_coloring(n: int, seed: int) -> OrientConfiguration:
                 color=colors[i],
                 c1=left,
                 c2=right,
-                dir=right if rng.integers(0, 2) else left,
-                strong=int(rng.integers(0, 2)),
+                dir=right if bits[2 * i] else left,
+                strong=bits[2 * i + 1],
             )
         )
     config = OrientConfiguration(agents)
@@ -313,11 +321,17 @@ class _ArcRing:
                 return len(draws) - length_hint(rest)
         return None
 
+    def can_demote(self) -> bool:
+        """True while some agent that an arc demotes still has ``strong`` 1."""
+        strong, n = self.strong, self.n
+        return any(strong[a] for a in self.act if a < n)
+
     def demote_all(self, draws: np.ndarray) -> None:
         """Apply ``draws`` when no ``act`` entry is a head fight.
 
         No draw can then change a ``dir``, so ``act`` stays as it is and the
-        draws only clear ``strong`` flags, in any order: one scatter.
+        draws only clear ``strong`` flags, in any order: one scatter.  Once
+        ``can_demote`` is False, further draws change nothing at all.
         """
         strong = np.array(self.strong)
         strong[np.array(self.act)[draws]] = 0
@@ -350,9 +364,11 @@ def run_orientation(
     lookup, a demotion is one store, and only a head fight, the one event
     that can change a ``dir``, runs the transition and updates the table and
     the segment count.  If no arc is a head fight once the ring is oriented,
-    no post-step can change a ``dir`` and demotions commute, so the whole
-    post-orientation stretch is one numpy scatter of zeros into ``strong``;
-    otherwise it goes through the same per-draw loop.
+    no post-step can change a ``dir`` and demotions commute, so the
+    post-orientation stretch is a numpy scatter of zeros into ``strong`` per
+    4096-draw chunk, and it stops drawing once no agent that an arc demotes
+    is still strong, as every further draw would change nothing; otherwise
+    it goes through the same per-draw loop.
     """
     if max_steps < 0 or post_steps < 0:
         raise ValueError(
@@ -378,13 +394,18 @@ def run_orientation(
     converged = steps_to_oriented is not None
     post_dir_changes = 0
     if converged and post_steps > 0:
-        draws = rng.integers(0, 2 * n, size=post_steps)
         if _FIGHT in ring.act:
             frozen = list(ring.dir)
-            ring.drive(draws.tolist(), track=False)
+            ring.drive(rng.integers(0, 2 * n, size=post_steps).tolist(), track=False)
             post_dir_changes = sum(1 for d, f in zip(ring.dir, frozen) if d != f)
         else:
-            ring.demote_all(draws)
+            # the chunks are a prefix of one size=post_steps draw, and the
+            # draws left once nothing can be demoted are no-ops
+            drawn = 0
+            while drawn < post_steps and ring.can_demote():
+                draws = rng.integers(0, 2 * n, size=min(chunk, post_steps - drawn))
+                ring.demote_all(draws)
+                drawn += len(draws)
 
     ring.write_back(agents)
     final_count = segment_count(work)

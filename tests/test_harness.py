@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ringleader import analysis
+from ringleader import analysis, harness
 from ringleader.cli import main as cli_main
 from ringleader.core.params import make_params
 from ringleader.core.state import random_configuration
@@ -19,6 +19,7 @@ from ringleader.harness import (
     run_closure_suite,
     run_convergence_sweep,
     run_elimination_suite,
+    run_orientation_sweep,
     run_peaceful_audit,
     run_token_audit,
     step_cutoff,
@@ -103,11 +104,47 @@ def test_sweep_por():
         dict(trials_per_n=True),
         dict(workers=2.0),
         dict(kappa_max_override=300.5),
+        dict(base_seed=1.5),
+        dict(base_seed=-1),
+        dict(base_seed=True),
+        dict(max_steps_multiplier=float("nan")),
+        dict(max_steps_multiplier=float("inf")),
+        dict(max_steps_multiplier=-1e4),
+        dict(max_steps_multiplier=True),
     ],
 )
 def test_spec_rejects_bad_input(overrides):
     with pytest.raises(ValueError):
         small_spec(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(n_values=()),
+        dict(n_values=(8, 2)),
+        dict(n_values=(8.0,)),
+        dict(trials=0),
+        dict(trials=2.5),
+        dict(post_steps=-1),
+        dict(seed=1.5),
+        dict(seed=-1),
+        dict(seed=True),
+        dict(multiplier=float("nan")),
+        dict(multiplier=float("inf")),
+        dict(multiplier=0),
+        dict(workers=0),
+    ],
+)
+def test_orientation_sweep_rejects_bad_input_before_any_trial(monkeypatch, overrides):
+    def no_trial(args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_orientation_task", no_trial)
+    args = dict(n_values=(8,), trials=2, seed=3, multiplier=1e4, post_steps=10)
+    args.update(overrides)
+    with pytest.raises(ValueError):
+        run_orientation_sweep(**args)
 
 
 def test_spec_accepts_smallest_rings():
@@ -418,6 +455,17 @@ def test_cli_sweep_range_check(capsys):
         ["lottery", "--k", "0"],
         ["lottery", "--c", "0"],
         ["lottery", "--trials", "0"],
+        ["sweep", "--seed", "-1"],
+        ["closure", "--seed", "-1"],
+        ["eliminate", "--seed", "-1"],
+        ["dump", "--seed", "-1"],
+        ["orient", "--seed", "-1"],
+        ["lottery", "--seed", "-1"],
+        ["sweep", "--seed", "1.5"],
+        ["sweep", "--multiplier", "inf"],
+        ["sweep", "--multiplier", "nan"],
+        ["sweep", "--multiplier", "0"],
+        ["sweep", "--multiplier", "-3"],
     ],
 )
 def test_cli_rejects_bad_sizes_and_workers(argv, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -43,6 +44,73 @@ def test_coloring_valid_all_sizes(n):
             assert a.c2 == cfg.agents[(i + 1) % n].color
             assert a.dir in (a.c1, a.c2)
             assert a.strong in (0, 1)
+
+
+# (color, c1, c2, dir, strong) digits of every agent, recorded on the
+# one-call-per-value generator that the batched draws replaced; n = 256 rings
+# are pinned by the SHA-256 of the same digit string
+PINNED_COLORINGS = {
+    (3, 0): "412102414012420",
+    (3, 1): "243303242143220",
+    (3, 7): "432212433132420",
+    (4, 0): "41310342402313112441",
+    (4, 1): "24240224414242044220",
+    (4, 7): "44331342202343042421",
+    (5, 0): "4030034240230010200100441",
+    (5, 1): "2020122440424214404004220",
+    (5, 7): "4133134240232302211112420",
+    (6, 0): "403003424123111120010100100441",
+    (6, 1): "202212242042440440410404000221",
+    (6, 7): "423303424023431421101424121411",
+    (7, 0): "40300342212311112111110010100100440",
+    (7, 1): "24220224214242044000040410044040201",
+    (7, 7): "44340342402344142320343303344043431",
+    (8, 0): "4131134221231111211111001010010010110440",
+    (8, 1): "2424022440424214404004001004004044144221",
+    (8, 7): "4030034241234404232134341332302300002420",
+    (9, 0): "413313422123111121111100101000001111010011441",
+    (9, 1): "202012242042440440410400000401404414400104240",
+    (9, 7): "403003422123430423303433033431430300404100401",
+    (10, 0): "44331342212311112111110010101100110101011144041441",
+    (10, 1): "20220224214242044001040400044140441440000404100200",
+    (10, 7): "41311342202343142321343403344043030040000011010401",
+    (11, 0): "4233134221231111211111000010010010010111113113122123430",
+    (11, 1): "2424022440424214400004041004414044144040040000040040201",
+    (11, 7): "4133134240234404233034341334304303104041001001011111441",
+    (12, 0): "423313422123111121111101101000001011011011441412202424122421",
+    (12, 1): "232312242042441440400400100441404404404104140104004133034240",
+    (12, 7): "443303424123431423203433033430430000400000201201111244141441",
+    (33, 0): (
+        "4033034220231301212011010010100011110110114414131034331332202322122441"
+        "4233134241232312233132440431301434131330330010313110440413113400103431"
+        "4030034330330310300000400"
+    ),
+    (33, 1): (
+        "2424022421424214404004000004004040044001041101044041221241411242041220"
+        "2411012320313303300003001004404040144331342402343042111141101144141010"
+        "0411110111113313144043231"
+    ),
+    (33, 7): (
+        "4233134221234404233034341334314300004040002002022122421424414400004110"
+        "1040041011043403010113111114114121024141121111131131211234404211114111"
+        "1133031330331301322121441"
+    ),
+    (256, 0): "7418f062a181cf5d6f7d8fdd43b36435aec9fb04a02656e90addf8f74dfa32a2",
+    (256, 1): "3061fa2330db44d5a59ba7bffe5fcb49ea662870cf941c5b144b6f666bf2f76d",
+    (256, 7): "04845cc9a61e80938ac12a34608ef548bdb4fa5c9fe0243bd079518788bbef5e",
+}
+
+
+def _coloring_digits(cfg):
+    return "".join(f"{a.color}{a.c1}{a.c2}{a.dir}{a.strong}" for a in cfg.agents)
+
+
+@pytest.mark.parametrize("n, seed", sorted(PINNED_COLORINGS))
+def test_pinned_coloring_stream(n, seed):
+    digits = _coloring_digits(generate_two_hop_coloring(n, seed))
+    if n == 256:
+        digits = hashlib.sha256(digits.encode()).hexdigest()
+    assert digits == PINNED_COLORINGS[n, seed]
 
 
 def test_coloring_deterministic():
@@ -391,9 +459,8 @@ def _head_fight_ring():
     return OrientConfiguration(agents)
 
 
-@pytest.mark.parametrize("post_steps", [5, 3000])
-@pytest.mark.parametrize("scatter", [True, False])
-def test_post_stretch_branches_match_reference(monkeypatch, scatter, post_steps):
+def _record_demotions(monkeypatch):
+    """List that gets the length of every ``_ArcRing.demote_all`` chunk."""
     scattered = []
     original = _ArcRing.demote_all
 
@@ -402,6 +469,13 @@ def test_post_stretch_branches_match_reference(monkeypatch, scatter, post_steps)
         original(self, draws)
 
     monkeypatch.setattr(_ArcRing, "demote_all", recording_demote_all)
+    return scattered
+
+
+@pytest.mark.parametrize("post_steps", [5, 3000])
+@pytest.mark.parametrize("scatter", [True, False])
+def test_post_stretch_branches_match_reference(monkeypatch, scatter, post_steps):
+    scattered = _record_demotions(monkeypatch)
     changes = []
     for seed in range(6):
         cfg = oriented_configuration(9, seed) if scatter else _head_fight_ring()
@@ -411,6 +485,35 @@ def test_post_stretch_branches_match_reference(monkeypatch, scatter, post_steps)
     assert scattered == ([post_steps] * 6 if scatter else [])
     # a loser can be turned back, so not every seed ends with a changed dir
     assert (max(changes) == 0) if scatter else (max(changes) > 0)
+
+
+@pytest.mark.parametrize("post_steps", [1, 4097, 20_000, 100_000])
+@pytest.mark.parametrize("n", [9, 64, 256])
+def test_post_stretch_stops_early_and_matches_reference(monkeypatch, n, post_steps):
+    scattered = _record_demotions(monkeypatch)
+    cfg = oriented_configuration(n, n + post_steps)
+    got, want = _both_runs(monkeypatch, cfg, 3, 0, post_steps)
+    assert got == want
+    assert 0 < sum(scattered) <= post_steps
+    assert all(k == 4096 for k in scattered[:-1])
+    if n == 256 and post_steps == 100_000:
+        # about n ln n draws clear every strong flag
+        assert sum(scattered) < 100_000
+
+
+@pytest.mark.parametrize("strong", [0, 1])
+def test_post_stretch_with_uniform_strong_flags(monkeypatch, strong):
+    scattered = _record_demotions(monkeypatch)
+    cfg = oriented_configuration(64, 4)
+    for a in cfg.agents:
+        a.strong = strong
+    got, want = _both_runs(monkeypatch, cfg, 5, 0, 20_000)
+    assert got == want
+    assert all(a.strong == 0 for a in want[1])
+    if strong:
+        assert 0 < sum(scattered) < 20_000
+    else:
+        assert scattered == []  # nothing to demote: no draw at all
 
 
 # measured on the step-by-step run loop this fast path replaced
