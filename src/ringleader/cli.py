@@ -7,6 +7,7 @@ convergence; anything else exits 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -75,13 +76,16 @@ def _cmd_sweep(args) -> int:
             trials_per_n=args.trials,
             base_seed=args.seed,
             max_steps_multiplier=args.multiplier,
-            kappa_max_override=args.kappa_max,
             range_check=args.range_check,
             workers=args.workers,
         )
     except ValueError as exc:  # e.g. n=2 for orientation
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:  # the spec is valid without the override, so only it can fail here
+        spec = dataclasses.replace(spec, kappa_max_override=args.kappa_max)
+    except ValueError as exc:
+        args.usage_error(f"argument --kappa-max: {exc}")
     records = harness.run_convergence_sweep(spec)
     if args.out:
         harness.export_csv(records, args.out)
@@ -102,7 +106,7 @@ def _cmd_closure(args) -> int:
             steps=args.steps,
             workers=args.workers,
         )
-    except InvalidSizeError as exc:  # e.g. n=2 for orientation
+    except ValueError as exc:  # e.g. n=2 for orientation
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in report.violations:
@@ -246,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="validate both touched agents after every step (slow)",
     )
     p.add_argument("--out", default=None, help="write the trial records as CSV")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, usage_error=p.error)
 
     p = sub.add_parser("closure", help="safety preservation from safe starts")
     p.add_argument("--protocol", choices=["ppl", "por"], default="ppl")

@@ -50,6 +50,13 @@ def _require_sizes(protocol: str, n_values: tuple[int, ...], min_n: int) -> None
         raise ValueError(f"{protocol} needs ring sizes >= {min_n}, got {min(n_values)}")
 
 
+def _require_count(name: str, value: object, least: int) -> None:
+    """Raise ValueError unless ``value`` is an ``int`` >= ``least``."""
+    require_int(name, value)
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+
+
 def _require_seed(name: str, value: object) -> None:
     """Raise ValueError unless ``value`` is an ``int`` >= 0 (``bool`` is not),
     the seeds ``SeedSequence`` takes."""
@@ -82,7 +89,10 @@ class ExperimentSpec:
         require_int("trials_per_n", self.trials_per_n)
         require_int("workers", self.workers)
         if self.kappa_max_override is not None:
-            require_int("kappa_max_override", self.kappa_max_override)
+            if self.protocol is not Protocol.PPL:
+                raise ValueError("kappa_max_override applies to the ppl protocol only")
+            for n in self.n_values:
+                make_params(n, self.kappa_max_override)  # raises if unusable at n
         if self.trials_per_n < 1:
             raise ValueError("trials_per_n must be >= 1")
         _require_seed("base_seed", self.base_seed)
@@ -205,12 +215,8 @@ def run_orientation_sweep(
     ``multiplier`` (see ``ExperimentSpec``) or ``workers`` < 1.
     """
     _require_sizes(Protocol.POR.value, n_values, 3)
-    require_int("trials", trials)
-    require_int("post_steps", post_steps)
-    if trials < 1 or post_steps < 0:
-        raise ValueError(
-            f"need trials >= 1 and post_steps >= 0, got {trials} and {post_steps}"
-        )
+    _require_count("trials", trials, 1)
+    _require_count("post_steps", post_steps, 0)
     _require_seed("seed", seed)
     _require_multiplier("multiplier", multiplier)
     tasks = [
@@ -318,7 +324,14 @@ def run_closure_suite(
     at every check interval; POR trials assert the direction vector never
     changes after orientation.  Supplied ``initial_configs`` (PPL only) that
     fail the safe-set precheck are reported as rejected, not as violations.
+    Raises ValueError, before any trial runs, for a ring size below the
+    protocol's minimum (2 for PPL, 3 for POR), ``trials`` < 1, ``steps`` < 0
+    or a bad ``seed`` (see ``ExperimentSpec``).
     """
+    _require_sizes(protocol.value, (n,), 3 if protocol is Protocol.POR else 2)
+    _require_count("trials", trials, 1)
+    _require_count("steps", steps, 0)
+    _require_seed("seed", seed)
     report = ClosureReport(
         protocol=protocol.value, n=n, trials=trials, steps_per_trial=steps
     )
@@ -423,7 +436,13 @@ def run_elimination_suite(
 
     The leader count is asserted at every check interval; observing zero
     leaders is recorded as a hard failure (it would contradict closure of
-    the peaceful-bullet set)."""
+    the peaceful-bullet set).  Raises ValueError, before any trial runs,
+    for ``n`` < 2, ``trials`` < 1, a bad ``seed`` or ``multiplier`` (see
+    ``ExperimentSpec``) or ``initial_leaders`` outside [1, n]."""
+    _require_sizes(Protocol.PPL.value, (n,), 2)
+    _require_count("trials", trials, 1)
+    _require_seed("seed", seed)
+    _require_multiplier("multiplier", multiplier)
     if not 1 <= initial_leaders <= n:
         raise ValueError("need 1 <= initial_leaders <= n")
     report = EliminationReport(n=n, initial_leaders=initial_leaders, trials=trials)

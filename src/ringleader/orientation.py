@@ -8,7 +8,8 @@ loser's head, so directed runs merge until one direction rules the ring.
 The ``strong`` flag gives the side that just won momentum.
 
 The coloring itself is supplied by a generator here (the upstream coloring
-protocol is out of scope); orientation never writes ``color``/``c1``/``c2``.
+protocol is out of scope).  Orientation never writes ``color``, and writes
+the memories ``c1``/``c2`` only when they are wrong.
 """
 from __future__ import annotations
 
@@ -86,10 +87,7 @@ def generate_two_hop_coloring(n: int, seed: int) -> OrientConfiguration:
 
     Colors and the memorized neighbor colors (c1 = left, c2 = right) satisfy
     the generator's postcondition exactly; ``dir`` points at a uniformly
-    random neighbor and ``strong`` is a uniform bit.  Directions must point
-    at an actual neighbor: the transition redirects an agent only when the
-    agent and a neighbor point at each other, so a direction value naming
-    neither neighbor could never be corrected.
+    random neighbor and ``strong`` is a uniform bit.
 
     Agent i, in index order, takes a uniform pick among the colors not yet
     used by agents i - 2 and i + 2 (mod n).  Draw order:
@@ -139,6 +137,11 @@ def oriented_configuration(n: int, seed: int, clockwise: bool = True) -> OrientC
 
 
 def _interact_or_inplace(u: OrientAgentState, v: OrientAgentState) -> None:
+    for a, seen in ((u, v.color), (v, u.color)):  # observation, see interact_or
+        if seen != a.c1 and seen != a.c2:
+            a.c1, a.c2 = seen, a.c1
+        if a.dir != a.c1 and a.dir != a.c2:
+            a.dir = seen
     if u.dir == v.color:
         if v.dir == u.color:
             # two heads point at each other; the loser is redirected and
@@ -160,39 +163,65 @@ def _interact_or_inplace(u: OrientAgentState, v: OrientAgentState) -> None:
 def interact_or(
     u: OrientAgentState, v: OrientAgentState
 ) -> tuple[OrientAgentState, OrientAgentState]:
-    """Transition for one interaction, initiator ``u``; pure."""
+    """Transition for one interaction, initiator ``u``; pure.
+
+    Both sides first observe the partner: a color not in ``{c1, c2}`` is
+    shifted in (``c1, c2 = color, c1``), and a ``dir`` naming neither
+    remembered color turns to the partner.  Correct memories are never
+    written, so legal agents run the bare orientation rules.
+    """
     u2, v2 = u.copy(), v.copy()
     _interact_or_inplace(u2, v2)
     return u2, v2
 
 
+def _side(d: int | None, left: int, right: int) -> int:
+    """+1 if ``d`` names the right neighbor's color, -1 the left's, 0 neither."""
+    return 1 if d == right else (-1 if d == left else 0)
+
+
+def _legal(a: OrientAgentState, left: int, right: int) -> bool:
+    """True iff ``a`` remembers exactly its neighbors' colors and points at one."""
+    c1, c2 = a.c1, a.c2
+    return (c1 == left and c2 == right or c1 == right and c2 == left) and a.dir in (left, right)
+
+
+def _around(values: list) -> tuple[list, list]:
+    """Per agent i, the entries of agents i - 1 and i + 1 in ``values``."""
+    return values[-1:] + values[:-1], values[1:] + values[:1]
+
+
+def _interleave(a: list, b: list) -> list:
+    """``[a[0], b[0], a[1], b[1], ...]``: one entry per arc from two per edge."""
+    out = a + b
+    out[::2], out[1::2] = a, b
+    return out
+
+
+def _boundaries(sides: list[int], edges) -> int:
+    """Edges e in ``edges`` whose agents e and e + 1 differ in ``_side``, or
+    both point at neither neighbor: a stray ``dir`` is a boundary each side."""
+    n = len(sides)
+    return sum(sides[e] != sides[(e + 1) % n] or not sides[e] for e in edges)
+
+
 def _directions(config: OrientConfiguration) -> list[int]:
-    """+1 per agent pointing at its right neighbor, -1 at its left."""
+    """``_side`` of every agent: +1 right, -1 left, 0 at neither neighbor."""
     agents = config.agents
-    n = len(agents)
-    dirs = []
-    for i, a in enumerate(agents):
-        if a.dir == agents[(i + 1) % n].color:
-            dirs.append(1)
-        elif a.dir == agents[(i - 1) % n].color:
-            dirs.append(-1)
-        else:
-            raise ValueError(f"agent {i} points at neither neighbor")
-    return dirs
+    return list(map(_side, [a.dir for a in agents], *_around([a.color for a in agents])))
 
 
 def is_oriented(config: OrientConfiguration) -> bool:
-    """True iff all agents point clockwise or all point counter-clockwise."""
-    dirs = _directions(config)
-    return all(d == 1 for d in dirs) or all(d == -1 for d in dirs)
+    """True iff every agent is ``_legal`` and all point the same way."""
+    agents = config.agents
+    legal = map(_legal, agents, *_around([a.color for a in agents]))
+    return all(legal) and len(set(_directions(config))) == 1
 
 
 def segment_count(config: OrientConfiguration) -> int:
-    """Number of maximal same-direction runs; 1 exactly when oriented."""
+    """Number of ``_boundaries``; 1 exactly when all agents point one way."""
     dirs = _directions(config)
-    n = len(dirs)
-    boundaries = sum(1 for i in range(n) if dirs[i] != dirs[(i + 1) % n])
-    return 1 if boundaries == 0 else boundaries
+    return max(_boundaries(dirs, range(len(dirs))), 1)
 
 
 @dataclass
@@ -210,6 +239,7 @@ class OrientationTrial:
 
 
 _FIGHT = -1  # ``act`` entry of an arc whose two agents point at each other
+_REPAIR = -2  # ``act`` entry of an arc that touches an agent that is not legal
 
 
 class _ArcRing:
@@ -218,51 +248,52 @@ class _ArcRing:
     ``color``, ``dir`` and ``strong`` are per-agent lists; ``strong`` has one
     scratch slot at index n.  Arc ``t`` of the 2n ordered arcs has initiator
     ``us[t]`` and responder ``vs[t]`` (arc ``2i`` is ``(i, i + 1)``, arc
-    ``2i + 1`` is ``(i + 1, i)``); ``redirect_u[t]`` and ``redirect_v[t]``
-    are where each side turns when it loses a head fight on that arc.
-    Colors and memories never change, so these tables are fixed.
+    ``2i + 1`` is ``(i + 1, i)``); a side that loses a head fight on it
+    turns to ``redirect_u[t]`` or ``redirect_v[t]``, its other neighbor.
 
-    ``act[t]`` is what arc ``t`` does under the current ``dir`` values: the
-    index of the agent whose ``strong`` it clears (n, the scratch slot, when
-    neither agent points at the other) or ``_FIGHT``.  Only a head fight
-    changes a ``dir``, and it then recomputes the four entries of the arcs
-    touching that agent.  ``sides`` holds +1/-1 per agent as
-    ``_directions`` does, ``boundaries`` the number of adjacent agents whose
-    sides differ and ``violations`` how often a flip raised that number.
+    ``act[t]`` is what arc ``t`` does now: ``_REPAIR`` when an agent of it
+    is not ``_legal`` (``bad``), else ``_FIGHT`` or the agent whose
+    ``strong`` it clears (n, the scratch slot, if neither points at the
+    other).  A repair runs the reference transition on the two ``agents``,
+    which hold the memories, then refreshes their ``bad``, ``sides`` and
+    edges; a head fight refreshes the edges of the agent it redirects.
+    ``boundaries`` counts the ``_boundaries`` of ``sides`` and
+    ``violations`` the head fights that raised it.
     """
 
     __slots__ = (
-        "n", "color", "dir", "strong", "us", "vs", "redirect_u", "redirect_v",
-        "act", "sides", "boundaries", "violations",
+        "n", "agents", "color", "dir", "strong", "us", "vs", "redirect_u",
+        "redirect_v", "act", "sides", "bad", "boundaries", "violations",
     )
 
-    def __init__(self, agents: list[OrientAgentState], sides: list[int]):
-        n = len(agents)
-        self.n = n
-        self.color = [a.color for a in agents]
+    def __init__(self, agents: list[OrientAgentState]):
+        n = self.n = len(agents)
+        self.agents = agents
+        c = self.color = [a.color for a in agents]
         self.dir = [a.dir for a in agents]
         self.strong = [a.strong for a in agents] + [0]
-        self.us, self.vs, self.redirect_u, self.redirect_v = [], [], [], []
-        for t in range(2 * n):
-            i, j = t >> 1, ((t >> 1) + 1) % n
-            u, v = (j, i) if t & 1 else (i, j)
-            a, b = agents[u], agents[v]
-            self.us.append(u)
-            self.vs.append(v)
-            self.redirect_u.append(a.c1 if a.c1 != b.color else a.c2)
-            self.redirect_v.append(b.c1 if b.c1 != a.color else b.c2)
+        left, right = _around(c)
+        far = _around(right)[1]  # color of agent i + 2
+        idx = list(range(n))
+        nxt = _around(idx)[1]
+        # the loser of a fight on edge (i, i + 1) turns to i - 1 or i + 2
+        self.us, self.vs = _interleave(idx, nxt), _interleave(nxt, idx)
+        self.redirect_u, self.redirect_v = _interleave(left, far), _interleave(far, left)
+        self.sides = list(map(_side, self.dir, left, right))
+        self.bad = [not ok for ok in map(_legal, agents, left, right)]
         self.act = [0] * (2 * n)
         for e in range(n):
             self._set_edge(e)
-        self.sides = sides
-        self.boundaries = sum(1 for i in range(n) if sides[i] != sides[(i + 1) % n])
+        self.boundaries = _boundaries(self.sides, range(n))
         self.violations = 0
 
     def _set_edge(self, e: int) -> None:
-        # both arcs of edge (e, e + 1) demote the same agent or both fight
+        # both arcs of edge (e, e + 1) repair, demote the same agent or fight
         x, y = e, (e + 1) % self.n
         d, c = self.dir, self.color
-        if d[x] == c[y]:
+        if self.bad[x] or self.bad[y]:
+            a = _REPAIR
+        elif d[x] == c[y]:
             a = _FIGHT if d[y] == c[x] else x
         elif d[y] == c[x]:
             a = y
@@ -271,8 +302,7 @@ class _ArcRing:
         self.act[2 * e] = self.act[2 * e + 1] = a
 
     def _fight(self, t: int) -> int | None:
-        """Head fight on arc ``t``; return the agent whose ``dir`` changed,
-        or None if none did."""
+        """Head fight on arc ``t``; return the redirected agent, or None."""
         u, v = self.us[t], self.vs[t]
         strong = self.strong
         if strong[u] == 0 and strong[v] == 1:
@@ -282,14 +312,14 @@ class _ArcRing:
             k, new = v, self.redirect_v[t]
             strong[u], strong[v] = 0, 1
         if self.dir[k] == new:
-            return None  # corrupted memories can turn a loser to where it points
+            return None  # both neighbors share a color (not a two-hop ring)
         self.dir[k] = new
         self._set_edge((k - 1) % self.n)
         self._set_edge(k)
         return k
 
     def _flip_side(self, k: int) -> bool:
-        """Flip agent ``k``'s side; return True once no boundary is left."""
+        """Flip legal agent ``k``'s side; return True once the ring is oriented."""
         sides, n = self.sides, self.n
         left, right = sides[(k - 1) % n], sides[(k + 1) % n]
         before = (left != sides[k]) + (sides[k] != right)
@@ -298,15 +328,35 @@ class _ArcRing:
         if after > before:
             self.violations += 1
         self.boundaries += after - before
-        return self.boundaries == 0
+        return self.boundaries == 0 and not any(self.bad)
+
+    def _repair(self, t: int) -> bool:
+        """Reference transition on arc ``t``; True once the ring is oriented."""
+        n, d, s, c = self.n, self.dir, self.strong, self.color
+        u, v = self.us[t], self.vs[t]
+        a, b = self.agents[u], self.agents[v]
+        a.dir, a.strong, b.dir, b.strong = d[u], s[u], d[v], s[v]
+        _interact_or_inplace(a, b)
+        d[u], s[u], d[v], s[v] = a.dir, a.strong, b.dir, b.strong
+        e = t >> 1
+        edges = ((e - 1) % n, e, (e + 1) % n)
+        self.boundaries -= _boundaries(self.sides, edges)
+        for k in (e, (e + 1) % n):
+            left, right = c[k - 1], c[(k + 1) % n]
+            self.sides[k] = _side(d[k], left, right)
+            self.bad[k] = not _legal(self.agents[k], left, right)
+        self.boundaries += _boundaries(self.sides, edges)
+        for f in edges:
+            self._set_edge(f)
+        return self.boundaries == 0 and not any(self.bad)
 
     def drive(self, draws: list[int], track: bool) -> int | None:
         """Apply the arcs ``draws`` in order.
 
         With ``track``, keep ``sides``, ``boundaries`` and ``violations`` up
-        to date and stop at the draw that leaves no boundary, returning its
-        1-based position in ``draws``.  Return None when no draw does so
-        (always, without ``track``).
+        to date and stop at the draw that leaves the ring oriented, returning
+        its 1-based position in ``draws``.  Return None when no draw does so
+        (always without ``track``, which is used on oriented rings only).
         """
         act, strong = self.act, self.strong
         rest = iter(draws)
@@ -315,10 +365,14 @@ class _ArcRing:
             if a >= 0:
                 strong[a] = 0
                 continue
-            k = self._fight(t)
-            if k is not None and track and self._flip_side(k):
-                # a list iterator's length hint is the exact number left
-                return len(draws) - length_hint(rest)
+            if a == _FIGHT:
+                k = self._fight(t)
+                if k is None or not (track and self._flip_side(k)):
+                    continue
+            elif not (self._repair(t) and track):
+                continue
+            # a list iterator's length hint is the exact number left
+            return len(draws) - length_hint(rest)
         return None
 
     def can_demote(self) -> bool:
@@ -327,18 +381,18 @@ class _ArcRing:
         return any(strong[a] for a in self.act if a < n)
 
     def demote_all(self, draws: np.ndarray) -> None:
-        """Apply ``draws`` when no ``act`` entry is a head fight.
+        """Apply ``draws`` when every ``act`` entry is a demotion.
 
-        No draw can then change a ``dir``, so ``act`` stays as it is and the
-        draws only clear ``strong`` flags, in any order: one scatter.  Once
-        ``can_demote`` is False, further draws change nothing at all.
+        No draw can then change a ``dir`` or a memory, so ``act`` stays as it
+        is and the draws only clear ``strong`` flags, in any order: one
+        scatter.  Once ``can_demote`` is False, further draws change nothing.
         """
         strong = np.array(self.strong)
         strong[np.array(self.act)[draws]] = 0
         self.strong = strong.tolist()
 
-    def write_back(self, agents: list[OrientAgentState]) -> None:
-        for a, d, s in zip(agents, self.dir, self.strong):
+    def write_back(self) -> None:
+        for a, d, s in zip(self.agents, self.dir, self.strong):
             a.dir = d
             a.strong = s
 
@@ -351,36 +405,38 @@ def run_orientation(
 ) -> OrientationTrial:
     """Drive one ring until oriented (or cutoff), checking every step.
 
-    The scheduler draws uniformly among the 2n ordered arcs, in chunks of
-    4096 draws.  The directed segment count is maintained incrementally and
-    asserted non-increasing at every step; after orientation, ``post_steps``
-    further interactions are applied and any change to any ``dir`` is
-    counted.  The input configuration is not mutated.  Raises ValueError for
-    a negative ``max_steps`` or ``post_steps``.
+    Any memories and directions are accepted, ``None`` memories included;
+    the transition repairs them.  The ring is oriented at the first step
+    after which ``is_oriented`` holds.  The scheduler draws uniformly among
+    the 2n ordered arcs, in chunks of 4096 draws.  The segment count is kept
+    incrementally; a head fight between legal agents that raises it is a
+    monotonicity violation.  After orientation, ``post_steps`` further
+    interactions are applied and any change to any ``dir`` is counted.  The
+    input configuration is not mutated.  Raises ValueError for a negative
+    ``max_steps`` or ``post_steps``.
 
     This is the fast path; ``_interact_or_inplace`` is the reference
     transition, and the tests hold the two bit-exact.  The run keeps flat
-    lists and a per-arc action table (``_ArcRing``): each draw is one table
-    lookup, a demotion is one store, and only a head fight, the one event
-    that can change a ``dir``, runs the transition and updates the table and
-    the segment count.  If no arc is a head fight once the ring is oriented,
-    no post-step can change a ``dir`` and demotions commute, so the
-    post-orientation stretch is a numpy scatter of zeros into ``strong`` per
-    4096-draw chunk, and it stops drawing once no agent that an arc demotes
-    is still strong, as every further draw would change nothing; otherwise
-    it goes through the same per-draw loop.
+    lists and a per-arc action table (``_ArcRing``): a draw is one lookup
+    and a demotion one store.  Only a head fight, the one event that changes
+    a legal agent's ``dir``, runs the fight rule; an arc touching an agent
+    that is not legal runs the reference transition (generated rings have
+    none).  If no arc is a head fight once the ring is oriented, no
+    post-step can change a ``dir`` and demotions commute, so the post
+    stretch is a numpy scatter of zeros into ``strong`` per 4096-draw chunk,
+    which stops once no agent that an arc demotes is still strong; otherwise
+    it runs the same per-draw loop.
     """
     if max_steps < 0 or post_steps < 0:
         raise ValueError(
             f"need max_steps >= 0 and post_steps >= 0, got {max_steps} and {post_steps}"
         )
     work = config.copy()
-    agents = work.agents
-    n = len(agents)
+    n = len(work)
     rng = np.random.Generator(np.random.PCG64(seed))
-    ring = _ArcRing(agents, _directions(work))
+    ring = _ArcRing(work.agents)
     initial_count = max(ring.boundaries, 1)
-    steps_to_oriented: int | None = 0 if ring.boundaries == 0 else None
+    steps_to_oriented = 0 if ring.boundaries == 0 and not any(ring.bad) else None
 
     step_no = 0
     chunk = 4096
@@ -407,7 +463,7 @@ def run_orientation(
                 ring.demote_all(draws)
                 drawn += len(draws)
 
-    ring.write_back(agents)
+    ring.write_back()
     final_count = segment_count(work)
     monotone_violations = ring.violations
     if converged and final_count != 1:
@@ -422,60 +478,3 @@ def run_orientation(
         final_segment_count=final_count,
         initial_segment_count=initial_count,
     )
-
-
-# --- optional start mode: blank neighbor memories, learn them on the fly ---
-
-def blank_memories(config: OrientConfiguration) -> OrientConfiguration:
-    """Copy of ``config`` with all memorized neighbor colors forgotten."""
-    out = config.copy()
-    for a in out.agents:
-        a.c1 = None
-        a.c2 = None
-    return out
-
-
-def _observe(agent: OrientAgentState, color: int) -> None:
-    # keep the two most recently seen distinct colors, newest in c1
-    if agent.c1 is None:
-        agent.c1 = color
-    elif color != agent.c1:
-        agent.c2 = agent.c1
-        agent.c1 = color
-
-
-def run_orientation_amnesiac(
-    config: OrientConfiguration, seed: int, max_steps: int
-) -> tuple[OrientConfiguration, int | None]:
-    """Orientation run that first relearns neighbor colors from observations.
-
-    Each interaction both participants memorize the partner's color; the
-    orientation rules apply only once both participants know two distinct
-    neighbor colors.  Returns the final ring and the step at which it was
-    first seen oriented (checked every n steps), or None.
-    """
-    work = config.copy()
-    agents = work.agents
-    n = len(agents)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    done = 0
-    while done < max_steps:
-        block = min(n, max_steps - done)
-        for t in rng.integers(0, 2 * n, size=block).tolist():
-            i = t >> 1
-            if t & 1:
-                u, v = agents[(i + 1) % n], agents[i]
-            else:
-                u, v = agents[i], agents[(i + 1) % n]
-            _observe(u, v.color)
-            _observe(v, u.color)
-            if u.c2 is not None and v.c2 is not None:
-                _interact_or_inplace(u, v)
-        done += block
-        if all(a.c2 is not None for a in agents):
-            try:
-                if is_oriented(work):
-                    return work, done
-            except ValueError:
-                pass  # some direction still names a forgotten color
-    return work, None

@@ -111,6 +111,9 @@ def test_sweep_por():
         dict(max_steps_multiplier=float("inf")),
         dict(max_steps_multiplier=-1e4),
         dict(max_steps_multiplier=True),
+        dict(kappa_max_override=5),  # below 32 * psi = 96 at n = 8
+        dict(n_values=(8, 1024), kappa_max_override=100),  # 320 at n = 1024
+        dict(protocol=Protocol.POR, kappa_max_override=200),
     ],
 )
 def test_spec_rejects_bad_input(overrides):
@@ -145,6 +148,48 @@ def test_orientation_sweep_rejects_bad_input_before_any_trial(monkeypatch, overr
     args.update(overrides)
     with pytest.raises(ValueError):
         run_orientation_sweep(**args)
+
+
+CLOSURE_ARGS = dict(protocol=Protocol.PPL, n=8, trials=2, seed=3, steps=100)
+ELIMINATION_ARGS = dict(n=8, initial_leaders=2, trials=2, seed=3, multiplier=1.0)
+
+
+@pytest.mark.parametrize(
+    "suite, overrides",
+    [("closure", o) for o in (
+        dict(seed=True),
+        dict(seed=1.5),
+        dict(seed=-1),
+        dict(trials=0),
+        dict(trials=2.0),
+        dict(steps=-1),
+        dict(n=1),
+        dict(n=8.0),
+        dict(protocol=Protocol.POR, n=2),
+    )] + [("elimination", o) for o in (
+        dict(seed=True),
+        dict(seed=1.5),
+        dict(seed=-1),
+        dict(trials=0),
+        dict(multiplier=float("nan")),
+        dict(multiplier=float("inf")),
+        dict(multiplier=0),
+        dict(n=1, initial_leaders=1),
+        dict(n=8.5),
+    )],
+)
+def test_suites_reject_bad_input_before_any_trial(monkeypatch, suite, overrides):
+    def no_trial(args):
+        raise AssertionError("a trial ran")
+
+    for task in ("_ppl_closure_task", "_por_closure_task", "_elimination_task"):
+        monkeypatch.setattr(harness, task, no_trial)
+    run, args = {
+        "closure": (run_closure_suite, CLOSURE_ARGS),
+        "elimination": (run_elimination_suite, ELIMINATION_ARGS),
+    }[suite]
+    with pytest.raises(ValueError):
+        run(**{**args, **overrides})
 
 
 def test_spec_accepts_smallest_rings():
@@ -466,6 +511,9 @@ def test_cli_sweep_range_check(capsys):
         ["sweep", "--multiplier", "nan"],
         ["sweep", "--multiplier", "0"],
         ["sweep", "--multiplier", "-3"],
+        ["sweep", "--n", "8", "--kappa-max", "5"],
+        ["sweep", "--n", "8,1024", "--kappa-max", "100"],
+        ["sweep", "--protocol", "por", "--n", "8", "--kappa-max", "200"],
     ],
 )
 def test_cli_rejects_bad_sizes_and_workers(argv, capsys):
