@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core.params import ProtocolParams
+from .core.params import ProtocolParams, require_count
 from .core.state import CONSTRUCT, AgentState, Configuration, Token
 from .transition import TokenColor, _off_track
 
@@ -396,8 +396,10 @@ def construct_S_PL(params: ProtocolParams, seed: int) -> Configuration:
     Leader at index 0, settled distance chain and last flags, segment IDs
     forming the +1 chain from a seed-chosen starting ID, no tokens, bullets
     or signals, all clocks zero and all agents constructing.  The final
-    (unconstrained) segment gets seed-drawn bits.
+    (unconstrained) segment gets seed-drawn bits.  Raises InvalidSizeError
+    for a seed that is not an int >= 0.
     """
+    require_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     n, psi, two_psi, zeta = params.n, params.psi, params.two_psi, params.zeta
     iota0 = int(rng.integers(0, 1 << psi))

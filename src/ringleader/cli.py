@@ -2,13 +2,13 @@
 
 Subcommands: sweep, closure, eliminate, orient, lottery, check, dump, load.
 Exit code 0 means zero invariant violations and (for suites) full
-convergence; anything else exits 1.
+convergence; anything else exits 1.  Input values are checked by the
+library only: a value it rejects with ``InvalidSizeError`` exits 2 with the
+subcommand's usage line, like a flag argparse cannot parse.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import math
 import sys
 
 from . import analysis, harness, lottery
@@ -18,33 +18,11 @@ from .harness import ConfigFormatError, ExperimentSpec, Protocol
 from .orientation import generate_two_hop_coloring, run_orientation
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
-
-
-def _ring_sizes(text: str) -> tuple[int, ...]:
-    sizes = tuple(_int_list(text))
-    if not sizes or min(sizes) < 2:
-        raise argparse.ArgumentTypeError(
-            f"need one or more comma-separated ring sizes >= 2, got {text!r}"
-        )
-    return sizes
-
-
-def _ring_size(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need a ring size >= 2, got {value}")
-    return value
-
-
-def _orient_size(text: str) -> int:
-    value = int(text)
-    if value < 3:
-        raise argparse.ArgumentTypeError(
-            f"need a ring size >= 3 for orientation, got {value}"
-        )
-    return value
+def _int_list(text: str) -> tuple[int, ...]:
+    values = tuple(int(x) for x in text.split(",") if x)
+    if not values:
+        raise argparse.ArgumentTypeError(f"need comma-separated ints, got {text!r}")
+    return values
 
 
 def _positive_int(text: str) -> int:
@@ -54,38 +32,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"need a seed >= 0, got {value}")
-    return value
-
-
-def _multiplier(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"need a finite multiplier > 0, got {text!r}")
-    return value
-
-
 def _cmd_sweep(args) -> int:
-    try:
-        spec = ExperimentSpec(
-            protocol=Protocol(args.protocol),
-            n_values=args.n,
-            trials_per_n=args.trials,
-            base_seed=args.seed,
-            max_steps_multiplier=args.multiplier,
-            range_check=args.range_check,
-            workers=args.workers,
-        )
-    except ValueError as exc:  # e.g. n=2 for orientation
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:  # the spec is valid without the override, so only it can fail here
-        spec = dataclasses.replace(spec, kappa_max_override=args.kappa_max)
-    except ValueError as exc:
-        args.usage_error(f"argument --kappa-max: {exc}")
+    spec = ExperimentSpec(
+        protocol=Protocol(args.protocol),
+        n_values=args.n,
+        trials_per_n=args.trials,
+        base_seed=args.seed,
+        max_steps_multiplier=args.multiplier,
+        kappa_max_override=args.kappa_max,
+        range_check=args.range_check,
+        workers=args.workers,
+    )
     records = harness.run_convergence_sweep(spec)
     if args.out:
         harness.export_csv(records, args.out)
@@ -97,18 +54,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    try:
-        report = harness.run_closure_suite(
-            Protocol(args.protocol),
-            n=args.n,
-            trials=args.trials,
-            seed=args.seed,
-            steps=args.steps,
-            workers=args.workers,
-        )
-    except ValueError as exc:  # e.g. n=2 for orientation
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = harness.run_closure_suite(
+        Protocol(args.protocol),
+        n=args.n,
+        trials=args.trials,
+        seed=args.seed,
+        steps=args.steps,
+        workers=args.workers,
+    )
     for line in report.violations:
         print(f"VIOLATION {line}")
     if report.rejected_trials:
@@ -121,37 +74,30 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_eliminate(args) -> int:
-    counts = _int_list(args.leaders)
-    if not counts or not all(1 <= c <= args.n for c in counts):
-        print(
-            f"error: --leaders needs counts in [1, {args.n}], got {args.leaders!r}",
-            file=sys.stderr,
-        )
-        return 2
-    ok = True
-    for leaders in counts:
-        report = harness.run_elimination_suite(
+    reports = [
+        harness.run_elimination_suite(
             n=args.n,
             initial_leaders=leaders,
             trials=args.trials,
             seed=args.seed,
             workers=args.workers,
         )
+        for leaders in args.leaders
+    ]
+    for report in reports:
         status = "ok" if report.passed else "FAILED"
         print(
-            f"eliminate n={args.n} leaders={leaders}: "
+            f"eliminate n={args.n} leaders={report.initial_leaders}: "
             f"{sum(report.converged)}/{report.trials} converged, "
             f"median {report.median_steps:.0f} steps, "
             f"zero-leader events {report.zero_leader_events} [{status}]"
         )
-        ok = ok and report.passed
-    return 0 if ok else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_orient(args) -> int:
-    print("seed,steps_to_oriented,max_segment_count_violation")
     ok = True
-    rows = []
+    rows = ["seed,steps_to_oriented,max_segment_count_violation"]
     for t in range(args.seeds):
         seed = harness.trial_seed(args.seed, args.n, t)
         coloring = generate_two_hop_coloring(args.n, seed)
@@ -167,11 +113,7 @@ def _cmd_orient(args) -> int:
 
 def _cmd_lottery(args) -> int:
     which = lottery.Bound(args.bound)
-    try:
-        rate = lottery.estimate_bound(args.k, args.c, which, args.trials, args.seed)
-    except ValueError as exc:  # e.g. the lower bound with k = 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rate = lottery.estimate_bound(args.k, args.c, which, args.trials, args.seed)
     ceiling = lottery.bound_probability(args.k, args.c)
     print(
         f"lottery k={args.k} c={args.c} bound={args.bound}: "
@@ -203,11 +145,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    try:
-        params = make_params(args.n, args.kappa_max)
-    except InvalidSizeError as exc:  # e.g. kappa_max below 32*psi
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = make_params(args.n, args.kappa_max)
     if args.kind == "random":
         config = random_configuration(params, args.seed)
     else:
@@ -238,75 +176,78 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="convergence sweep from random configurations")
     p.add_argument("--protocol", choices=["ppl", "por"], default="ppl")
     p.add_argument(
-        "--n", type=_ring_sizes, default=(8, 16, 32, 64), help="comma-separated ring sizes"
+        "--n", type=_int_list, default="8,16,32,64", help="comma-separated ring sizes"
     )
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--multiplier", type=_multiplier, default=harness.DEFAULT_MULTIPLIER)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--multiplier", type=float, default=harness.DEFAULT_MULTIPLIER)
     p.add_argument("--kappa-max", type=int, default=None)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--range-check", action="store_true",
         help="validate both touched agents after every step (slow)",
     )
     p.add_argument("--out", default=None, help="write the trial records as CSV")
-    p.set_defaults(func=_cmd_sweep, usage_error=p.error)
+    p.set_defaults(func=_cmd_sweep, parser=p)
 
     p = sub.add_parser("closure", help="safety preservation from safe starts")
     p.add_argument("--protocol", choices=["ppl", "por"], default="ppl")
-    p.add_argument("--n", type=_ring_size, default=16)
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--n", type=int, default=16)
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=_positive_int, default=harness.CLOSURE_STEPS)
-    p.add_argument("--workers", type=_positive_int, default=1)
-    p.set_defaults(func=_cmd_closure)
+    p.add_argument("--workers", type=int, default=1)
+    p.set_defaults(func=_cmd_closure, parser=p)
 
     p = sub.add_parser("eliminate", help="leader elimination from multi-leader starts")
-    p.add_argument("--n", type=_ring_size, default=32)
-    p.add_argument("--leaders", default="2,4,8", help="comma-separated counts")
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1)
-    p.set_defaults(func=_cmd_eliminate)
+    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--leaders", type=_int_list, default="2,4,8", help="comma-separated counts")
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
+    p.set_defaults(func=_cmd_eliminate, parser=p)
 
     p = sub.add_parser("orient", help="ring orientation trials, CSV to stdout")
-    p.add_argument("--n", type=_orient_size, default=16)
+    p.add_argument("--n", type=int, default=16)
     p.add_argument("--seeds", type=_positive_int, default=100)
     p.add_argument("--max-steps", type=_positive_int, default=10_000_000)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(func=_cmd_orient)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=_cmd_orient, parser=p)
 
     p = sub.add_parser("lottery", help="lottery-game bound estimation")
-    p.add_argument("--k", type=_positive_int, default=4)
-    p.add_argument("--c", type=_positive_int, default=1)
+    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--c", type=int, default=1)
     p.add_argument("--bound", choices=["upper", "lower"], default="upper")
-    p.add_argument("--trials", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(func=_cmd_lottery)
+    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=_cmd_lottery, parser=p)
 
     p = sub.add_parser("check", help="evaluate a predicate on a snapshot")
     p.add_argument("predicate", choices=sorted(_PREDICATES) + ["leader-count"])
     p.add_argument("snapshot")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_check, parser=p)
 
     p = sub.add_parser("dump", help="write a configuration snapshot")
-    p.add_argument("--n", type=_ring_size, default=16)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--n", type=int, default=16)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", choices=["random", "safe"], default="random")
     p.add_argument("--kappa-max", type=int, default=None)
     p.add_argument("--out", default="config.json")
-    p.set_defaults(func=_cmd_dump)
+    p.set_defaults(func=_cmd_dump, parser=p)
 
     p = sub.add_parser("load", help="validate a configuration snapshot")
     p.add_argument("snapshot")
-    p.set_defaults(func=_cmd_load)
+    p.set_defaults(func=_cmd_load, parser=p)
 
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidSizeError as exc:  # a value the library rejects: usage error, exit 2
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

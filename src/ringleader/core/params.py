@@ -1,18 +1,25 @@
-"""Protocol sizing parameters.
+"""Protocol sizing parameters and the checks on outside values.
 
 All sizing derives from two numbers: the ring size ``n`` and the knowledge
 parameter ``psi`` (an upper bound on ``log2 n`` known to every agent).
 Everything else -- the distance modulus ``2*psi``, the clock ceiling
 ``kappa_max`` and the segment count ``zeta`` -- is computed here and nowhere
 else.
+
+The ``require_*`` helpers are the one place where a size, count, seed or
+multiplier coming from outside the library is checked; every public entry
+point calls them before it does any work.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 
 class InvalidSizeError(ValueError):
-    """Raised for ring or parameter sizes the protocol does not support."""
+    """Raised for an outside value the library does not accept: a ring or
+    parameter size, a count, a seed or a multiplier."""
 
 
 KAPPA_FACTOR = 32  # minimum clock ceiling is 32*psi
@@ -24,6 +31,34 @@ def require_int(name: str, value: object) -> None:
         raise InvalidSizeError(f"{name} must be an int, got {value!r}")
 
 
+def require_count(name: str, value: object, least: int) -> None:
+    """Raise InvalidSizeError unless ``value`` is an ``int`` >= ``least``.
+
+    Seeds are counts with ``least=0``: the values ``SeedSequence`` and
+    ``PCG64`` take.
+    """
+    require_int(name, value)
+    if value < least:
+        raise InvalidSizeError(f"{name} must be >= {least}, got {value}")
+
+
+def require_sizes(protocol: str, n_values: tuple[int, ...], least: int) -> None:
+    """Raise InvalidSizeError unless ``n_values`` is a non-empty sequence of
+    ints >= ``least``."""
+    if not n_values:
+        raise InvalidSizeError("need at least one ring size")
+    for n in n_values:
+        require_count(f"{protocol} ring size", n, least)
+
+
+def require_multiplier(name: str, value: object) -> None:
+    """Raise InvalidSizeError unless ``value`` is a finite real number > 0."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not (
+        math.isfinite(value) and value > 0
+    ):
+        raise InvalidSizeError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class ProtocolParams:
     """Sizing truth for one ring: agent count and derived quantities.
@@ -33,21 +68,16 @@ class ProtocolParams:
     * ``psi >= 2``
     * ``2**psi >= n`` (segment IDs must be able to count all segments)
     * ``kappa_max >= 32 * psi``
-    * ``zeta == ceil(n / psi)``
     """
 
     n: int
     psi: int
     kappa_max: int
-    zeta: int
 
     def __post_init__(self) -> None:
-        for name in ("n", "psi", "kappa_max", "zeta"):
-            require_int(name, getattr(self, name))
-        if self.n < 2:
-            raise InvalidSizeError(f"ring size must be >= 2, got {self.n}")
-        if self.psi < 2:
-            raise InvalidSizeError(f"psi must be >= 2, got {self.psi}")
+        require_count("n", self.n, 2)
+        require_count("psi", self.psi, 2)
+        require_int("kappa_max", self.kappa_max)
         if 2**self.psi < self.n:
             raise InvalidSizeError(
                 f"psi={self.psi} too small for n={self.n}: need 2**psi >= n"
@@ -56,14 +86,15 @@ class ProtocolParams:
             raise InvalidSizeError(
                 f"kappa_max={self.kappa_max} below minimum {KAPPA_FACTOR * self.psi}"
             )
-        if self.zeta != -(-self.n // self.psi):
-            raise InvalidSizeError(
-                f"zeta={self.zeta} inconsistent, expected ceil(n/psi)"
-            )
 
     @property
     def two_psi(self) -> int:
         return 2 * self.psi
+
+    @property
+    def zeta(self) -> int:
+        """Segment count ``ceil(n / psi)``."""
+        return -(-self.n // self.psi)
 
 
 def make_params(n: int, kappa_max: int | None = None) -> ProtocolParams:
@@ -73,18 +104,8 @@ def make_params(n: int, kappa_max: int | None = None) -> ProtocolParams:
     integers as ``(n - 1).bit_length()`` so that it stays exact for any n.
     ``kappa_max`` defaults to ``32*psi`` and may only be raised, not lowered.
     """
-    require_int("n", n)
-    if n < 2:
-        raise InvalidSizeError(f"ring size must be >= 2, got {n}")
+    require_count("n", n, 2)
     psi = max(2, (n - 1).bit_length())
-    floor_kappa = KAPPA_FACTOR * psi
     if kappa_max is None:
-        kappa_max = floor_kappa
-    else:
-        require_int("kappa_max", kappa_max)
-        if kappa_max < floor_kappa:
-            raise InvalidSizeError(
-                f"kappa_max={kappa_max} below minimum {floor_kappa} for n={n}"
-            )
-    zeta = -(-n // psi)
-    return ProtocolParams(n=n, psi=psi, kappa_max=kappa_max, zeta=zeta)
+        kappa_max = KAPPA_FACTOR * psi
+    return ProtocolParams(n=n, psi=psi, kappa_max=kappa_max)

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .params import ProtocolParams, require_int
+from .params import ProtocolParams, require_count, require_int
 
 # mode values; an agent is in detection mode exactly when its clock is full,
 # except transiently in adversarial initial states (repaired on first contact)
@@ -118,8 +118,7 @@ class AgentState:
             getattr(self, f) == getattr(other, f) for f in AgentState.__slots__
         )
 
-    def __hash__(self):  # mutable; identity hashing only
-        return id(self)
+    __hash__ = None  # mutable, compared by value: not hashable
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in AgentState.__slots__)
@@ -219,12 +218,8 @@ class Configuration:
         for key in ("n", "psi", "kappa_max", "agents"):
             if key not in data:
                 raise ValueError(f"snapshot missing field {key!r}")
-        n, psi, kmax = data["n"], data["psi"], data["kappa_max"]
-        require_int("n", n)
-        require_int("psi", psi)
-        # psi=0 must reach ProtocolParams' range check, not divide by zero
-        zeta = -(-n // psi) if psi else 0
-        params = ProtocolParams(n=n, psi=psi, kappa_max=kmax, zeta=zeta)
+        n = data["n"]
+        params = ProtocolParams(n=n, psi=data["psi"], kappa_max=data["kappa_max"])
         raw_agents = data["agents"]
         if not isinstance(raw_agents, list) or len(raw_agents) != n:
             raise ValueError(f"agents: expected a list of {n} entries")
@@ -295,8 +290,10 @@ def random_configuration(params: ProtocolParams, seed: int) -> Configuration:
 
     This is the adversary: the draw includes inconsistent combinations
     (no leader, many leaders, stray tokens and signals, clocks out of step
-    with modes).  Deterministic in ``seed``.
+    with modes).  Deterministic in ``seed``; raises InvalidSizeError for a
+    seed that is not an int >= 0.
     """
+    require_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     n, psi, kmax = params.n, params.psi, params.kappa_max
     token_choices = 1 + (2 * psi - 1) * 4  # bottom + offsets x value x carry

@@ -13,13 +13,19 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis
-from .core.params import ProtocolParams, make_params, require_int
+from .core.params import (
+    InvalidSizeError,
+    ProtocolParams,
+    make_params,
+    require_count,
+    require_multiplier,
+    require_sizes,
+)
 from .core.scheduler import SchedulerStream
 from .core.sim import run
 from .core.state import AgentState, Configuration, random_configuration
@@ -40,38 +46,6 @@ class Protocol(enum.Enum):
     POR = "por"
 
 
-def _require_sizes(protocol: str, n_values: tuple[int, ...], min_n: int) -> None:
-    """Raise ValueError unless ``n_values`` is a non-empty sequence of ints >= ``min_n``."""
-    if not n_values:
-        raise ValueError("n_values must not be empty")
-    for n in n_values:
-        require_int("n_values entry", n)
-    if min(n_values) < min_n:
-        raise ValueError(f"{protocol} needs ring sizes >= {min_n}, got {min(n_values)}")
-
-
-def _require_count(name: str, value: object, least: int) -> None:
-    """Raise ValueError unless ``value`` is an ``int`` >= ``least``."""
-    require_int(name, value)
-    if value < least:
-        raise ValueError(f"need {name} >= {least}, got {value}")
-
-
-def _require_seed(name: str, value: object) -> None:
-    """Raise ValueError unless ``value`` is an ``int`` >= 0 (``bool`` is not),
-    the seeds ``SeedSequence`` takes."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
-
-
-def _require_multiplier(name: str, value: object) -> None:
-    """Raise ValueError unless ``value`` is a finite real number > 0."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not (
-        math.isfinite(value) and value > 0
-    ):
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     protocol: Protocol
@@ -85,20 +59,16 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         min_n = 2 if self.protocol is Protocol.PPL else 3  # a 2-hop coloring needs 3
-        _require_sizes(self.protocol.value, self.n_values, min_n)
-        require_int("trials_per_n", self.trials_per_n)
-        require_int("workers", self.workers)
+        require_sizes(self.protocol.value, self.n_values, min_n)
+        require_count("trials_per_n", self.trials_per_n, 1)
+        require_count("base_seed", self.base_seed, 0)
+        require_multiplier("max_steps_multiplier", self.max_steps_multiplier)
+        require_count("workers", self.workers, 1)
         if self.kappa_max_override is not None:
             if self.protocol is not Protocol.PPL:
-                raise ValueError("kappa_max_override applies to the ppl protocol only")
+                raise InvalidSizeError("kappa_max_override applies to the ppl protocol only")
             for n in self.n_values:
                 make_params(n, self.kappa_max_override)  # raises if unusable at n
-        if self.trials_per_n < 1:
-            raise ValueError("trials_per_n must be >= 1")
-        _require_seed("base_seed", self.base_seed)
-        _require_multiplier("max_steps_multiplier", self.max_steps_multiplier)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -115,7 +85,13 @@ class TrialRecord:
 
 
 def trial_seed(base_seed: int, n: int, trial_index: int) -> int:
-    """Stable per-trial seed; two related streams hang off it (seed, seed+1)."""
+    """Stable per-trial seed; two related streams hang off it (seed, seed+1).
+
+    Every suite derives its trial seeds here while it builds its task list,
+    before any trial runs, so this is where a base seed is checked: raises
+    InvalidSizeError unless ``base_seed`` is an int >= 0.
+    """
+    require_count("seed", base_seed, 0)
     ss = np.random.SeedSequence([base_seed, n, trial_index])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -126,8 +102,6 @@ def step_cutoff(n: int, multiplier: float) -> int:
 
 def _map(fn, tasks: list, workers: int) -> list:
     """``[fn(t) for t in tasks]``, in a process pool when ``workers > 1``."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -210,15 +184,15 @@ def run_orientation_sweep(
 ) -> list[OrientationTrial]:
     """Instrumented orientation trials over several ring sizes.
 
-    Raises ValueError, before any trial runs, for ring sizes below 3 or not
-    ints, ``trials`` < 1, ``post_steps`` < 0, a bad ``seed`` or
+    Raises InvalidSizeError, before any trial runs, for ring sizes below 3
+    or not ints, ``trials`` < 1, ``post_steps`` < 0, a bad ``seed`` or
     ``multiplier`` (see ``ExperimentSpec``) or ``workers`` < 1.
     """
-    _require_sizes(Protocol.POR.value, n_values, 3)
-    _require_count("trials", trials, 1)
-    _require_count("post_steps", post_steps, 0)
-    _require_seed("seed", seed)
-    _require_multiplier("multiplier", multiplier)
+    require_sizes(Protocol.POR.value, n_values, 3)
+    require_count("trials", trials, 1)
+    require_count("post_steps", post_steps, 0)
+    require_multiplier("multiplier", multiplier)
+    require_count("workers", workers, 1)
     tasks = [
         (n, trial_seed(seed, n, t), step_cutoff(n, multiplier), post_steps)
         for n in n_values
@@ -324,14 +298,20 @@ def run_closure_suite(
     at every check interval; POR trials assert the direction vector never
     changes after orientation.  Supplied ``initial_configs`` (PPL only) that
     fail the safe-set precheck are reported as rejected, not as violations.
-    Raises ValueError, before any trial runs, for a ring size below the
-    protocol's minimum (2 for PPL, 3 for POR), ``trials`` < 1, ``steps`` < 0
-    or a bad ``seed`` (see ``ExperimentSpec``).
+    Raises InvalidSizeError, before any trial runs, for a ring size below
+    the protocol's minimum (2 for PPL, 3 for POR), ``trials`` < 1,
+    ``steps`` < 0, a bad ``seed`` (see ``ExperimentSpec``), ``workers`` < 1,
+    or ``initial_configs`` that are empty or given for POR.
     """
-    _require_sizes(protocol.value, (n,), 3 if protocol is Protocol.POR else 2)
-    _require_count("trials", trials, 1)
-    _require_count("steps", steps, 0)
-    _require_seed("seed", seed)
+    require_sizes(protocol.value, (n,), 3 if protocol is Protocol.POR else 2)
+    require_count("trials", trials, 1)
+    require_count("steps", steps, 0)
+    require_count("workers", workers, 1)
+    if initial_configs is not None:
+        if protocol is not Protocol.PPL:
+            raise InvalidSizeError("initial_configs applies to the ppl protocol only")
+        if not initial_configs:
+            raise InvalidSizeError("initial_configs must not be empty")
     report = ClosureReport(
         protocol=protocol.value, n=n, trials=trials, steps_per_trial=steps
     )
@@ -347,12 +327,10 @@ def run_closure_suite(
             report.violations.extend(violations)
             if rejected:
                 report.rejected_trials.append(tseed)
-    elif protocol is Protocol.POR:
+    else:
         tasks = [(n, trial_seed(seed, n, t), steps) for t in range(trials)]
         for violations in _map(_por_closure_task, tasks, workers):
             report.violations.extend(violations)
-    else:
-        raise ValueError("closure suite supports PPL and POR only")
     return report
 
 
@@ -436,15 +414,17 @@ def run_elimination_suite(
 
     The leader count is asserted at every check interval; observing zero
     leaders is recorded as a hard failure (it would contradict closure of
-    the peaceful-bullet set).  Raises ValueError, before any trial runs,
-    for ``n`` < 2, ``trials`` < 1, a bad ``seed`` or ``multiplier`` (see
-    ``ExperimentSpec``) or ``initial_leaders`` outside [1, n]."""
-    _require_sizes(Protocol.PPL.value, (n,), 2)
-    _require_count("trials", trials, 1)
-    _require_seed("seed", seed)
-    _require_multiplier("multiplier", multiplier)
-    if not 1 <= initial_leaders <= n:
-        raise ValueError("need 1 <= initial_leaders <= n")
+    the peaceful-bullet set).  Raises InvalidSizeError, before any trial
+    runs, for ``n`` < 2, ``trials`` < 1, a bad ``seed`` or ``multiplier``
+    (see ``ExperimentSpec``), ``workers`` < 1 or ``initial_leaders``
+    outside [1, n]."""
+    require_sizes(Protocol.PPL.value, (n,), 2)
+    require_count("trials", trials, 1)
+    require_multiplier("multiplier", multiplier)
+    require_count("workers", workers, 1)
+    require_count("initial_leaders", initial_leaders, 1)
+    if initial_leaders > n:
+        raise InvalidSizeError(f"initial_leaders must be <= n = {n}, got {initial_leaders}")
     report = EliminationReport(n=n, initial_leaders=initial_leaders, trials=trials)
     cutoff = step_cutoff(n, multiplier)
     tasks = [

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core.params import require_count
+
 
 class Bound(enum.Enum):
     UPPER = "upper"
@@ -71,12 +73,14 @@ def estimate_bound(
     ``wins <= 8*c*k``; a violation is ``wins > 8*c*k``.
     LOWER: with a budget of ``64*c*k*2**k`` flips, the event is
     ``wins >= 16*c*k``; a violation is ``wins < 16*c*k``.
-    Either violation has probability at most ``2**(-c*k)``.
+    Either violation has probability at most ``2**(-c*k)``.  Raises
+    InvalidSizeError for ``k`` < 1 (< 2 for LOWER), ``c`` < 1, ``trials`` < 1
+    or a negative ``seed``, or any of them not an int.
     """
-    if which is Bound.LOWER and k < 2:
-        raise ValueError("the lower bound needs k >= 2")
-    if k < 1 or c < 1 or trials < 1:
-        raise ValueError("need k >= 1, c >= 1, trials >= 1")
+    require_count("k", k, 2 if which is Bound.LOWER else 1)  # LOWER needs k >= 2
+    require_count("c", c, 1)
+    require_count("trials", trials, 1)
+    require_count("seed", seed, 0)
     seeds = np.random.SeedSequence(seed).generate_state(trials)
     failures = 0
     if which is Bound.UPPER:

@@ -18,7 +18,7 @@ from operator import length_hint
 
 import numpy as np
 
-from .core.params import InvalidSizeError
+from .core.params import InvalidSizeError, require_count
 
 XI = 5  # colors used by the generator; plenty for any ring size >= 3
 
@@ -49,8 +49,7 @@ class OrientAgentState:
             and self.strong == other.strong
         )
 
-    def __hash__(self):
-        return id(self)
+    __hash__ = None  # mutable, compared by value: not hashable
 
     def __repr__(self) -> str:
         return (
@@ -99,8 +98,8 @@ def generate_two_hop_coloring(n: int, seed: int) -> OrientConfiguration:
     32-bit outputs whether it is made alone or in an array, so this is the
     stream of one call per value in that order.
     """
-    if n < 3:
-        raise InvalidSizeError(f"need n >= 3 for a two-hop coloring, got n={n}")
+    require_count("n", n, 3)
+    require_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     colors: list[int | None] = [None] * n
     picks = rng.integers(0, [XI if i < 2 else XI - 1 for i in range(n - 2)]).tolist()
@@ -412,8 +411,8 @@ def run_orientation(
     incrementally; a head fight between legal agents that raises it is a
     monotonicity violation.  After orientation, ``post_steps`` further
     interactions are applied and any change to any ``dir`` is counted.  The
-    input configuration is not mutated.  Raises ValueError for a negative
-    ``max_steps`` or ``post_steps``.
+    input configuration is not mutated.  Raises InvalidSizeError for a
+    ``max_steps`` or ``post_steps`` that is not an int >= 0.
 
     This is the fast path; ``_interact_or_inplace`` is the reference
     transition, and the tests hold the two bit-exact.  The run keeps flat
@@ -427,10 +426,8 @@ def run_orientation(
     which stops once no agent that an arc demotes is still strong; otherwise
     it runs the same per-draw loop.
     """
-    if max_steps < 0 or post_steps < 0:
-        raise ValueError(
-            f"need max_steps >= 0 and post_steps >= 0, got {max_steps} and {post_steps}"
-        )
+    require_count("max_steps", max_steps, 0)
+    require_count("post_steps", post_steps, 0)
     work = config.copy()
     n = len(work)
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -155,14 +155,12 @@ def _relay_inplace(l, r, lt, rt, d, psi, two_psi, trace, color):
     if lt is None and l.dist == d and l.last == 0:
         b = l.b
         lt = tokens[4 * psi + 2 * (1 - b) + b]  # Token(psi, 1 - b, b)
-        if trace is not None:
-            trace.append(("tgen", color))
+        trace.append(("tgen", color))
     # a token never moves onto an occupied agent or into the final segment;
     # the left token is destroyed instead
     if lt is not None and (rt is not None or r.last == 1):
         lt = None
-        if trace is not None:
-            trace.append(("tdel", color, "l"))
+        trace.append(("tdel", color, "l"))
     if lt is not None and lt.offset == 1:
         # rightward arrival: construction writes the carried bit, detection
         # checks it and creates a leader on mismatch; then the token turns
@@ -170,26 +168,23 @@ def _relay_inplace(l, r, lt, rt, d, psi, two_psi, trace, color):
         _, value, carry = lt
         if r.mode == DETECT:
             if value != r.b:
-                if trace is not None and r.bullet > 0:
+                if r.bullet > 0:
                     trace.append(("bdel", "r"))
                 r.leader = 1
                 r.bullet = 2
                 r.shield = 1
                 r.signal_b = 0
-                if trace is not None:
-                    trace.append(("bfire", "r", 2))
+                trace.append(("bfire", "r", 2))
         else:
             r.b = value
         rt = tokens[4 * (1 - psi) + 2 * value + carry]  # Token(1 - psi, value, carry)
         lt = None
-        if trace is not None:
-            trace.append(("tmove", color, "lr"))
+        trace.append(("tmove", color, "lr"))
     elif lt is not None and lt.offset >= 2:
         offset, value, carry = lt
         rt = tokens[4 * (offset - 1) + 2 * value + carry]
         lt = None
-        if trace is not None:
-            trace.append(("tmove", color, "lr"))
+        trace.append(("tmove", color, "lr"))
     elif rt is not None and rt.offset == -1:
         # leftward arrival: fold l's bit into the running +1 addition and
         # re-arm for the next round
@@ -199,23 +194,19 @@ def _relay_inplace(l, r, lt, rt, d, psi, two_psi, trace, color):
         else:
             lt = tokens[4 * psi + 2 * b]  # Token(psi, b, 0)
         rt = None
-        if trace is not None:
-            trace.append(("tmove", color, "rl"))
+        trace.append(("tmove", color, "rl"))
     elif rt is not None and rt.offset <= -2:
         offset, value, carry = rt
         lt = tokens[4 * (offset + 1) + 2 * value + carry]
         rt = None
-        if trace is not None:
-            trace.append(("tmove", color, "rl"))
+        trace.append(("tmove", color, "rl"))
     # sweep: final-segment residents and off-track tokens are destroyed
     if lt is not None and (l.last == 1 or _off_track(l.dist, lt.offset, d, two_psi, psi)):
         lt = None
-        if trace is not None:
-            trace.append(("tdel", color, "l"))
+        trace.append(("tdel", color, "l"))
     if rt is not None and (r.last == 1 or _off_track(r.dist, rt.offset, d, two_psi, psi)):
         rt = None
-        if trace is not None:
-            trace.append(("tdel", color, "r"))
+        trace.append(("tdel", color, "r"))
     return lt, rt
 
 
@@ -223,26 +214,24 @@ def _relay_inplace(l, r, lt, rt, d, psi, two_psi, trace, color):
 # block 5: leader elimination
 # --------------------------------------------------------------------------
 
-def _eliminate_inplace(l: AgentState, r: AgentState, trace=None) -> None:
+def _eliminate_inplace(l: AgentState, r: AgentState, trace: list) -> None:
     # a leader that has learned its previous bullet is gone fires again;
     # firing as initiator means live + shield up, firing as responder means
     # dummy + shield down (the scheduler supplies the coin flip)
     if l.leader and l.signal_b:
-        if trace is not None and l.bullet > 0:
+        if l.bullet > 0:
             trace.append(("bdel", "l"))
         l.bullet = 2
         l.shield = 1
         l.signal_b = 0
-        if trace is not None:
-            trace.append(("bfire", "l", 2))
+        trace.append(("bfire", "l", 2))
     if r.leader and r.signal_b:
-        if trace is not None and r.bullet > 0:
+        if r.bullet > 0:
             trace.append(("bdel", "r"))
         r.bullet = 1
         r.shield = 0
         r.signal_b = 0
-        if trace is not None:
-            trace.append(("bfire", "r", 1))
+        trace.append(("bfire", "r", 1))
     lb = l.bullet
     if lb > 0:
         if r.leader:
@@ -252,16 +241,14 @@ def _eliminate_inplace(l: AgentState, r: AgentState, trace=None) -> None:
             if killed:
                 r.leader = 0
             l.bullet = 0
-            if trace is not None:
-                trace.append(("bhit", killed))
+            trace.append(("bhit", killed))
         else:
             # advance onto an empty follower, disappear against an occupied
             # one; either way the follower's bullet-absence signal dies
             if r.bullet == 0:
                 r.bullet = lb
-                if trace is not None:
-                    trace.append(("bmove",))
-            elif trace is not None:
+                trace.append(("bmove",))
+            else:
                 trace.append(("bdel", "l"))
             l.bullet = 0
             r.signal_b = 0
@@ -538,11 +525,11 @@ def move_token(
     psi = params.psi
     if which is TokenColor.BLACK:
         l2.token_b, r2.token_b = _relay_inplace(
-            l2, r2, l2.token_b, r2.token_b, 0, psi, params.two_psi, None, "B"
+            l2, r2, l2.token_b, r2.token_b, 0, psi, params.two_psi, [], "B"
         )
     else:
         l2.token_w, r2.token_w = _relay_inplace(
-            l2, r2, l2.token_w, r2.token_w, psi, psi, params.two_psi, None, "W"
+            l2, r2, l2.token_w, r2.token_w, psi, psi, params.two_psi, [], "W"
         )
     return l2, r2
 
@@ -552,5 +539,5 @@ def eliminate_leaders(
 ) -> tuple[AgentState, AgentState]:
     """Leader-elimination block alone."""
     l2, r2 = l.copy(), r.copy()
-    _eliminate_inplace(l2, r2)
+    _eliminate_inplace(l2, r2, [])
     return l2, r2

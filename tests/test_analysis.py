@@ -80,7 +80,7 @@ def test_two_segments_on_four_ring():
 
 
 def test_three_equal_segments():
-    p6 = ProtocolParams(n=6, psi=3, kappa_max=96, zeta=2)
+    p6 = ProtocolParams(n=6, psi=3, kappa_max=96)
     cfg = ring(p6)
     for i, d in enumerate((0, 1, 3, 4, 0, 1)):
         cfg.agents[i].dist = d
@@ -165,7 +165,7 @@ def test_leaderless_consistent_rings_never_perfect_sampled_n16():
 
 def test_broken_id_chain_detected():
     # psi=7 ring, adjacent full segments carrying 15 then 8, no leader flank
-    p = ProtocolParams(n=28, psi=7, kappa_max=224, zeta=4)
+    p = ProtocolParams(n=28, psi=7, kappa_max=224)
     cfg = ring(p, {0: {"leader": 1}})
     for i in range(28):
         cfg.agents[i].dist = i % 14

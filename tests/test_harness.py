@@ -4,7 +4,7 @@ import pytest
 
 from ringleader import analysis, harness
 from ringleader.cli import main as cli_main
-from ringleader.core.params import make_params
+from ringleader.core.params import InvalidSizeError, make_params
 from ringleader.core.state import random_configuration
 from ringleader.harness import (
     ConfigFormatError,
@@ -25,8 +25,11 @@ from ringleader.harness import (
     step_cutoff,
     trial_seed,
 )
+from ringleader.lottery import Bound, estimate_bound
+from ringleader.orientation import generate_two_hop_coloring
 
 P16 = make_params(16)
+P8 = make_params(8)
 
 
 # --------------------------------------------------------------------------
@@ -176,6 +179,11 @@ ELIMINATION_ARGS = dict(n=8, initial_leaders=2, trials=2, seed=3, multiplier=1.0
         dict(multiplier=0),
         dict(n=1, initial_leaders=1),
         dict(n=8.5),
+        dict(workers=0),
+    )] + [("closure", o) for o in (
+        dict(workers=0),
+        dict(initial_configs=[]),
+        dict(protocol=Protocol.POR, initial_configs=[analysis.construct_S_PL(P8, 0)]),
     )],
 )
 def test_suites_reject_bad_input_before_any_trial(monkeypatch, suite, overrides):
@@ -190,6 +198,31 @@ def test_suites_reject_bad_input_before_any_trial(monkeypatch, suite, overrides)
     }[suite]
     with pytest.raises(ValueError):
         run(**{**args, **overrides})
+
+
+REJECTED_CALLS = {
+    "spec seed": lambda: small_spec(base_seed=-1),
+    "spec por kappa": lambda: small_spec(protocol=Protocol.POR, kappa_max_override=200),
+    "closure no configs": lambda: run_closure_suite(**CLOSURE_ARGS, initial_configs=[]),
+    "elimination leaders": lambda: run_elimination_suite(
+        **{**ELIMINATION_ARGS, "initial_leaders": 9}
+    ),
+    "orientation sweep workers": lambda: run_orientation_sweep((8,), 1, 0, workers=0),
+    "trial seed": lambda: trial_seed(-1, 8, 0),
+    "random seed": lambda: random_configuration(P16, -1),
+    "safe seed": lambda: analysis.construct_S_PL(P16, -1),
+    "lottery seed": lambda: estimate_bound(4, 1, Bound.UPPER, 10, -1),
+    "lottery lower k": lambda: estimate_bound(1, 1, Bound.LOWER, 10, 0),
+    "coloring float n": lambda: generate_two_hop_coloring(8.0, 0),
+    "coloring seed": lambda: generate_two_hop_coloring(8, -1),
+    "params kappa": lambda: make_params(8, 3),
+}
+
+
+@pytest.mark.parametrize("call", REJECTED_CALLS.values(), ids=REJECTED_CALLS.keys())
+def test_library_rejects_outside_values_with_invalid_size_error(call):
+    with pytest.raises(InvalidSizeError):
+        call()
 
 
 def test_spec_accepts_smallest_rings():
@@ -514,23 +547,7 @@ def test_cli_sweep_range_check(capsys):
         ["sweep", "--n", "8", "--kappa-max", "5"],
         ["sweep", "--n", "8,1024", "--kappa-max", "100"],
         ["sweep", "--protocol", "por", "--n", "8", "--kappa-max", "200"],
-    ],
-)
-def test_cli_rejects_bad_sizes_and_workers(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli_main(argv)
-    assert exc.value.code == 2
-    assert "usage" in capsys.readouterr().err
-
-
-def test_cli_sweep_rejects_two_agent_orientation(capsys):
-    assert cli_main(["sweep", "--protocol", "por", "--n", "2"]) == 2
-    assert "error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
+        ["sweep", "--protocol", "por", "--n", "2"],
         ["closure", "--protocol", "por", "--n", "2", "--trials", "1"],
         ["eliminate", "--n", "8", "--leaders", "9"],
         ["eliminate", "--n", "8", "--leaders", ","],
@@ -538,9 +555,22 @@ def test_cli_sweep_rejects_two_agent_orientation(capsys):
         ["lottery", "--bound", "lower", "--k", "1"],
     ],
 )
-def test_cli_rejects_unusable_closure_and_elimination_runs(argv, capsys):
-    assert cli_main(argv) == 2
-    assert "error" in capsys.readouterr().err
+def test_cli_rejects_bad_sizes_and_workers(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"usage: ringleader {argv[0]}" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_lets_other_errors_through(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(harness, "run_closure_suite", broken)
+    with pytest.raises(ValueError, match="not an input error"):
+        cli_main(["closure", "--n", "8"])
 
 
 def test_cli_eliminate(capsys):

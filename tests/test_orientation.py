@@ -117,6 +117,12 @@ def test_coloring_deterministic():
     assert a.agents == b.agents
 
 
+def test_agent_state_is_unhashable():
+    # mutable and compared by value, so it must not sit in a set or dict
+    with pytest.raises(TypeError):
+        {agent(0, 1, 2, 1)}
+
+
 def test_rejects_small_rings():
     with pytest.raises(InvalidSizeError):
         generate_two_hop_coloring(2, 0)

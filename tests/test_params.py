@@ -56,12 +56,7 @@ def test_kappa_override_up_only():
 def test_rejects_undersized_knowledge():
     # psi failing 2**psi >= n has no defined semantics and is refused outright
     with pytest.raises(InvalidSizeError):
-        ProtocolParams(n=100, psi=4, kappa_max=128, zeta=25)
-
-
-def test_rejects_inconsistent_zeta():
-    with pytest.raises(InvalidSizeError):
-        ProtocolParams(n=16, psi=4, kappa_max=128, zeta=5)
+        ProtocolParams(n=100, psi=4, kappa_max=128)
 
 
 @pytest.mark.parametrize(
@@ -74,10 +69,10 @@ def test_make_params_rejects_non_int_sizes(args):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("n", 8.0), ("psi", 3.0), ("kappa_max", 96.5), ("zeta", 3.0)]
+    "field, value", [("n", 8.0), ("psi", 3.0), ("kappa_max", 96.5)]
 )
 def test_params_reject_non_int_fields(field, value):
-    fields = dict(n=8, psi=3, kappa_max=96, zeta=3)
+    fields = dict(n=8, psi=3, kappa_max=96)
     fields[field] = value
     with pytest.raises(InvalidSizeError, match=field):
         ProtocolParams(**fields)

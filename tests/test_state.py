@@ -45,6 +45,12 @@ def test_copy_is_deep(params8):
     assert cfg == random_configuration(params8, 3)
 
 
+def test_agent_state_is_unhashable():
+    # mutable and compared by value, so it must not sit in a set or dict
+    with pytest.raises(TypeError):
+        {AgentState()}
+
+
 def test_snapshot_round_trip(params16):
     for seed in (0, 7, 31):
         cfg = random_configuration(params16, seed)
