@@ -8,15 +8,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .params import require_count
+
 _CHUNK = 8192
 
 
 class SchedulerStream:
-    """Deterministic stream of interaction indices, uniform over [0, n)."""
+    """Deterministic stream of interaction indices, uniform over [0, n).
+
+    Raises InvalidSizeError unless ``n`` >= 2 and ``seed`` >= 0 are ints."""
 
     def __init__(self, n: int, seed: int):
-        if n < 2:
-            raise ValueError(f"need at least 2 agents, got n={n}")
+        require_count("n", n, 2)
+        require_count("seed", seed, 0)
         self.n = n
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._buf: list[int] = []

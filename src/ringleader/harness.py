@@ -112,13 +112,8 @@ def _map(fn, tasks: list, workers: int) -> list:
 # convergence sweep
 # --------------------------------------------------------------------------
 
-def _ppl_trial(
-    n: int,
-    seed: int,
-    multiplier: float,
-    kappa_override: int | None,
-    range_check: bool,
-) -> TrialRecord:
+def _ppl_trial(args) -> TrialRecord:
+    n, seed, multiplier, kappa_override, range_check = args
     params = make_params(n, kappa_override)
     config = random_configuration(params, seed)
     scheduler = SchedulerStream(n, seed + 1)
@@ -156,24 +151,6 @@ def _orientation_task(args) -> OrientationTrial:
     return run_orientation(coloring, seed + 1, cutoff, post_steps=post_steps)
 
 
-def _por_trial(n: int, seed: int, multiplier: float) -> TrialRecord:
-    cutoff = step_cutoff(n, multiplier)
-    trial = _orientation_task((n, seed, cutoff, 0))
-    return TrialRecord(
-        protocol=Protocol.POR.value,
-        n=n,
-        psi=None,
-        kappa_max=None,
-        seed=seed,
-        steps=trial.steps_to_oriented
-        if trial.steps_to_oriented is not None
-        else cutoff,
-        converged=trial.converged,
-        final_leader_count=None,
-        violations=trial.monotone_violations,
-    )
-
-
 def run_orientation_sweep(
     n_values: tuple[int, ...],
     trials: int,
@@ -201,18 +178,27 @@ def run_orientation_sweep(
     return _map(_orientation_task, tasks, workers)
 
 
-def _sweep_task(args) -> TrialRecord:
-    protocol, n, seed, multiplier, kappa_override, range_check = args
-    if protocol is Protocol.PPL:
-        return _ppl_trial(n, seed, multiplier, kappa_override, range_check)
-    return _por_trial(n, seed, multiplier)
-
-
 def run_convergence_sweep(spec: ExperimentSpec) -> list[TrialRecord]:
-    """Run every (n, trial) cell of the spec; deterministic in the spec."""
+    """Run every (n, trial) cell of the spec; deterministic in the spec.
+
+    Orientation rows come from ``run_orientation_sweep``'s trials."""
+    if spec.protocol is Protocol.POR:
+        multiplier = spec.max_steps_multiplier
+        trials = run_orientation_sweep(
+            spec.n_values, spec.trials_per_n, spec.base_seed, multiplier, workers=spec.workers
+        )
+        return [
+            TrialRecord(
+                protocol=Protocol.POR.value, n=t.n, psi=None, kappa_max=None,
+                seed=t.seed - 1,  # the trial seed; t.seed, one more, is the scheduler's
+                steps=step_cutoff(t.n, multiplier) if t.steps_to_oriented is None
+                else t.steps_to_oriented,
+                converged=t.converged, final_leader_count=None, violations=t.monotone_violations,
+            )
+            for t in trials
+        ]
     tasks = [
         (
-            spec.protocol,
             n,
             trial_seed(spec.base_seed, n, t),
             spec.max_steps_multiplier,
@@ -222,7 +208,7 @@ def run_convergence_sweep(spec: ExperimentSpec) -> list[TrialRecord]:
         for n in spec.n_values
         for t in range(spec.trials_per_n)
     ]
-    return _map(_sweep_task, tasks, spec.workers)
+    return _map(_ppl_trial, tasks, spec.workers)
 
 
 # --------------------------------------------------------------------------
@@ -356,15 +342,23 @@ class EliminationReport:
         return float(np.median(self.steps)) if self.steps else math.nan
 
 
+def _require_leaders(name: str, leaders: int, n: int) -> None:
+    require_count(name, leaders, 1)
+    if leaders > n:
+        raise InvalidSizeError(f"{name} must be <= n = {n}, got {leaders}")
+
+
 def multi_leader_configuration(
     params: ProtocolParams, leaders: int, seed: int
 ) -> Configuration:
     """Evenly spaced shielded leaders, consistent distance chain, no bullets
     or signals; every live-bullet condition is vacuous, so the configuration
-    sits in the peaceful-bullet set by construction."""
+    sits in the peaceful-bullet set by construction.  Raises
+    InvalidSizeError for ``leaders`` outside [1, n] or a negative ``seed``,
+    or either not an int."""
     n = params.n
-    if not 1 <= leaders <= n:
-        raise ValueError(f"need 1 <= leaders <= {n}, got {leaders}")
+    _require_leaders("leaders", leaders, n)
+    require_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     positions = {(j * n) // leaders for j in range(leaders)}
     agents = [
@@ -422,9 +416,7 @@ def run_elimination_suite(
     require_count("trials", trials, 1)
     require_multiplier("multiplier", multiplier)
     require_count("workers", workers, 1)
-    require_count("initial_leaders", initial_leaders, 1)
-    if initial_leaders > n:
-        raise InvalidSizeError(f"initial_leaders must be <= n = {n}, got {initial_leaders}")
+    _require_leaders("initial_leaders", initial_leaders, n)
     report = EliminationReport(n=n, initial_leaders=initial_leaders, trials=trials)
     cutoff = step_cutoff(n, multiplier)
     tasks = [

@@ -53,11 +53,14 @@ def _count_rounds(heads: np.ndarray, k: int) -> tuple[int, int]:
 
 
 def play_lottery(k: int, flips: int, seed: int) -> LotteryOutcome:
-    """Play with a budget of ``flips`` fair coin flips, deterministic in seed."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if flips < 0:
-        raise ValueError(f"flips must be >= 0, got {flips}")
+    """Play with a budget of ``flips`` fair coin flips, deterministic in seed.
+
+    Raises InvalidSizeError for ``k`` < 1, ``flips`` < 0 or a negative
+    ``seed``, or any of them not an int.
+    """
+    require_count("k", k, 1)
+    require_count("flips", flips, 0)
+    require_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     heads = rng.integers(0, 2, size=flips)
     played, won = _count_rounds(heads, k)

@@ -257,7 +257,8 @@ class _ArcRing:
     which hold the memories, then refreshes their ``bad``, ``sides`` and
     edges; a head fight refreshes the edges of the agent it redirects.
     ``boundaries`` counts the ``_boundaries`` of ``sides`` and
-    ``violations`` the head fights that raised it.
+    ``violations`` the head fights that raised it.  Raises ValueError for a
+    coloring that is not two-hop, where a loser could not turn away.
     """
 
     __slots__ = (
@@ -272,6 +273,8 @@ class _ArcRing:
         self.dir = [a.dir for a in agents]
         self.strong = [a.strong for a in agents] + [0]
         left, right = _around(c)
+        if blind := [i for i in range(n) if left[i] == right[i]]:
+            raise ValueError(f"not a two-hop coloring: agents {blind} see one color on both sides")
         far = _around(right)[1]  # color of agent i + 2
         idx = list(range(n))
         nxt = _around(idx)[1]
@@ -300,8 +303,8 @@ class _ArcRing:
             a = self.n
         self.act[2 * e] = self.act[2 * e + 1] = a
 
-    def _fight(self, t: int) -> int | None:
-        """Head fight on arc ``t``; return the redirected agent, or None."""
+    def _fight(self, t: int) -> int:
+        """Head fight on arc ``t``; return the redirected agent."""
         u, v = self.us[t], self.vs[t]
         strong = self.strong
         if strong[u] == 0 and strong[v] == 1:
@@ -310,8 +313,6 @@ class _ArcRing:
         else:
             k, new = v, self.redirect_v[t]
             strong[u], strong[v] = 0, 1
-        if self.dir[k] == new:
-            return None  # both neighbors share a color (not a two-hop ring)
         self.dir[k] = new
         self._set_edge((k - 1) % self.n)
         self._set_edge(k)
@@ -349,13 +350,12 @@ class _ArcRing:
             self._set_edge(f)
         return self.boundaries == 0 and not any(self.bad)
 
-    def drive(self, draws: list[int], track: bool) -> int | None:
-        """Apply the arcs ``draws`` in order.
+    def drive(self, draws: list[int]) -> int | None:
+        """Apply the arcs ``draws`` in order, keeping ``sides``,
+        ``boundaries`` and ``violations`` up to date.
 
-        With ``track``, keep ``sides``, ``boundaries`` and ``violations`` up
-        to date and stop at the draw that leaves the ring oriented, returning
-        its 1-based position in ``draws``.  Return None when no draw does so
-        (always without ``track``, which is used on oriented rings only).
+        Stop at the draw that leaves the ring oriented and return its
+        1-based position in ``draws``; return None when no draw does so.
         """
         act, strong = self.act, self.strong
         rest = iter(draws)
@@ -365,10 +365,9 @@ class _ArcRing:
                 strong[a] = 0
                 continue
             if a == _FIGHT:
-                k = self._fight(t)
-                if k is None or not (track and self._flip_side(k)):
+                if not self._flip_side(self._fight(t)):
                     continue
-            elif not (self._repair(t) and track):
+            elif not self._repair(t):
                 continue
             # a list iterator's length hint is the exact number left
             return len(draws) - length_hint(rest)
@@ -404,15 +403,17 @@ def run_orientation(
 ) -> OrientationTrial:
     """Drive one ring until oriented (or cutoff), checking every step.
 
+    The coloring must be two-hop: no agent's two neighbors share a color.
     Any memories and directions are accepted, ``None`` memories included;
     the transition repairs them.  The ring is oriented at the first step
     after which ``is_oriented`` holds.  The scheduler draws uniformly among
     the 2n ordered arcs, in chunks of 4096 draws.  The segment count is kept
     incrementally; a head fight between legal agents that raises it is a
     monotonicity violation.  After orientation, ``post_steps`` further
-    interactions are applied and any change to any ``dir`` is counted.  The
-    input configuration is not mutated.  Raises InvalidSizeError for a
-    ``max_steps`` or ``post_steps`` that is not an int >= 0.
+    interactions are applied.  The input configuration is not mutated.
+    Raises InvalidSizeError for a ``max_steps`` or ``post_steps`` that is
+    not an int >= 0, and ValueError, naming the agents, for a coloring that
+    is not two-hop; both before any draw.
 
     This is the fast path; ``_interact_or_inplace`` is the reference
     transition, and the tests hold the two bit-exact.  The run keeps flat
@@ -420,18 +421,19 @@ def run_orientation(
     and a demotion one store.  Only a head fight, the one event that changes
     a legal agent's ``dir``, runs the fight rule; an arc touching an agent
     that is not legal runs the reference transition (generated rings have
-    none).  If no arc is a head fight once the ring is oriented, no
-    post-step can change a ``dir`` and demotions commute, so the post
-    stretch is a numpy scatter of zeros into ``strong`` per 4096-draw chunk,
-    which stops once no agent that an arc demotes is still strong; otherwise
-    it runs the same per-draw loop.
+    none).  On an oriented two-hop ring every arc demotes: neighbors x and
+    x + 1 point at each other only if agents x and x + 2 share a color.  So
+    no post-step changes a ``dir`` (``post_dir_changes`` is 0) and
+    demotions commute: the post stretch is a numpy scatter of zeros into
+    ``strong`` per 4096-draw chunk, which stops once no agent that an arc
+    demotes is still strong.
     """
     require_count("max_steps", max_steps, 0)
     require_count("post_steps", post_steps, 0)
     work = config.copy()
     n = len(work)
-    rng = np.random.Generator(np.random.PCG64(seed))
     ring = _ArcRing(work.agents)
+    rng = np.random.Generator(np.random.PCG64(seed))
     initial_count = max(ring.boundaries, 1)
     steps_to_oriented = 0 if ring.boundaries == 0 and not any(ring.bad) else None
 
@@ -439,26 +441,20 @@ def run_orientation(
     chunk = 4096
     while steps_to_oriented is None and step_no < max_steps:
         draws = rng.integers(0, 2 * n, size=min(chunk, max_steps - step_no)).tolist()
-        pos = ring.drive(draws, track=True)
+        pos = ring.drive(draws)
         if pos is not None:
             steps_to_oriented = step_no + pos
         step_no += len(draws)
 
     converged = steps_to_oriented is not None
-    post_dir_changes = 0
-    if converged and post_steps > 0:
-        if _FIGHT in ring.act:
-            frozen = list(ring.dir)
-            ring.drive(rng.integers(0, 2 * n, size=post_steps).tolist(), track=False)
-            post_dir_changes = sum(1 for d, f in zip(ring.dir, frozen) if d != f)
-        else:
-            # the chunks are a prefix of one size=post_steps draw, and the
-            # draws left once nothing can be demoted are no-ops
-            drawn = 0
-            while drawn < post_steps and ring.can_demote():
-                draws = rng.integers(0, 2 * n, size=min(chunk, post_steps - drawn))
-                ring.demote_all(draws)
-                drawn += len(draws)
+    if converged:
+        # the chunks are a prefix of one size=post_steps draw, and the
+        # draws left once nothing can be demoted are no-ops
+        drawn = 0
+        while drawn < post_steps and ring.can_demote():
+            draws = rng.integers(0, 2 * n, size=min(chunk, post_steps - drawn))
+            ring.demote_all(draws)
+            drawn += len(draws)
 
     ring.write_back()
     final_count = segment_count(work)
@@ -471,7 +467,7 @@ def run_orientation(
         steps_to_oriented=steps_to_oriented,
         converged=converged,
         monotone_violations=monotone_violations,
-        post_dir_changes=post_dir_changes,
+        post_dir_changes=0,
         final_segment_count=final_count,
         initial_segment_count=initial_count,
     )

@@ -4,7 +4,9 @@ import pytest
 
 from ringleader import analysis, harness
 from ringleader.cli import main as cli_main
+from ringleader.core import sim
 from ringleader.core.params import InvalidSizeError, make_params
+from ringleader.core.scheduler import SchedulerStream
 from ringleader.core.state import random_configuration
 from ringleader.harness import (
     ConfigFormatError,
@@ -25,7 +27,7 @@ from ringleader.harness import (
     step_cutoff,
     trial_seed,
 )
-from ringleader.lottery import Bound, estimate_bound
+from ringleader.lottery import Bound, estimate_bound, play_lottery
 from ringleader.orientation import generate_two_hop_coloring
 
 P16 = make_params(16)
@@ -89,6 +91,21 @@ def test_sweep_por():
     assert len(records) == 4
     assert all(r.converged and r.violations == 0 for r in records)
     assert all(r.psi is None and r.final_leader_count is None for r in records)
+    # rows are the orientation sweep's trials; the seed column is the trial
+    # seed, one below the run's scheduler seed
+    trials = run_orientation_sweep((8, 12), 2, seed=7)
+    assert [r.seed for r in records] == [
+        trial_seed(7, n, t) for n in (8, 12) for t in range(2)
+    ]
+    assert [(r.seed + 1, r.n, r.steps, r.violations) for r in records] == [
+        (t.seed, t.n, t.steps_to_oriented, t.monotone_violations) for t in trials
+    ]
+
+
+def test_sweep_por_reports_cutoff_when_not_oriented():
+    spec = small_spec(protocol=Protocol.POR, n_values=(16,), max_steps_multiplier=1e-3)
+    cutoff = step_cutoff(16, 1e-3)
+    assert [(r.converged, r.steps) for r in run_convergence_sweep(spec)] == [(False, cutoff)] * 3
 
 
 @pytest.mark.parametrize(
@@ -216,6 +233,20 @@ REJECTED_CALLS = {
     "coloring float n": lambda: generate_two_hop_coloring(8.0, 0),
     "coloring seed": lambda: generate_two_hop_coloring(8, -1),
     "params kappa": lambda: make_params(8, 3),
+    "lottery float k": lambda: play_lottery(2.5, 10, 1),
+    "lottery zero k": lambda: play_lottery(0, 10, 1),
+    "lottery negative flips": lambda: play_lottery(2, -1, 1),
+    "lottery negative play seed": lambda: play_lottery(2, 10, -1),
+    "lottery float play seed": lambda: play_lottery(2, 10, 1.5),
+    "multi-leader zero": lambda: multi_leader_configuration(P8, 0, 1),
+    "multi-leader above n": lambda: multi_leader_configuration(P8, 9, 1),
+    "multi-leader float": lambda: multi_leader_configuration(P8, 2.0, 1),
+    "multi-leader negative seed": lambda: multi_leader_configuration(P8, 2, -1),
+    "multi-leader float seed": lambda: multi_leader_configuration(P8, 2, 1.5),
+    "scheduler float n": lambda: SchedulerStream(8.0, 1),
+    "scheduler tiny n": lambda: SchedulerStream(1, 1),
+    "scheduler negative seed": lambda: SchedulerStream(8, -1),
+    "scheduler float seed": lambda: SchedulerStream(8, 1.5),
 }
 
 
@@ -378,6 +409,99 @@ def test_peaceful_audit_from_random():
     cfg = random_configuration(P16, 3)
     report = run_peaceful_audit(cfg, seed=5, steps=20_000)
     assert report.passed
+
+
+# --------------------------------------------------------------------------
+# every check fires on a broken transition
+# --------------------------------------------------------------------------
+
+def _break_traced(monkeypatch, spoil):
+    """Make hooked runs apply ``spoil(l, r, psi, trace)`` after every step."""
+    original = sim.interact_traced
+
+    def broken(l, r, psi, two_psi, kappa_max, trace):
+        original(l, r, psi, two_psi, kappa_max, trace)
+        spoil(l, r, psi, trace)
+
+    monkeypatch.setattr(sim, "interact_traced", broken)
+
+
+def _break_block(monkeypatch, spoil):
+    """Make unhooked runs apply ``spoil(agent)`` to every touched agent."""
+    original = sim.interact_block
+
+    def broken(agents, indices, nxt, psi, two_psi, kappa_max):
+        indices = list(indices)
+        original(agents, indices, nxt, psi, two_psi, kappa_max)
+        for i in indices:
+            spoil(agents[i])
+
+    monkeypatch.setattr(sim, "interact_block", broken)
+
+
+def test_range_check_reports_out_of_range_fields(monkeypatch):
+    def overfill_hits(l, r, psi, trace):
+        r.hits = psi + 1
+
+    _break_traced(monkeypatch, overfill_hits)
+    (record,) = run_convergence_sweep(small_spec(trials_per_n=1, range_check=True))
+    assert record.violations == record.steps > 0
+
+
+def _flip_b(agent):
+    agent.b ^= 1
+
+
+def _kill(agent):
+    agent.leader = 0
+
+
+@pytest.mark.parametrize(
+    "spoil, message", [(_flip_b, "left the safe set"), (_kill, "leader moved or died")]
+)
+def test_closure_reports_broken_steps(monkeypatch, spoil, message):
+    _break_block(monkeypatch, spoil)
+    report = run_closure_suite(Protocol.PPL, n=8, trials=2, seed=3, steps=1000)
+    assert not report.passed and not report.rejected_trials
+    assert len(report.violations) == 20  # each trial stops at 10
+    assert any(message in v for v in report.violations)
+
+
+def test_token_audit_reports_overlong_trajectories(monkeypatch):
+    def shuttle(l, r, psi, trace):
+        # every moved token also goes back and forth once more
+        for ev in list(trace):
+            if ev[0] == "tmove":
+                trace += [("tmove", ev[1], "rl" if ev[2] == "lr" else "lr"), ev]
+
+    _break_traced(monkeypatch, shuttle)
+    report = run_token_audit(analysis.construct_S_PL(P16, 0), seed=5, steps=20_000)
+    assert report.violations > 0 and report.max_moves_seen > report.moves_bound
+    assert not report.passed
+
+
+def test_token_audit_reports_off_track_moves(monkeypatch):
+    def shift_dist(l, r, psi, trace):
+        if any(ev[0] == "tmove" for ev in trace):
+            l.dist = (l.dist + 1) % (2 * psi)
+            r.dist = (r.dist + 1) % (2 * psi)
+
+    _break_traced(monkeypatch, shift_dist)
+    report = run_token_audit(analysis.construct_S_PL(P16, 0), seed=5, steps=20_000)
+    assert report.invalid_moves > 0
+    assert not report.passed
+
+
+def test_peaceful_audit_reports_signal_behind_bullet(monkeypatch):
+    def signal_behind(l, r, psi, trace):
+        if ("bmove",) in trace:
+            l.signal_b = 1  # between the moved bullet and its leader
+
+    _break_traced(monkeypatch, signal_behind)
+    cfg = multi_leader_configuration(make_params(16), 3, seed=3)
+    report = run_peaceful_audit(cfg, seed=4, steps=30_000)
+    assert report.violations > 0
+    assert not report.passed
 
 
 # --------------------------------------------------------------------------
