@@ -2,7 +2,8 @@
 
 Subcommands: sweep, closure, eliminate, orient, lottery, check, dump, load.
 Exit code 0 means zero invariant violations and (for suites) full
-convergence; anything else exits 1.  Input values are checked by the
+convergence; anything else exits 1, as does a snapshot that does not parse
+or validate (``ConfigFormatError``).  Input values are checked by the
 library only: a value it rejects with ``InvalidSizeError`` exits 2 with the
 subcommand's usage line, like a flag argparse cannot parse.
 """
@@ -131,11 +132,7 @@ _PREDICATES = {
 
 
 def _cmd_check(args) -> int:
-    try:
-        config = harness.load_config(args.snapshot)
-    except ConfigFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = harness.load_config(args.snapshot)
     if args.predicate == "leader-count":
         print(analysis.leader_count(config))
         return 0
@@ -156,11 +153,7 @@ def _cmd_dump(args) -> int:
 
 
 def _cmd_load(args) -> int:
-    try:
-        config = harness.load_config(args.snapshot)
-    except ConfigFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = harness.load_config(args.snapshot)
     p = config.params
     print(
         f"valid snapshot: n={p.n} psi={p.psi} kappa_max={p.kappa_max} "
@@ -248,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except InvalidSizeError as exc:  # a value the library rejects: usage error, exit 2
         args.parser.error(str(exc))
+    except ConfigFormatError as exc:  # a snapshot that does not parse or validate
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

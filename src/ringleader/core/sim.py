@@ -29,20 +29,18 @@ def run(
     scheduler: SchedulerStream,
     max_steps: int,
     stop: Callable[[Configuration], bool],
-    check_interval: int | None = None,
     on_step: Callable[[Configuration, int, list], None] | None = None,
 ) -> tuple[Configuration, int, bool]:
     """Drive the ring with scheduler-drawn interactions until ``stop`` or cutoff.
 
     ``stop`` is evaluated on the initial configuration and then once every
-    ``check_interval`` steps (default: every n steps, so the check amortizes
-    to constant work per step).  The reported step count is therefore the
-    first checked multiple at which ``stop`` held -- an overcount of less
-    than one interval -- and never exceeds ``max_steps``.  The input
-    configuration is not mutated.
+    n steps, so the check amortizes to constant work per step.  The
+    reported step count is therefore the first multiple of n at which
+    ``stop`` held -- an overcount of less than n -- and never exceeds
+    ``max_steps``.  The input configuration is not mutated.
 
-    Without ``on_step``, each block of drawn indices runs in one call to the
-    fused, event-free ``interact_block``.  ``on_step(work, i, trace)``, when
+    Without ``on_step``, each block of n drawn indices runs in one call to
+    the fused, event-free ``interact_block``.  ``on_step(work, i, trace)``, when
     given, is called after every interaction with the working configuration,
     the initiator index and the list of events the transition emitted; such
     runs go through the five reference blocks (``interact_traced``) one
@@ -54,10 +52,6 @@ def run(
     n = config.params.n
     if scheduler.n != n:
         raise ValueError(f"scheduler built for n={scheduler.n}, ring has n={n}")
-    if check_interval is None:
-        check_interval = n
-    if check_interval < 1:
-        raise ValueError("check_interval must be >= 1")
 
     work = config.copy()
     if stop(work):
@@ -71,7 +65,7 @@ def run(
 
     done = 0
     while done < max_steps:
-        block = min(check_interval, max_steps - done)
+        block = min(n, max_steps - done)
         if on_step is None:
             interact_block(agents, scheduler.draw(block), nxt, psi, two_psi, kmax)
         else:

@@ -215,6 +215,8 @@ class Configuration:
 
     @classmethod
     def from_snapshot(cls, data: dict) -> "Configuration":
+        if not isinstance(data, dict):
+            raise ValueError(f"snapshot must be a JSON object, got {type(data).__name__}")
         for key in ("n", "psi", "kappa_max", "agents"):
             if key not in data:
                 raise ValueError(f"snapshot missing field {key!r}")

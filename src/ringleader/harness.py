@@ -34,6 +34,7 @@ from .orientation import (
     generate_two_hop_coloring,
     oriented_configuration,
     run_orientation,
+    run_orientation_reference,
 )
 from .transition import _off_track
 
@@ -46,6 +47,14 @@ class Protocol(enum.Enum):
     POR = "por"
 
 
+def _require_sizes(protocol: Protocol, n_values: tuple) -> None:
+    """Raises InvalidSizeError unless ``protocol`` is a ``Protocol`` and every
+    ring size is an int >= 2, or >= 3 for POR (a two-hop coloring needs 3)."""
+    if not isinstance(protocol, Protocol):
+        raise InvalidSizeError(f"protocol must be a Protocol, got {protocol!r}")
+    require_sizes(protocol.value, n_values, 3 if protocol is Protocol.POR else 2)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     protocol: Protocol
@@ -54,16 +63,17 @@ class ExperimentSpec:
     base_seed: int
     max_steps_multiplier: float = DEFAULT_MULTIPLIER
     kappa_max_override: int | None = None
-    range_check: bool = False  # validate both touched agents after every step
+    range_check: bool = False  # ppl only: validate both touched agents after every step
     workers: int = 1
 
     def __post_init__(self) -> None:
-        min_n = 2 if self.protocol is Protocol.PPL else 3  # a 2-hop coloring needs 3
-        require_sizes(self.protocol.value, self.n_values, min_n)
+        _require_sizes(self.protocol, self.n_values)
         require_count("trials_per_n", self.trials_per_n, 1)
         require_count("base_seed", self.base_seed, 0)
         require_multiplier("max_steps_multiplier", self.max_steps_multiplier)
         require_count("workers", self.workers, 1)
+        if self.range_check and self.protocol is not Protocol.PPL:
+            raise InvalidSizeError("range_check applies to the ppl protocol only")
         if self.kappa_max_override is not None:
             if self.protocol is not Protocol.PPL:
                 raise InvalidSizeError("kappa_max_override applies to the ppl protocol only")
@@ -165,7 +175,7 @@ def run_orientation_sweep(
     or not ints, ``trials`` < 1, ``post_steps`` < 0, a bad ``seed`` or
     ``multiplier`` (see ``ExperimentSpec``) or ``workers`` < 1.
     """
-    require_sizes(Protocol.POR.value, n_values, 3)
+    _require_sizes(Protocol.POR, n_values)
     require_count("trials", trials, 1)
     require_count("post_steps", post_steps, 0)
     require_multiplier("multiplier", multiplier)
@@ -258,7 +268,7 @@ def _ppl_closure_task(args) -> tuple[int, list[str], bool]:
 def _por_closure_task(args) -> list[str]:
     n, seed, steps = args
     config = oriented_configuration(n, seed)
-    trial = run_orientation(config, seed + 1, max_steps=0, post_steps=steps)
+    trial = run_orientation_reference(config, seed + 1, max_steps=0, post_steps=steps)
     violations = []
     if trial.post_dir_changes:
         violations.append(
@@ -281,15 +291,17 @@ def run_closure_suite(
     """Start from safe configurations and verify safety never degrades.
 
     PPL trials assert membership in the safe set and a fixed leader identity
-    at every check interval; POR trials assert the direction vector never
-    changes after orientation.  Supplied ``initial_configs`` (PPL only) that
-    fail the safe-set precheck are reported as rejected, not as violations.
-    Raises InvalidSizeError, before any trial runs, for a ring size below
-    the protocol's minimum (2 for PPL, 3 for POR), ``trials`` < 1,
+    at every check interval.  POR trials drive oriented starts through
+    ``run_orientation_reference``, one transition call per step, and assert
+    that no step changes a direction or raises the segment count.  Supplied
+    ``initial_configs`` (PPL only) that fail the safe-set precheck are
+    reported as rejected, not as violations.  Raises InvalidSizeError,
+    before any trial runs, for a ``protocol`` that is not a ``Protocol``, a
+    ring size below its minimum (2 for PPL, 3 for POR), ``trials`` < 1,
     ``steps`` < 0, a bad ``seed`` (see ``ExperimentSpec``), ``workers`` < 1,
     or ``initial_configs`` that are empty or given for POR.
     """
-    require_sizes(protocol.value, (n,), 3 if protocol is Protocol.POR else 2)
+    _require_sizes(protocol, (n,))
     require_count("trials", trials, 1)
     require_count("steps", steps, 0)
     require_count("workers", workers, 1)
@@ -412,7 +424,7 @@ def run_elimination_suite(
     runs, for ``n`` < 2, ``trials`` < 1, a bad ``seed`` or ``multiplier``
     (see ``ExperimentSpec``), ``workers`` < 1 or ``initial_leaders``
     outside [1, n]."""
-    require_sizes(Protocol.PPL.value, (n,), 2)
+    _require_sizes(Protocol.PPL, (n,))
     require_count("trials", trials, 1)
     require_multiplier("multiplier", multiplier)
     require_count("workers", workers, 1)

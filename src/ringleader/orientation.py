@@ -13,7 +13,7 @@ the memories ``c1``/``c2`` only when they are wrong.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import length_hint
 
 import numpy as np
@@ -23,39 +23,20 @@ from .core.params import InvalidSizeError, require_count
 XI = 5  # colors used by the generator; plenty for any ring size >= 3
 
 
+@dataclass(slots=True)
 class OrientAgentState:
-    """One agent: own color, memorized neighbor colors, direction, strength."""
+    """One agent: own color, memorized neighbor colors, direction, strength.
 
-    __slots__ = ("color", "c1", "c2", "dir", "strong")
+    Mutable and compared by value, so not hashable."""
 
-    def __init__(self, color: int, c1: int | None, c2: int | None, dir: int, strong: int):
-        self.color = color
-        self.c1 = c1
-        self.c2 = c2
-        self.dir = dir
-        self.strong = strong
+    color: int
+    c1: int | None
+    c2: int | None
+    dir: int
+    strong: int
 
     def copy(self) -> "OrientAgentState":
         return OrientAgentState(self.color, self.c1, self.c2, self.dir, self.strong)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrientAgentState):
-            return NotImplemented
-        return (
-            self.color == other.color
-            and self.c1 == other.c1
-            and self.c2 == other.c2
-            and self.dir == other.dir
-            and self.strong == other.strong
-        )
-
-    __hash__ = None  # mutable, compared by value: not hashable
-
-    def __repr__(self) -> str:
-        return (
-            f"OrientAgentState(color={self.color}, c1={self.c1}, c2={self.c2}, "
-            f"dir={self.dir}, strong={self.strong})"
-        )
 
 
 class OrientConfiguration:
@@ -73,12 +54,6 @@ class OrientConfiguration:
 
     def copy(self) -> "OrientConfiguration":
         return OrientConfiguration([a.copy() for a in self.agents])
-
-    def check_two_hop(self) -> None:
-        n = len(self.agents)
-        for i in range(n):
-            if self.agents[i].color == self.agents[(i + 2) % n].color:
-                raise ValueError(f"two-hop violation at agents {i} and {(i + 2) % n}")
 
 
 def generate_two_hop_coloring(n: int, seed: int) -> OrientConfiguration:
@@ -108,22 +83,17 @@ def generate_two_hop_coloring(n: int, seed: int) -> OrientConfiguration:
         choices = [c for c in range(XI) if c not in banned]
         colors[i] = choices[picks[i] if i < n - 2 else rng.integers(0, len(choices))]
     bits = rng.integers(0, 2, size=2 * n).tolist()
-    agents = []
-    for i in range(n):
-        left = colors[(i - 1) % n]
-        right = colors[(i + 1) % n]
-        agents.append(
-            OrientAgentState(
-                color=colors[i],
-                c1=left,
-                c2=right,
-                dir=right if bits[2 * i] else left,
-                strong=bits[2 * i + 1],
-            )
+    left, right = _neighbor_colors(colors)  # the postcondition: two-hop
+    return OrientConfiguration(
+        OrientAgentState(
+            color=colors[i],
+            c1=left[i],
+            c2=right[i],
+            dir=right[i] if bits[2 * i] else left[i],
+            strong=bits[2 * i + 1],
         )
-    config = OrientConfiguration(agents)
-    config.check_two_hop()
-    return config
+        for i in range(n)
+    )
 
 
 def oriented_configuration(n: int, seed: int, clockwise: bool = True) -> OrientConfiguration:
@@ -190,6 +160,16 @@ def _around(values: list) -> tuple[list, list]:
     return values[-1:] + values[:-1], values[1:] + values[:1]
 
 
+def _neighbor_colors(colors: list[int]) -> tuple[list[int], list[int]]:
+    """``_around(colors)``, checked two-hop.  Raises ValueError naming the
+    agents that see one color on both sides: they cannot tell their
+    neighbors apart."""
+    left, right = _around(colors)
+    if blind := [i for i in range(len(colors)) if left[i] == right[i]]:
+        raise ValueError(f"not a two-hop coloring: agents {blind} see one color on both sides")
+    return left, right
+
+
 def _interleave(a: list, b: list) -> list:
     """``[a[0], b[0], a[1], b[1], ...]``: one entry per arc from two per edge."""
     out = a + b
@@ -234,7 +214,7 @@ class OrientationTrial:
     monotone_violations: int
     post_dir_changes: int
     final_segment_count: int
-    initial_segment_count: int = field(default=0)
+    initial_segment_count: int = 0
 
 
 _FIGHT = -1  # ``act`` entry of an arc whose two agents point at each other
@@ -272,9 +252,7 @@ class _ArcRing:
         c = self.color = [a.color for a in agents]
         self.dir = [a.dir for a in agents]
         self.strong = [a.strong for a in agents] + [0]
-        left, right = _around(c)
-        if blind := [i for i in range(n) if left[i] == right[i]]:
-            raise ValueError(f"not a two-hop coloring: agents {blind} see one color on both sides")
+        left, right = _neighbor_colors(c)
         far = _around(right)[1]  # color of agent i + 2
         idx = list(range(n))
         nxt = _around(idx)[1]
@@ -415,8 +393,8 @@ def run_orientation(
     not an int >= 0, and ValueError, naming the agents, for a coloring that
     is not two-hop; both before any draw.
 
-    This is the fast path; ``_interact_or_inplace`` is the reference
-    transition, and the tests hold the two bit-exact.  The run keeps flat
+    This is the fast path; ``run_orientation_reference`` is the reference
+    run, and the tests hold the two bit-exact.  The run keeps flat
     lists and a per-arc action table (``_ArcRing``): a draw is one lookup
     and a demotion one store.  Only a head fight, the one event that changes
     a legal agent's ``dir``, runs the fight rule; an arc touching an agent
@@ -470,4 +448,72 @@ def run_orientation(
         post_dir_changes=0,
         final_segment_count=final_count,
         initial_segment_count=initial_count,
+    )
+
+
+def run_orientation_reference(
+    config: OrientConfiguration, seed: int, max_steps: int, post_steps: int = 0
+) -> OrientationTrial:
+    """``run_orientation`` with one ``_interact_or_inplace`` call per draw.
+
+    The one reference orientation run: the same arguments, input checks,
+    draws and result, with bookkeeping that shares nothing with
+    ``_ArcRing``.  Draw t joins agents i = t // 2 and i + 1, with i as the
+    initiator for even t and as the responder for odd t.  After each step
+    the two agents' ``_side`` and ``_legal`` and the ``_boundaries`` of the
+    three edges around them are recomputed; a step between legal agents
+    that raises that count is a monotonicity violation, before orientation
+    or after it.  Every one of the ``post_steps`` draws is applied, and
+    ``post_dir_changes`` counts each ``dir`` they change.  The POR closure
+    suite runs this.
+    """
+    require_count("max_steps", max_steps, 0)
+    require_count("post_steps", post_steps, 0)
+    work = config.copy()
+    agents = work.agents
+    n = len(agents)
+    left, right = _neighbor_colors([a.color for a in agents])
+    rng = np.random.Generator(np.random.PCG64(seed))
+    sides = list(map(_side, [a.dir for a in agents], left, right))
+    legal = list(map(_legal, agents, left, right))
+    boundaries = _boundaries(sides, range(n))
+    initial_count = max(boundaries, 1)
+    violations = dir_changes = 0
+
+    def draws(budget: int):  # 4096-draw chunks: a prefix of one size=budget draw
+        for done in range(0, budget, 4096):
+            yield from rng.integers(0, 2 * n, size=min(4096, budget - done)).tolist()
+
+    def step(t: int) -> None:
+        nonlocal boundaries, violations, dir_changes
+        i, j = t >> 1, ((t >> 1) + 1) % n
+        edges = ((i - 1) % n, i, j)
+        before, was_legal = _boundaries(sides, edges), legal[i] and legal[j]
+        dirs = agents[i].dir, agents[j].dir
+        _interact_or_inplace(*((agents[j], agents[i]) if t & 1 else (agents[i], agents[j])))
+        for k, d in zip((i, j), dirs):
+            dir_changes += agents[k].dir != d
+            sides[k] = _side(agents[k].dir, left[k], right[k])
+            legal[k] = _legal(agents[k], left[k], right[k])
+        after = _boundaries(sides, edges)
+        violations += was_legal and after > before
+        boundaries += after - before
+
+    steps_to_oriented = 0 if boundaries == 0 and all(legal) else None
+    if steps_to_oriented is None:
+        for step_no, t in enumerate(draws(max_steps), 1):
+            step(t)
+            if boundaries == 0 and all(legal):
+                steps_to_oriented = step_no
+                break
+    converged = steps_to_oriented is not None
+    dir_changes = 0  # only the post-orientation steps count
+    if converged:
+        for t in draws(post_steps):
+            step(t)
+    final_count = segment_count(work)
+    if converged and final_count != 1:
+        violations += 1  # the recount, as in ``run_orientation``
+    return OrientationTrial(
+        seed, n, steps_to_oriented, converged, violations, dir_changes, final_count, initial_count
     )

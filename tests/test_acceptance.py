@@ -199,13 +199,16 @@ def test_c7_orientation():
     assert all(t.monotone_violations == 0 for t in trials)
     assert all(t.post_dir_changes == 0 for t in trials)
     assert all(t.final_segment_count == 1 for t in trials)
+    for n in (8, 16, 32, 64):  # the transition at every step, unlike the sweep's post stretch
+        report = run_closure_suite(Protocol.POR, n, 2, 70_001, 100_000, workers=WORKERS)
+        assert report.violations == [], report.violations[:5]
     by_n = {}
     for t in trials:
         by_n.setdefault(t.n, []).append(t.steps_to_oriented)
     meds = ", ".join(f"n={n}:{int(np.median(v))}" for n, v in sorted(by_n.items()))
     _report(
         f"C7 orientation 4x100 seeds, 100% oriented (medians {meds}), "
-        "segment count monotone, directions frozen after"
+        "segment count monotone, directions frozen over 4x2 closure trials x 100k steps"
     )
 
 

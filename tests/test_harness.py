@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ringleader import analysis, harness
+from ringleader import analysis, harness, orientation
 from ringleader.cli import main as cli_main
 from ringleader.core import sim
 from ringleader.core.params import InvalidSizeError, make_params
@@ -134,6 +134,8 @@ def test_sweep_por_reports_cutoff_when_not_oriented():
         dict(kappa_max_override=5),  # below 32 * psi = 96 at n = 8
         dict(n_values=(8, 1024), kappa_max_override=100),  # 320 at n = 1024
         dict(protocol=Protocol.POR, kappa_max_override=200),
+        dict(protocol=Protocol.POR, range_check=True),
+        dict(protocol="ppl"),
     ],
 )
 def test_spec_rejects_bad_input(overrides):
@@ -201,6 +203,7 @@ ELIMINATION_ARGS = dict(n=8, initial_leaders=2, trials=2, seed=3, multiplier=1.0
         dict(workers=0),
         dict(initial_configs=[]),
         dict(protocol=Protocol.POR, initial_configs=[analysis.construct_S_PL(P8, 0)]),
+        dict(protocol="por"),
     )],
 )
 def test_suites_reject_bad_input_before_any_trial(monkeypatch, suite, overrides):
@@ -220,6 +223,9 @@ def test_suites_reject_bad_input_before_any_trial(monkeypatch, suite, overrides)
 REJECTED_CALLS = {
     "spec seed": lambda: small_spec(base_seed=-1),
     "spec por kappa": lambda: small_spec(protocol=Protocol.POR, kappa_max_override=200),
+    "spec por range check": lambda: small_spec(protocol=Protocol.POR, range_check=True),
+    "spec string protocol": lambda: small_spec(protocol="ppl"),
+    "closure string protocol": lambda: run_closure_suite(**{**CLOSURE_ARGS, "protocol": "ppl"}),
     "closure no configs": lambda: run_closure_suite(**CLOSURE_ARGS, initial_configs=[]),
     "elimination leaders": lambda: run_elimination_suite(
         **{**ELIMINATION_ARGS, "initial_leaders": 9}
@@ -467,6 +473,36 @@ def test_closure_reports_broken_steps(monkeypatch, spoil, message):
     assert any(message in v for v in report.violations)
 
 
+def _turn_demoted_responder_back(u, v):
+    if v.dir == u.color and u.dir != v.color:
+        v.dir = v.c1 if v.c1 != u.color else v.c2
+
+
+def _point_initiator_at_no_neighbor(u, v):
+    if u.dir == v.color:
+        u.dir = next(c for c in range(orientation.XI) if c not in (u.c1, u.c2))
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_turn_demoted_responder_back, "direction changes after orientation"),
+        (_point_initiator_at_no_neighbor, "segment count increased"),
+    ],
+)
+def test_por_closure_reports_broken_steps(monkeypatch, spoil, message):
+    original = orientation._interact_or_inplace
+
+    def broken(u, v):
+        original(u, v)
+        spoil(u, v)
+
+    monkeypatch.setattr(orientation, "_interact_or_inplace", broken)
+    report = run_closure_suite(Protocol.POR, n=12, trials=3, seed=5, steps=20_000)
+    assert not report.passed
+    assert sum(message in v for v in report.violations) == 3  # one per trial
+
+
 def test_token_audit_reports_overlong_trajectories(monkeypatch):
     def shuttle(l, r, psi, trace):
         # every moved token also goes back and forth once more
@@ -546,6 +582,17 @@ def test_load_truncated_file(tmp_path):
     path.write_text(blob[: len(blob) // 2])
     with pytest.raises(ConfigFormatError, match="line"):
         load_config(path)
+
+
+@pytest.mark.parametrize("blob", ["5", '["n", "psi", "kappa_max", "agents"]'])
+@pytest.mark.parametrize("command", [["load"], ["check", "s-pl"]])
+def test_snapshot_that_is_not_an_object_is_a_format_error(tmp_path, capsys, blob, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(blob)
+    with pytest.raises(ConfigFormatError, match="JSON object"):
+        load_config(path)
+    assert cli_main([*command, str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_load_bad_field(tmp_path):
@@ -677,6 +724,7 @@ def test_cli_sweep_range_check(capsys):
         ["eliminate", "--n", "8", "--leaders", ","],
         ["dump", "--n", "8", "--kappa-max", "3"],
         ["lottery", "--bound", "lower", "--k", "1"],
+        ["sweep", "--protocol", "por", "--n", "8", "--range-check"],
     ],
 )
 def test_cli_rejects_bad_sizes_and_workers(argv, capsys):

@@ -9,16 +9,16 @@ from ringleader.harness import run_orientation_sweep
 from ringleader.orientation import (
     XI,
     OrientAgentState,
-    OrientationTrial,
     OrientConfiguration,
     _ArcRing,
     _directions,
-    _interact_or_inplace,
+    _neighbor_colors,
     generate_two_hop_coloring,
     interact_or,
     is_oriented,
     oriented_configuration,
     run_orientation,
+    run_orientation_reference,
     segment_count,
 )
 
@@ -35,7 +35,7 @@ def agent(color, c1, c2, dir, strong=0):
 def test_coloring_valid_all_sizes(n):
     for seed in (0, 1, 2):
         cfg = generate_two_hop_coloring(n, seed)
-        cfg.check_two_hop()
+        _neighbor_colors([a.color for a in cfg.agents])
         for i, a in enumerate(cfg.agents):
             assert a.c1 != a.c2
             assert a.c1 == cfg.agents[(i - 1) % n].color
@@ -389,88 +389,12 @@ def test_run_rejects_negative_step_budgets():
 # the fast run loop against a step-by-step reference
 # --------------------------------------------------------------------------
 
-def _arc(t, n):
-    i = t >> 1
-    return ((i + 1) % n, i) if t & 1 else (i, (i + 1) % n)
-
-
-def reference_run(config, seed, max_steps, post_steps=0):
-    """``run_orientation`` with one ``_interact_or_inplace`` call per draw.
-
-    Draws the same ``rng.integers`` chunks (4096 while orienting, then one
-    ``post_steps`` array).  After each step it recomputes the two agents'
-    legality (memories are the neighbors' colors, ``dir`` names one of them)
-    and direction (+1 right, -1 left, 0 neither) and the boundaries around
-    them.  The ring is oriented once every agent is legal and no boundary is
-    left; a step whose two agents were legal before it and that raises the
-    number of boundaries is a monotonicity violation.
-    """
-    work = config.copy()
-    agents = work.agents
-    n = len(agents)
-    rng = np.random.Generator(np.random.PCG64(seed))
-
-    def neighbors(j):
-        return agents[j - 1].color, agents[(j + 1) % n].color
-
-    def legal(j):
-        a, (left, right) = agents[j], neighbors(j)
-        return {a.c1, a.c2} == {left, right} and a.dir in (left, right)
-
-    def direction(j):
-        left, right = neighbors(j)
-        return 1 if agents[j].dir == right else (-1 if agents[j].dir == left else 0)
-
-    def boundary(e):  # between e and e + 1; an agent at neither is one
-        return dirs[e] != dirs[(e + 1) % n] or dirs[e] == 0
-
-    dirs = [direction(j) for j in range(n)]
-    ok = [legal(j) for j in range(n)]
-    boundaries = sum(boundary(e) for e in range(n))
-    initial_count = max(boundaries, 1)
-    violations = 0
-    steps_to_oriented = 0 if boundaries == 0 and all(ok) else None
-
-    step_no = 0
-    while steps_to_oriented is None and step_no < max_steps:
-        for t in rng.integers(0, 2 * n, size=min(4096, max_steps - step_no)).tolist():
-            u, v = _arc(t, n)
-            edges = {(u - 1) % n, u, (v - 1) % n, v}  # edge e joins e and e + 1
-            before = sum(boundary(e) for e in edges)
-            was_legal = ok[u] and ok[v]
-            _interact_or_inplace(agents[u], agents[v])
-            step_no += 1
-            for j in (u, v):
-                dirs[j], ok[j] = direction(j), legal(j)
-            after = sum(boundary(e) for e in edges)
-            violations += was_legal and after > before
-            boundaries += after - before
-            if boundaries == 0 and all(ok):
-                steps_to_oriented = step_no
-                break
-    converged = steps_to_oriented is not None
-    post_dir_changes = 0
-    if converged and post_steps > 0:
-        frozen = [a.dir for a in agents]
-        for t in rng.integers(0, 2 * n, size=post_steps).tolist():
-            u, v = _arc(t, n)
-            _interact_or_inplace(agents[u], agents[v])
-        post_dir_changes = sum(a.dir != d for a, d in zip(agents, frozen))
-    final_count = segment_count(work)
-    if converged and final_count != 1:
-        violations += 1
-    return OrientationTrial(
-        seed, n, steps_to_oriented, converged, violations, post_dir_changes,
-        final_count, initial_count,
-    )
-
-
 def _both_runs(monkeypatch, config, seed, max_steps, post_steps):
-    """Trial and final ring of ``run_orientation`` and of ``reference_run``;
-    each run's working copy is caught by wrapping
-    ``OrientConfiguration.copy``."""
+    """Trial and final ring of ``run_orientation`` and of
+    ``run_orientation_reference``; each run's working copy is caught by
+    wrapping ``OrientConfiguration.copy``."""
     outcomes = []
-    for run in (run_orientation, reference_run):
+    for run in (run_orientation, run_orientation_reference):
         copies = []
         original = OrientConfiguration.copy
 

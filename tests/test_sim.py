@@ -97,11 +97,9 @@ def test_run_deterministic():
 
 def test_run_reports_check_interval_multiple():
     cfg = random_configuration(P8, 8)
-    final, steps, stopped = run(
-        cfg, SchedulerStream(8, 4), 100_000, in_S_PL, check_interval=13
-    )
+    final, steps, stopped = run(cfg, SchedulerStream(8, 4), 100_000, in_S_PL)
     assert stopped
-    assert steps % 13 == 0
+    assert steps % 8 == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 16])
@@ -150,15 +148,14 @@ def test_on_step_does_not_change_the_run(n, start):
     # through the fused block loop: both must compute the same run
     build, stop = _STARTS[start]
     cfg = build(make_params(n), 16)
-    plain = run(cfg, SchedulerStream(n, 17), 3000, stop, check_interval=7)
+    plain = run(cfg, SchedulerStream(n, 17), 3000, stop)
     events = []
 
     def hook(work, i, trace):
         assert 0 <= i < n
         events.extend(trace)
 
-    hooked = run(cfg, SchedulerStream(n, 17), 3000, stop, check_interval=7,
-                 on_step=hook)
+    hooked = run(cfg, SchedulerStream(n, 17), 3000, stop, on_step=hook)
     assert hooked[0] == plain[0] and hooked[1:] == plain[1:]
     assert events  # every start fires tokens or bullets
 
@@ -180,9 +177,9 @@ def test_run_draws_once_per_block(hooked):
     sched = _CountingScheduler(8, 3)
     on_step = (lambda work, i, trace: None) if hooked else None
     _, steps, _ = run(random_configuration(P8, 2), sched, 45, lambda c: False,
-                      check_interval=10, on_step=on_step)
+                      on_step=on_step)
     assert steps == 45
-    assert sched.sizes == [10, 10, 10, 10, 5]
+    assert sched.sizes == [8, 8, 8, 8, 8, 5]
 
 
 def test_range_preserved_along_run():
