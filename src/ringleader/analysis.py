@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core.params import ProtocolParams, require_count
+from .core.params import ProtocolParams, require_count, require_index
 from .core.state import CONSTRUCT, AgentState, Configuration, Token
 from .transition import TokenColor, _off_track
 
@@ -56,8 +56,7 @@ def nearest_leader_distances(
     Both are 0 at a leader and both are ``inf`` in a leaderless ring.
     """
     n = config.params.n
-    if not 0 <= i < n:
-        raise ValueError(f"index {i} out of range [0, {n})")
+    require_index("i", i, n)
     agents = config.agents
     d_ll: int | float = math.inf
     d_rl: int | float = math.inf
@@ -161,6 +160,7 @@ def _color_d(which: TokenColor, psi: int) -> int:
 
 def token_is_valid(config: Configuration, i: int, which: TokenColor) -> bool:
     """True iff the token at agent i is still on its shuttle trajectory."""
+    require_index("i", i, config.params.n)
     agent = config.agents[i]
     token = _token_of(agent, which)
     if token is None:
@@ -205,6 +205,7 @@ def token_is_correct(config: Configuration, i: int, which: TokenColor) -> bool:
     and working for a segment pair; anything else raises
     :class:`PreconditionError`.
     """
+    require_index("i", i, config.params.n)
     agent = config.agents[i]
     token = _token_of(agent, which)
     if token is None:
@@ -230,6 +231,7 @@ def token_is_correct(config: Configuration, i: int, which: TokenColor) -> bool:
 def is_peaceful(config: Configuration, i: int) -> bool:
     """A live bullet is peaceful when its nearest left leader is shielded
     and no bullet-absence signal sits between that leader and the bullet."""
+    require_index("i", i, config.params.n)
     agents = config.agents
     if agents[i].bullet != 2:
         raise NoLiveBulletError(f"agent {i} holds no live bullet")

@@ -6,9 +6,9 @@ Everything else -- the distance modulus ``2*psi``, the clock ceiling
 ``kappa_max`` and the segment count ``zeta`` -- is computed here and nowhere
 else.
 
-The ``require_*`` helpers are the one place where a size, count, seed or
-multiplier coming from outside the library is checked; every public entry
-point calls them before it does any work.
+The ``require_*`` helpers are the one place where a size, count, seed,
+agent index or multiplier coming from outside the library is checked;
+every public entry point calls them before it does any work.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from numbers import Real
 
 class InvalidSizeError(ValueError):
     """Raised for an outside value the library does not accept: a ring or
-    parameter size, a count, a seed or a multiplier."""
+    parameter size, a count, a seed, an agent index or a multiplier."""
 
 
 KAPPA_FACTOR = 32  # minimum clock ceiling is 32*psi
@@ -40,6 +40,14 @@ def require_count(name: str, value: object, least: int) -> None:
     require_int(name, value)
     if value < least:
         raise InvalidSizeError(f"{name} must be >= {least}, got {value}")
+
+
+def require_index(name: str, value: object, n: int) -> None:
+    """Raise InvalidSizeError unless ``value`` is an ``int`` in ``[0, n)``:
+    no negative index wraps round the ring."""
+    require_int(name, value)
+    if not 0 <= value < n:
+        raise InvalidSizeError(f"{name} must be in [0, {n}), got {value}")
 
 
 def require_sizes(protocol: str, n_values: tuple[int, ...], least: int) -> None:

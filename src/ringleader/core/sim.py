@@ -4,6 +4,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..transition import interact_block, interact_traced
+from .params import require_count, require_index
 from .scheduler import SchedulerStream
 from .state import Configuration
 
@@ -12,10 +13,10 @@ def step(config: Configuration, index: int) -> Configuration:
     """Apply one interaction on arc (u_index, u_index+1); pure.
 
     All agents other than the two participants are returned unchanged.
+    Raises InvalidSizeError for an ``index`` that is not an int in [0, n).
     """
     n = config.params.n
-    if not 0 <= index < n:
-        raise ValueError(f"index {index} out of range [0, {n})")
+    require_index("index", index, n)
     new = config.copy()
     p = config.params
     interact_block(
@@ -45,10 +46,10 @@ def run(
     the initiator index and the list of events the transition emitted; such
     runs go through the five reference blocks (``interact_traced``) one
     interaction at a time and cost more.  The list is reused from step to step; copy it to keep it.
-    Both paths compute the same run.
+    Both paths compute the same run.  Raises InvalidSizeError for a
+    ``max_steps`` that is not an int >= 0.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
+    require_count("max_steps", max_steps, 0)
     n = config.params.n
     if scheduler.n != n:
         raise ValueError(f"scheduler built for n={scheduler.n}, ring has n={n}")

@@ -10,6 +10,7 @@ place; every public operation that promises purity copies first.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -39,60 +40,31 @@ class Token(NamedTuple):
     carry_bit: int
 
 
+@dataclass(slots=True)
 class AgentState:
-    """One agent's full variable block."""
+    """One agent's full variable block.
 
-    __slots__ = (
-        "leader",
-        "b",
-        "dist",
-        "last",
-        "token_b",
-        "token_w",
-        # ``mode`` is a function of ``clock`` once an interaction has written
-        # it, but it stays a stored field: the reference blocks that follow
-        # mode determination (run in order by ``interact_traced``, or alone
-        # through ``create_leader_diststep`` and ``move_token``) read the mode
-        # it wrote, and the snapshot format and ``random_configuration``'s
-        # draw order both include it.
-        "mode",
-        "clock",
-        "hits",
-        "signal_r",
-        "bullet",
-        "shield",
-        "signal_b",
-    )
+    Mutable and compared by value, so not hashable."""
 
-    def __init__(
-        self,
-        leader: int = 0,
-        b: int = 0,
-        dist: int = 0,
-        last: int = 0,
-        token_b: Token | None = None,
-        token_w: Token | None = None,
-        mode: int = CONSTRUCT,
-        clock: int = 0,
-        hits: int = 0,
-        signal_r: int = 0,
-        bullet: int = 0,
-        shield: int = 0,
-        signal_b: int = 0,
-    ):
-        self.leader = leader
-        self.b = b
-        self.dist = dist
-        self.last = last
-        self.token_b = token_b
-        self.token_w = token_w
-        self.mode = mode
-        self.clock = clock
-        self.hits = hits
-        self.signal_r = signal_r
-        self.bullet = bullet
-        self.shield = shield
-        self.signal_b = signal_b
+    leader: int = 0
+    b: int = 0
+    dist: int = 0
+    last: int = 0
+    token_b: Token | None = None
+    token_w: Token | None = None
+    # ``mode`` is a function of ``clock`` once an interaction has written
+    # it, but it stays a stored field: the reference blocks that follow
+    # mode determination (run in order by ``interact_traced``, or alone
+    # through ``create_leader_diststep`` and ``move_token``) read the mode
+    # it wrote, and the snapshot format and ``random_configuration``'s
+    # draw order both include it.
+    mode: int = CONSTRUCT
+    clock: int = 0
+    hits: int = 0
+    signal_r: int = 0
+    bullet: int = 0
+    shield: int = 0
+    signal_b: int = 0
 
     def copy(self) -> "AgentState":
         new = AgentState.__new__(AgentState)
@@ -110,19 +82,6 @@ class AgentState:
         new.shield = self.shield
         new.signal_b = self.signal_b
         return new
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AgentState):
-            return NotImplemented
-        return all(
-            getattr(self, f) == getattr(other, f) for f in AgentState.__slots__
-        )
-
-    __hash__ = None  # mutable, compared by value: not hashable
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in AgentState.__slots__)
-        return f"AgentState({fields})"
 
     def validate(self, params: ProtocolParams) -> None:
         """Raise ValueError if any field is outside its declared range."""

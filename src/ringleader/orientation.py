@@ -351,22 +351,6 @@ class _ArcRing:
             return len(draws) - length_hint(rest)
         return None
 
-    def can_demote(self) -> bool:
-        """True while some agent that an arc demotes still has ``strong`` 1."""
-        strong, n = self.strong, self.n
-        return any(strong[a] for a in self.act if a < n)
-
-    def demote_all(self, draws: np.ndarray) -> None:
-        """Apply ``draws`` when every ``act`` entry is a demotion.
-
-        No draw can then change a ``dir`` or a memory, so ``act`` stays as it
-        is and the draws only clear ``strong`` flags, in any order: one
-        scatter.  Once ``can_demote`` is False, further draws change nothing.
-        """
-        strong = np.array(self.strong)
-        strong[np.array(self.act)[draws]] = 0
-        self.strong = strong.tolist()
-
     def write_back(self) -> None:
         for a, d, s in zip(self.agents, self.dir, self.strong):
             a.dir = d
@@ -387,24 +371,23 @@ def run_orientation(
     after which ``is_oriented`` holds.  The scheduler draws uniformly among
     the 2n ordered arcs, in chunks of 4096 draws.  The segment count is kept
     incrementally; a head fight between legal agents that raises it is a
-    monotonicity violation.  After orientation, ``post_steps`` further
-    interactions are applied.  The input configuration is not mutated.
+    monotonicity violation.  The input configuration is not mutated.
     Raises InvalidSizeError for a ``max_steps`` or ``post_steps`` that is
     not an int >= 0, and ValueError, naming the agents, for a coloring that
     is not two-hop; both before any draw.
 
     This is the fast path; ``run_orientation_reference`` is the reference
-    run, and the tests hold the two bit-exact.  The run keeps flat
+    run, and the tests hold the two trials equal.  The run keeps flat
     lists and a per-arc action table (``_ArcRing``): a draw is one lookup
     and a demotion one store.  Only a head fight, the one event that changes
     a legal agent's ``dir``, runs the fight rule; an arc touching an agent
     that is not legal runs the reference transition (generated rings have
-    none).  On an oriented two-hop ring every arc demotes: neighbors x and
-    x + 1 point at each other only if agents x and x + 2 share a color.  So
-    no post-step changes a ``dir`` (``post_dir_changes`` is 0) and
-    demotions commute: the post stretch is a numpy scatter of zeros into
-    ``strong`` per 4096-draw chunk, which stops once no agent that an arc
-    demotes is still strong.
+    none).  The ``post_steps`` stretch after orientation is worked out, not
+    drawn: on an oriented two-hop ring no arc is a head fight (neighbors x
+    and x + 1 point at each other only if agents x and x + 2 share a
+    color), so no post step changes a ``dir``.  ``post_dir_changes`` is 0,
+    and ``monotone_violations`` and ``final_segment_count`` are what they
+    were at orientation.  The reference draws every post step.
     """
     require_count("max_steps", max_steps, 0)
     require_count("post_steps", post_steps, 0)
@@ -416,24 +399,14 @@ def run_orientation(
     steps_to_oriented = 0 if ring.boundaries == 0 and not any(ring.bad) else None
 
     step_no = 0
-    chunk = 4096
     while steps_to_oriented is None and step_no < max_steps:
-        draws = rng.integers(0, 2 * n, size=min(chunk, max_steps - step_no)).tolist()
+        draws = rng.integers(0, 2 * n, size=min(4096, max_steps - step_no)).tolist()
         pos = ring.drive(draws)
         if pos is not None:
             steps_to_oriented = step_no + pos
         step_no += len(draws)
 
     converged = steps_to_oriented is not None
-    if converged:
-        # the chunks are a prefix of one size=post_steps draw, and the
-        # draws left once nothing can be demoted are no-ops
-        drawn = 0
-        while drawn < post_steps and ring.can_demote():
-            draws = rng.integers(0, 2 * n, size=min(chunk, post_steps - drawn))
-            ring.demote_all(draws)
-            drawn += len(draws)
-
     ring.write_back()
     final_count = segment_count(work)
     monotone_violations = ring.violations
@@ -457,15 +430,15 @@ def run_orientation_reference(
     """``run_orientation`` with one ``_interact_or_inplace`` call per draw.
 
     The one reference orientation run: the same arguments, input checks,
-    draws and result, with bookkeeping that shares nothing with
-    ``_ArcRing``.  Draw t joins agents i = t // 2 and i + 1, with i as the
-    initiator for even t and as the responder for odd t.  After each step
+    draws up to orientation and result, with bookkeeping that shares
+    nothing with ``_ArcRing``.  Draw t joins agents i = t // 2 and i + 1,
+    with i as the initiator for even t and as the responder for odd t.  After each step
     the two agents' ``_side`` and ``_legal`` and the ``_boundaries`` of the
     three edges around them are recomputed; a step between legal agents
     that raises that count is a monotonicity violation, before orientation
-    or after it.  Every one of the ``post_steps`` draws is applied, and
-    ``post_dir_changes`` counts each ``dir`` they change.  The POR closure
-    suite runs this.
+    or after it.  Every one of the ``post_steps`` draws is applied (the
+    fast path draws none), and ``post_dir_changes`` counts each ``dir``
+    they change.  The POR closure suite runs this.
     """
     require_count("max_steps", max_steps, 0)
     require_count("post_steps", post_steps, 0)

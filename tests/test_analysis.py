@@ -25,7 +25,9 @@ from ringleader.analysis import (
     token_is_correct,
     token_is_valid,
 )
-from ringleader.core.params import ProtocolParams, make_params
+from ringleader.core.params import InvalidSizeError, ProtocolParams, make_params
+from ringleader.core.scheduler import SchedulerStream
+from ringleader.core.sim import run, step
 from ringleader.core.state import AgentState, Configuration, Token
 from ringleader.core.state import random_configuration
 from ringleader.harness import multi_leader_configuration
@@ -632,3 +634,26 @@ def test_leader_count_monte_carlo(params8):
         leader_count(random_configuration(params8, seed)) for seed in range(10_000)
     )
     assert abs(total / 10_000 - 4.0) < 0.1
+
+
+# agent-index entry points, and ``run``'s step budget: no value wraps round
+# the ring, runs an arc or reaches the scheduler unchecked
+BAD_ARGUMENTS = {
+    "step": step,
+    "nearest_leader_distances": nearest_leader_distances,
+    "is_peaceful": is_peaceful,
+    "token_is_valid": lambda c, i: token_is_valid(c, i, TokenColor.BLACK),
+    "token_is_correct": lambda c, i: token_is_correct(c, i, TokenColor.BLACK),
+    "run": lambda c, steps: run(c, SchedulerStream(c.params.n, 0), steps, lambda w: False),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [(e, v) for e in BAD_ARGUMENTS if e != "run" for v in (-1, 16, True, 1.5)]
+    + [("run", v) for v in (-1, True, 1.5)],
+)
+def test_entry_points_reject_bad_indices_and_budgets(entry, value):
+    cfg = construct_S_PL(make_params(16), 3)
+    with pytest.raises(InvalidSizeError):
+        BAD_ARGUMENTS[entry](cfg, value)

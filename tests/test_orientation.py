@@ -4,13 +4,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from ringleader import orientation
 from ringleader.core.params import InvalidSizeError
 from ringleader.harness import run_orientation_sweep
 from ringleader.orientation import (
     XI,
     OrientAgentState,
     OrientConfiguration,
-    _ArcRing,
     _directions,
     _neighbor_colors,
     generate_two_hop_coloring,
@@ -21,6 +21,7 @@ from ringleader.orientation import (
     run_orientation_reference,
     segment_count,
 )
+from test_harness import _turn_demoted_responder_back
 
 
 def agent(color, c1, c2, dir, strong=0):
@@ -321,16 +322,31 @@ def test_run_deterministic():
     assert a == b
 
 
-def test_post_orientation_stability():
+def test_post_orientation_stability(monkeypatch):
     cfg = generate_two_hop_coloring(12, 8)
-    trial = run_orientation(cfg, 9, max_steps=2_000_000, post_steps=50_000)
+    trial, _ = _same_runs(monkeypatch, cfg, 9, 2_000_000, 50_000)
     assert trial.converged
     assert trial.post_dir_changes == 0
 
 
-def test_already_oriented_reports_zero_steps():
+def test_post_orientation_stability_check_fires(monkeypatch):
+    # the POR closure test's spoil turns an agent away from the one that
+    # points at it, so the reference counts direction changes after orientation
+    original = orientation._interact_or_inplace
+
+    def broken(u, v):
+        original(u, v)
+        _turn_demoted_responder_back(u, v)
+
+    monkeypatch.setattr(orientation, "_interact_or_inplace", broken)
+    trial = run_orientation_reference(oriented_configuration(12, 8), 9, 0, 50_000)
+    assert trial.converged
+    assert trial.post_dir_changes > 0
+
+
+def test_already_oriented_reports_zero_steps(monkeypatch):
     cfg = oriented_configuration(9, 3)
-    trial = run_orientation(cfg, 4, max_steps=1000, post_steps=1000)
+    trial, _ = _same_runs(monkeypatch, cfg, 4, 1000, 1000)
     assert trial.steps_to_oriented == 0
     assert trial.post_dir_changes == 0
 
@@ -409,6 +425,24 @@ def _both_runs(monkeypatch, config, seed, max_steps, post_steps):
     return outcomes
 
 
+def _same_runs(monkeypatch, config, seed, max_steps, post_steps):
+    """Assert that ``_both_runs`` agree and return the reference's trial and
+    final ring.  Only the reference draws the ``post_steps``, so after them
+    the rings are compared on every field but ``strong``: the draws may
+    demote agents, but must change no ``dir`` or memory."""
+    (trial, ring), (want, want_ring) = _both_runs(monkeypatch, config, seed, max_steps, post_steps)
+    assert trial == want
+    if post_steps:
+        assert _unflagged(ring) == _unflagged(want_ring)
+    else:
+        assert ring == want_ring
+    return want, want_ring
+
+
+def _unflagged(ring):
+    return [dataclasses.replace(a, strong=0) for a in ring]
+
+
 def _corrupted_start(n, seed, rate, dir_rate=None):
     """Seeded coloring with random ``strong`` flags and, at ``rate``, memories
     (and at ``dir_rate``, by default ``rate / 20``, directions) replaced by
@@ -443,21 +477,35 @@ STARTS = {
 }
 
 
-@pytest.mark.parametrize("post_steps", [0, 7, 3000])
-@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 33])
-def test_run_matches_step_by_step_reference(monkeypatch, n, post_steps):
-    for kind, start in STARTS.items():
+def _reference_inputs():
+    """(n, post_steps, start families, step budgets, seeds per family).
+
+    The ``STARTS`` families get one budget below convergence and one
+    spanning several 4096-draw chunks, neither a multiple of 4096; oriented
+    starts get none, so the whole run is the post-orientation stretch."""
+    for post_steps in (0, 7, 3000):
+        for n in (3, 4, 5, 8, 16, 33):
+            budgets = (n // 2 + 1, 9_001)
+            yield pytest.param(n, post_steps, STARTS, budgets, 4, id=f"{n}-{post_steps}")
+    oriented = {"oriented": oriented_configuration}
+    for post_steps in (1, 4097, 20_000, 100_000):
+        for n in (9, 64, 256):
+            yield pytest.param(
+                n, post_steps, oriented, (0,), 1, id=f"oriented-{n}-{post_steps}"
+            )
+
+
+@pytest.mark.parametrize("n, post_steps, starts, budgets, seeds", _reference_inputs())
+def test_run_matches_step_by_step_reference(monkeypatch, n, post_steps, starts, budgets, seeds):
+    for kind, start in starts.items():
         seen = set()
-        for seed in range(4):
+        for seed in range(seeds):
             cfg = start(n, 31 * n + seed)
-            # one budget below convergence, one spanning several 4096-draw
-            # chunks; neither is a multiple of 4096
-            for max_steps in (n // 2 + 1, 9_001):
-                got, want = _both_runs(monkeypatch, cfg, seed, max_steps, post_steps)
-                assert got == want
-                assert want[0].monotone_violations == 0
-                seen.add(want[0].converged)
-        assert seen == {True, False}, kind
+            for max_steps in budgets:
+                trial, _ = _same_runs(monkeypatch, cfg, seed, max_steps, post_steps)
+                assert trial.monotone_violations == 0 and trial.post_dir_changes == 0
+                seen.add(trial.converged)
+        assert seen == ({True} if budgets == (0,) else {True, False}), kind
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
@@ -489,56 +537,14 @@ def test_run_rejects_ring_without_two_hop_coloring(monkeypatch):
         run_orientation(OrientConfiguration(agents), 0, max_steps=100, post_steps=10)
 
 
-def _record_demotions(monkeypatch):
-    """List that gets the length of every ``_ArcRing.demote_all`` chunk."""
-    scattered = []
-    original = _ArcRing.demote_all
-
-    def recording_demote_all(self, draws):
-        scattered.append(len(draws))
-        original(self, draws)
-
-    monkeypatch.setattr(_ArcRing, "demote_all", recording_demote_all)
-    return scattered
-
-
-@pytest.mark.parametrize("post_steps", [5, 3000])
-def test_post_stretch_scatters_and_matches_reference(monkeypatch, post_steps):
-    scattered = _record_demotions(monkeypatch)
-    for seed in range(6):
-        got, want = _both_runs(monkeypatch, oriented_configuration(9, seed), seed, 0, post_steps)
-        assert got == want
-        assert want[0].post_dir_changes == 0
-    assert scattered == [post_steps] * 6
-
-
-@pytest.mark.parametrize("post_steps", [1, 4097, 20_000, 100_000])
-@pytest.mark.parametrize("n", [9, 64, 256])
-def test_post_stretch_stops_early_and_matches_reference(monkeypatch, n, post_steps):
-    scattered = _record_demotions(monkeypatch)
-    cfg = oriented_configuration(n, n + post_steps)
-    got, want = _both_runs(monkeypatch, cfg, 3, 0, post_steps)
-    assert got == want
-    assert 0 < sum(scattered) <= post_steps
-    assert all(k == 4096 for k in scattered[:-1])
-    if n == 256 and post_steps == 100_000:
-        # about n ln n draws clear every strong flag
-        assert sum(scattered) < 100_000
-
-
 @pytest.mark.parametrize("strong", [0, 1])
 def test_post_stretch_with_uniform_strong_flags(monkeypatch, strong):
-    scattered = _record_demotions(monkeypatch)
     cfg = oriented_configuration(64, 4)
     for a in cfg.agents:
         a.strong = strong
-    got, want = _both_runs(monkeypatch, cfg, 5, 0, 20_000)
-    assert got == want
-    assert all(a.strong == 0 for a in want[1])
-    if strong:
-        assert 0 < sum(scattered) < 20_000
-    else:
-        assert scattered == []  # nothing to demote: no draw at all
+    trial, final = _same_runs(monkeypatch, cfg, 5, 0, 20_000)
+    assert trial.post_dir_changes == 0
+    assert all(a.strong == 0 for a in final)  # every agent points at a neighbor
 
 
 # measured on the step-by-step run loop this fast path replaced
