@@ -410,9 +410,8 @@ def construct_S_PL(params: ProtocolParams, seed: int) -> Configuration:
         sid = (iota0 + s) % (1 << psi)
         for j in range(psi):
             bits[s * psi + j] = (sid >> j) & 1
-    for i in range(psi * (zeta - 1), n):
-        bits[i] = int(rng.integers(0, 2))
     last_from = psi * (zeta - 1)
+    bits[last_from:] = rng.integers(0, 2, size=n - last_from).tolist()
     agents = [
         AgentState(
             leader=1 if i == 0 else 0,

@@ -258,33 +258,20 @@ def random_configuration(params: ProtocolParams, seed: int) -> Configuration:
     rng = np.random.Generator(np.random.PCG64(seed))
     n, psi, kmax = params.n, params.psi, params.kappa_max
     token_choices = 1 + (2 * psi - 1) * 4  # bottom + offsets x value x carry
+    # one exclusive bound per field, in AgentState's field order
+    highs = [2, 2, 2 * psi, 2, token_choices, token_choices, 2,
+             kmax + 1, psi + 1, kmax + 1, 3, 2, 2]
 
-    def draw_token() -> Token | None:
-        pick = int(rng.integers(0, token_choices))
+    def token(pick: int) -> Token | None:
         if pick == 0:
             return None
-        pick -= 1
-        idx, payload = divmod(pick, 4)
+        idx, payload = divmod(pick - 1, 4)
         offset = idx - (psi - 1) if idx < psi - 1 else idx - psi + 2
         return Token(offset, payload >> 1, payload & 1)
 
+    # one draw for the whole ring, agent by agent and field by field
     agents = []
-    for _ in range(n):
-        agents.append(
-            AgentState(
-                leader=int(rng.integers(0, 2)),
-                b=int(rng.integers(0, 2)),
-                dist=int(rng.integers(0, 2 * psi)),
-                last=int(rng.integers(0, 2)),
-                token_b=draw_token(),
-                token_w=draw_token(),
-                mode=int(rng.integers(0, 2)),
-                clock=int(rng.integers(0, kmax + 1)),
-                hits=int(rng.integers(0, psi + 1)),
-                signal_r=int(rng.integers(0, kmax + 1)),
-                bullet=int(rng.integers(0, 3)),
-                shield=int(rng.integers(0, 2)),
-                signal_b=int(rng.integers(0, 2)),
-            )
-        )
+    for row in rng.integers(0, highs * n).reshape(n, len(highs)).tolist():
+        row[4:6] = token(row[4]), token(row[5])
+        agents.append(AgentState(*row))
     return Configuration(params, agents)

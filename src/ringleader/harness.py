@@ -7,11 +7,8 @@ any order or process without changing the merged results.
 """
 from __future__ import annotations
 
-import csv
 import enum
-import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,10 +108,16 @@ def step_cutoff(n: int, multiplier: float) -> int:
 
 
 def _map(fn, tasks: list, workers: int) -> list:
-    """``[fn(t) for t in tasks]``, in a process pool when ``workers > 1``."""
+    """``[fn(t) for t in tasks]``, in a process pool when ``workers > 1``.
+
+    The pool gets at most one worker per task: under fork, CPython starts
+    every worker at the first submit.  The pool is imported here, so a
+    process that never pools never loads multiprocessing."""
     if workers == 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks) or 1)) as pool:
         return list(pool.map(fn, tasks, chunksize=1))
 
 
@@ -577,7 +580,7 @@ def run_peaceful_audit(
 
 
 # --------------------------------------------------------------------------
-# CSV / snapshot I/O
+# CSV / snapshot I/O (csv and json load on first use, not with the package)
 # --------------------------------------------------------------------------
 
 CSV_COLUMNS = (
@@ -594,6 +597,8 @@ CSV_COLUMNS = (
 
 
 def export_csv(records: list[TrialRecord], path: str | Path) -> None:
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -618,12 +623,16 @@ class ConfigFormatError(ValueError):
 
 
 def dump_config(config: Configuration, path: str | Path) -> None:
+    import json
+
     with open(path, "w") as fh:
         json.dump(config.to_snapshot(), fh, indent=1)
         fh.write("\n")
 
 
 def load_config(path: str | Path) -> Configuration:
+    import json
+
     try:
         with open(path) as fh:
             data = json.load(fh)

@@ -1,4 +1,8 @@
+import concurrent.futures
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +276,47 @@ def test_map_rejects_bad_worker_count():
     for workers in (0, -1):
         with pytest.raises(ValueError):
             _map(abs, [-1, 2], workers)
+
+
+def test_map_caps_pool_at_task_count(monkeypatch):
+    # under fork every worker starts at the first submit, so an uncapped
+    # ``--workers 64 --trials 2`` would fork 64 processes; the stub starts none
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert _map(abs, [-1, 2], 64) == [1, 2]
+    assert _map(abs, [-1, 2, -3], 2) == [1, 2, 3]
+    assert _map(abs, [], 4) == []
+    assert len(run_orientation_sweep((8,), 2, 0, workers=64)) == 2
+    assert sizes == [2, 2, 1, 2]
+
+
+def test_import_loads_no_pool_csv_or_json():
+    # these load on first use, so a CLI call or a one-worker sweep skips them
+    src = Path(harness.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "import ringleader, ringleader.harness; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing', 'csv', 'json') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_trial_seed_stability():

@@ -1,8 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from conftest import random_agent
+from ringleader.analysis import construct_S_PL
+from ringleader.core.params import make_params
 from ringleader.core.state import (
     CONSTRUCT,
     DETECT,
@@ -19,6 +23,55 @@ def test_same_seed_same_configuration(params8):
 
 def test_different_seeds_differ(params8):
     assert random_configuration(params8, 1) != random_configuration(params8, 2)
+
+
+# sha256 prefixes of the sorted-key JSON snapshots of seeds 0..19, pinned
+# from the builds that drew one scalar per field; keyed by (n, kappa_max)
+PINNED_DIGESTS = {
+    random_configuration: {
+        (2, None): "cd92b0874d588cc8",
+        (3, None): "cb4a50069eff3e97",
+        (8, None): "c872a8219e25f12d",
+        (16, None): "da50bf66b3b773e2",
+        (64, None): "60d91ec47a68a50e",
+        (128, None): "770fd23c96a2ceb4",
+        (256, None): "216ec3b6564102fa",
+        (16, 1 << 40): "a0e1b164e92e3712",
+    },
+    construct_S_PL: {
+        (2, None): "2244604567810638",
+        (3, None): "d9b3477622aa6175",
+        (8, None): "937a00e10a07b5e9",
+        (16, None): "e4cfa68c0a6df8e3",
+        (64, None): "8f0e1c8fa2133d33",
+        (128, None): "0466530cca2ccfa8",
+        (256, None): "d77060edd6e74479",
+        (16, 1 << 40): "2651a9e5a1925607",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "build, n, kappa_max",
+    [(b, *key) for b, digests in PINNED_DIGESTS.items() for key in digests],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_builds_match_pinned_digests(build, n, kappa_max):
+    h = hashlib.sha256()
+    for seed in range(20):
+        snap = build(make_params(n, kappa_max), seed).to_snapshot()
+        h.update(json.dumps(snap, sort_keys=True).encode())
+    assert h.hexdigest()[:16] == PINNED_DIGESTS[build][n, kappa_max]
+
+
+@pytest.mark.parametrize("n, kappa_max", [(2, None), (9, None), (64, None), (16, 1 << 40)])
+def test_random_configuration_is_the_per_field_draw(n, kappa_max):
+    # one array draw gives what one scalar draw per field, in field order, gives
+    params = make_params(n, kappa_max)
+    for seed in (0, 1, 2**63 + 5):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        agents = [random_agent(rng, params.psi, params.kappa_max) for _ in range(n)]
+        assert random_configuration(params, seed) == Configuration(params, agents)
 
 
 def test_all_fields_in_range(params16):
