@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: sweep, closure, eliminate, orient, lottery, check, dump, load.
+Subcommands: sweep (``--protocol por`` for orientation), closure, eliminate,
+lottery, check, dump, load.
 Exit code 0 means zero invariant violations and (for suites) full
 convergence; anything else exits 1, as does a snapshot that does not parse
 or validate (``ConfigFormatError``).  Input values are checked by the
@@ -16,7 +17,6 @@ from . import analysis, harness, lottery
 from .core.params import InvalidSizeError, make_params
 from .core.state import random_configuration
 from .harness import ConfigFormatError, ExperimentSpec, Protocol
-from .orientation import generate_two_hop_coloring, run_orientation
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -24,13 +24,6 @@ def _int_list(text: str) -> tuple[int, ...]:
     if not values:
         raise argparse.ArgumentTypeError(f"need comma-separated ints, got {text!r}")
     return values
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _cmd_sweep(args) -> int:
@@ -94,22 +87,6 @@ def _cmd_eliminate(args) -> int:
             f"zero-leader events {report.zero_leader_events} [{status}]"
         )
     return 0 if all(r.passed for r in reports) else 1
-
-
-def _cmd_orient(args) -> int:
-    ok = True
-    rows = ["seed,steps_to_oriented,max_segment_count_violation"]
-    for t in range(args.seeds):
-        seed = harness.trial_seed(args.seed, args.n, t)
-        coloring = generate_two_hop_coloring(args.n, seed)
-        trial = run_orientation(coloring, seed + 1, args.max_steps)
-        ok = ok and trial.converged and trial.monotone_violations == 0
-        rows.append(
-            f"{seed},{'' if trial.steps_to_oriented is None else trial.steps_to_oriented},"
-            f"{trial.monotone_violations}"
-        )
-    print("\n".join(rows))
-    return 0 if ok else 1
 
 
 def _cmd_lottery(args) -> int:
@@ -188,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=_positive_int, default=harness.CLOSURE_STEPS)
+    p.add_argument("--steps", type=int, default=harness.CLOSURE_STEPS)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_closure, parser=p)
 
@@ -199,13 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_eliminate, parser=p)
-
-    p = sub.add_parser("orient", help="ring orientation trials, CSV to stdout")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--seeds", type=_positive_int, default=100)
-    p.add_argument("--max-steps", type=_positive_int, default=10_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_orient, parser=p)
 
     p = sub.add_parser("lottery", help="lottery-game bound estimation")
     p.add_argument("--k", type=int, default=4)

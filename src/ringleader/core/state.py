@@ -84,7 +84,7 @@ class AgentState:
         return new
 
     def validate(self, params: ProtocolParams) -> None:
-        """Raise ValueError if any field is outside its declared range."""
+        """Raise ValueError unless each field is an ``int`` (no ``bool``) in range."""
         psi, kmax = params.psi, params.kappa_max
         _check_bit("leader", self.leader)
         _check_bit("b", self.b)
@@ -92,8 +92,7 @@ class AgentState:
         _check_bit("last", self.last)
         _check_token("token_b", self.token_b, psi)
         _check_token("token_w", self.token_w, psi)
-        if self.mode not in (CONSTRUCT, DETECT):
-            raise ValueError(f"mode: {self.mode!r} is not a valid mode")
+        _check_range("mode", self.mode, CONSTRUCT, DETECT)
         _check_range("clock", self.clock, 0, kmax)
         _check_range("hits", self.hits, 0, psi)
         _check_range("signal_r", self.signal_r, 0, kmax)
@@ -103,12 +102,12 @@ class AgentState:
 
 
 def _check_bit(name: str, value: int) -> None:
-    if value not in (0, 1):
+    if type(value) is not int or value not in (0, 1):
         raise ValueError(f"{name}: {value!r} is not a bit")
 
 
 def _check_range(name: str, value: int, lo: int, hi: int) -> None:
-    if not isinstance(value, int) or not lo <= value <= hi:
+    if type(value) is not int or not lo <= value <= hi:
         raise ValueError(f"{name}: {value!r} out of range [{lo}, {hi}]")
 
 
@@ -116,7 +115,7 @@ def _check_token(name: str, token: Token | None, psi: int) -> None:
     if token is None:
         return
     off, val, car = token
-    if off == 0 or off < -psi + 1 or off > psi:
+    if type(off) is not int or off == 0 or off < -psi + 1 or off > psi:
         raise ValueError(
             f"{name}: offset {off} outside [-psi+1,-1] U [1,psi] for psi={psi}"
         )

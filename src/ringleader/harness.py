@@ -250,7 +250,6 @@ def _ppl_closure_task(args) -> tuple[int, list[str], bool]:
         config = analysis.construct_S_PL(make_params(n), seed)
     if not analysis.in_S_PL(config):
         return seed, [], True  # rejected by the precheck, not a violation
-    n = config.params.n
     leader_home = next(i for i, a in enumerate(config.agents) if a.leader)
     violations: list[str] = []
     done = 0  # steps run when ``check`` is next called
@@ -301,18 +300,20 @@ def run_closure_suite(
     reported as rejected, not as violations.  Raises InvalidSizeError,
     before any trial runs, for a ``protocol`` that is not a ``Protocol``, a
     ring size below its minimum (2 for PPL, 3 for POR), ``trials`` < 1,
-    ``steps`` < 0, a bad ``seed`` (see ``ExperimentSpec``), ``workers`` < 1,
-    or ``initial_configs`` that are empty or given for POR.
+    ``steps`` < 1, a bad ``seed`` (see ``ExperimentSpec``), ``workers`` < 1,
+    or ``initial_configs`` that are empty, of another ring size or for POR.
     """
     _require_sizes(protocol, (n,))
     require_count("trials", trials, 1)
-    require_count("steps", steps, 0)
+    require_count("steps", steps, 1)
     require_count("workers", workers, 1)
     if initial_configs is not None:
         if protocol is not Protocol.PPL:
             raise InvalidSizeError("initial_configs applies to the ppl protocol only")
         if not initial_configs:
             raise InvalidSizeError("initial_configs must not be empty")
+        if any(c.params.n != n for c in initial_configs):
+            raise InvalidSizeError(f"initial_configs must all have n={n}")
     report = ClosureReport(
         protocol=protocol.value, n=n, trials=trials, steps_per_trial=steps
     )

@@ -14,6 +14,7 @@ the memories ``c1``/``c2`` only when they are wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import length_hint
 
 import numpy as np
@@ -214,7 +215,6 @@ class OrientationTrial:
     monotone_violations: int
     post_dir_changes: int
     final_segment_count: int
-    initial_segment_count: int = 0
 
 
 _FIGHT = -1  # ``act`` entry of an arc whose two agents point at each other
@@ -357,6 +357,13 @@ class _ArcRing:
             a.strong = s
 
 
+def _draw_chunks(rng: np.random.Generator, n: int, budget: int):
+    """Up to ``budget`` uniform draws of the 2n arcs, as lists of at most
+    4096: the stream both orientation runs read, so their trials agree."""
+    for done in range(0, budget, 4096):
+        yield rng.integers(0, 2 * n, size=min(4096, budget - done)).tolist()
+
+
 def run_orientation(
     config: OrientConfiguration,
     seed: int,
@@ -369,7 +376,7 @@ def run_orientation(
     Any memories and directions are accepted, ``None`` memories included;
     the transition repairs them.  The ring is oriented at the first step
     after which ``is_oriented`` holds.  The scheduler draws uniformly among
-    the 2n ordered arcs, in chunks of 4096 draws.  The segment count is kept
+    the 2n ordered arcs (``_draw_chunks``).  The segment count is kept
     incrementally; a head fight between legal agents that raises it is a
     monotonicity violation.  The input configuration is not mutated.
     Raises InvalidSizeError for a ``max_steps`` or ``post_steps`` that is
@@ -395,12 +402,11 @@ def run_orientation(
     n = len(work)
     ring = _ArcRing(work.agents)
     rng = np.random.Generator(np.random.PCG64(seed))
-    initial_count = max(ring.boundaries, 1)
     steps_to_oriented = 0 if ring.boundaries == 0 and not any(ring.bad) else None
 
     step_no = 0
-    while steps_to_oriented is None and step_no < max_steps:
-        draws = rng.integers(0, 2 * n, size=min(4096, max_steps - step_no)).tolist()
+    chunks = _draw_chunks(rng, n, max_steps)
+    while steps_to_oriented is None and (draws := next(chunks, None)):
         pos = ring.drive(draws)
         if pos is not None:
             steps_to_oriented = step_no + pos
@@ -420,7 +426,6 @@ def run_orientation(
         monotone_violations=monotone_violations,
         post_dir_changes=0,
         final_segment_count=final_count,
-        initial_segment_count=initial_count,
     )
 
 
@@ -450,12 +455,10 @@ def run_orientation_reference(
     sides = list(map(_side, [a.dir for a in agents], left, right))
     legal = list(map(_legal, agents, left, right))
     boundaries = _boundaries(sides, range(n))
-    initial_count = max(boundaries, 1)
     violations = dir_changes = 0
 
-    def draws(budget: int):  # 4096-draw chunks: a prefix of one size=budget draw
-        for done in range(0, budget, 4096):
-            yield from rng.integers(0, 2 * n, size=min(4096, budget - done)).tolist()
+    def draws(budget: int):
+        return chain.from_iterable(_draw_chunks(rng, n, budget))
 
     def step(t: int) -> None:
         nonlocal boundaries, violations, dir_changes
@@ -488,5 +491,5 @@ def run_orientation_reference(
     if converged and final_count != 1:
         violations += 1  # the recount, as in ``run_orientation``
     return OrientationTrial(
-        seed, n, steps_to_oriented, converged, violations, dir_changes, final_count, initial_count
+        seed, n, steps_to_oriented, converged, violations, dir_changes, final_count
     )

@@ -208,6 +208,8 @@ ELIMINATION_ARGS = dict(n=8, initial_leaders=2, trials=2, seed=3, multiplier=1.0
         dict(initial_configs=[]),
         dict(protocol=Protocol.POR, initial_configs=[analysis.construct_S_PL(P8, 0)]),
         dict(protocol="por"),
+        dict(steps=0),
+        dict(initial_configs=[analysis.construct_S_PL(P16, 3)]),
     )],
 )
 def test_suites_reject_bad_input_before_any_trial(monkeypatch, suite, overrides):
@@ -741,10 +743,6 @@ def test_cli_sweep_range_check(capsys):
         ["closure", "--steps", "0"],
         ["eliminate", "--trials", "0"],
         ["sweep", "--trials", "0"],
-        ["orient", "--n", "2"],
-        ["orient", "--n", "8", "--seeds", "0"],
-        ["orient", "--n", "8", "--seeds", "1", "--max-steps", "-5"],
-        ["orient", "--n", "8", "--seeds", "1", "--max-steps", "0"],
         ["dump", "--n", "1"],
         ["lottery", "--k", "0"],
         ["lottery", "--c", "0"],
@@ -753,7 +751,6 @@ def test_cli_sweep_range_check(capsys):
         ["closure", "--seed", "-1"],
         ["eliminate", "--seed", "-1"],
         ["dump", "--seed", "-1"],
-        ["orient", "--seed", "-1"],
         ["lottery", "--seed", "-1"],
         ["sweep", "--seed", "1.5"],
         ["sweep", "--multiplier", "inf"],
@@ -798,12 +795,25 @@ def test_cli_eliminate(capsys):
     assert "3/3 converged" in capsys.readouterr().out
 
 
-def test_cli_orient(capsys):
-    code = cli_main(["orient", "--n", "8", "--seeds", "3", "--seed", "4"])
+def test_cli_orient(tmp_path, capsys):
+    # orientation trials run as ``sweep --protocol por``; these rows are what
+    # the removed ``orient --n 8 --seeds 3 --seed 4`` subcommand printed
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["orient", "--n", "8"])
+    assert exc.value.code == 2 and "invalid choice: 'orient'" in capsys.readouterr().err
+    out = tmp_path / "por.csv"
+    code = cli_main([
+        "sweep", "--protocol", "por", "--n", "8", "--trials", "3", "--seed", "4",
+        "--out", str(out),
+    ])
     assert code == 0
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == "seed,steps_to_oriented,max_segment_count_violation"
-    assert len(lines) == 4
+    assert "converged 3/3, violations 0" in capsys.readouterr().out
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert [(int(r[4]), int(r[5]), int(r[8])) for r in rows] == [
+        (13477386951567418959, 47, 0),
+        (14066876966315643796, 144, 0),
+        (10863165097352399703, 48, 0),
+    ]
 
 
 def test_cli_closure(capsys):

@@ -549,14 +549,14 @@ def test_post_stretch_with_uniform_strong_flags(monkeypatch, strong):
 
 # measured on the step-by-step run loop this fast path replaced
 PINNED_SWEEP = [
-    (9109029401027928854, 64, 1827, True, 0, 0, 1, 30),
-    (35263859679851091, 64, 1899, True, 0, 0, 1, 36),
-    (3921589804171773997, 64, 3301, True, 0, 0, 1, 32),
-    (216044374187339223, 64, 1603, True, 0, 0, 1, 34),
-    (11315353418722502954, 128, 8312, True, 0, 0, 1, 60),
-    (8906950841086418076, 128, 16151, True, 0, 0, 1, 58),
-    (10980026525941854359, 128, 6212, True, 0, 0, 1, 68),
-    (3478918954629728131, 128, 5558, True, 0, 0, 1, 64),
+    (9109029401027928854, 64, 1827, True, 0, 0, 1),
+    (35263859679851091, 64, 1899, True, 0, 0, 1),
+    (3921589804171773997, 64, 3301, True, 0, 0, 1),
+    (216044374187339223, 64, 1603, True, 0, 0, 1),
+    (11315353418722502954, 128, 8312, True, 0, 0, 1),
+    (8906950841086418076, 128, 16151, True, 0, 0, 1),
+    (10980026525941854359, 128, 6212, True, 0, 0, 1),
+    (3478918954629728131, 128, 5558, True, 0, 0, 1),
 ]
 
 

@@ -167,6 +167,18 @@ def test_validate_catches_mode_and_token(params8):
         cfg.validate()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("leader", True), ("leader", 1.0), ("dist", True), ("mode", 1.0),
+     ("token_b", Token(1.5, 0, 0)), ("token_b", Token(1, 1.0, 0))],
+)
+def test_validate_requires_plain_ints(params8, field, value):
+    cfg = random_configuration(params8, 1)
+    setattr(cfg.agents[4], field, value)
+    with pytest.raises(ValueError, match=rf"agents\[4\]\.{field}"):
+        cfg.validate()
+
+
 def test_token_field_distribution(params8):
     # every legal token offset (and the empty slot) is actually drawn
     seen = set()
