@@ -16,18 +16,10 @@ from .analysis import (
     token_is_correct,
     token_is_valid,
 )
-from .core import (
-    AgentState,
-    Configuration,
-    InvalidSizeError,
-    ProtocolParams,
-    SchedulerStream,
-    Token,
-    make_params,
-    random_configuration,
-    run,
-    step,
-)
+from .core.params import InvalidSizeError, ProtocolParams, make_params
+from .core.scheduler import SchedulerStream
+from .core.sim import run, step
+from .core.state import AgentState, Configuration, Token, random_configuration
 from .harness import (
     ExperimentSpec,
     Protocol,

@@ -97,7 +97,7 @@ def _cmd_lottery(args) -> int:
         f"lottery k={args.k} c={args.c} bound={args.bound}: "
         f"empirical failure rate {rate:.5f}, stated ceiling {ceiling:.5f}"
     )
-    return 0 if rate <= ceiling + 0.03 else 1
+    return 0 if rate <= ceiling + lottery.SAMPLING_SLACK else 1
 
 
 _PREDICATES = {

@@ -1,28 +1,1 @@
 """Ring state, parameters, scheduler and the step loop."""
-from .params import KAPPA_FACTOR, InvalidSizeError, ProtocolParams, make_params
-from .scheduler import SchedulerStream
-from .sim import run, step
-from .state import (
-    CONSTRUCT,
-    DETECT,
-    AgentState,
-    Configuration,
-    Token,
-    random_configuration,
-)
-
-__all__ = [
-    "KAPPA_FACTOR",
-    "InvalidSizeError",
-    "ProtocolParams",
-    "make_params",
-    "SchedulerStream",
-    "run",
-    "step",
-    "CONSTRUCT",
-    "DETECT",
-    "AgentState",
-    "Configuration",
-    "Token",
-    "random_configuration",
-]

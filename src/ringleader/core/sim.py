@@ -12,15 +12,18 @@ from .state import Configuration
 def step(config: Configuration, index: int) -> Configuration:
     """Apply one interaction on arc (u_index, u_index+1); pure.
 
-    All agents other than the two participants are returned unchanged.
-    Raises InvalidSizeError for an ``index`` that is not an int in [0, n).
+    Runs the reference composition, ``interact_traced``, so ``run``'s fused
+    path can be checked against it.  All agents other than the two
+    participants are returned unchanged.  Raises InvalidSizeError for an
+    ``index`` that is not an int in [0, n).
     """
     n = config.params.n
     require_index("index", index, n)
     new = config.copy()
     p = config.params
-    interact_block(
-        new.agents, (index,), {index: (index + 1) % n}, p.psi, p.two_psi, p.kappa_max
+    agents = new.agents
+    interact_traced(
+        agents[index], agents[(index + 1) % n], p.psi, p.two_psi, p.kappa_max, []
     )
     return new
 

@@ -239,15 +239,12 @@ class ClosureReport:
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.rejected_trials
 
 
 def _ppl_closure_task(args) -> tuple[int, list[str], bool]:
-    n, seed, steps, snapshot = args
-    if snapshot is not None:
-        config = Configuration.from_snapshot(snapshot)
-    else:
-        config = analysis.construct_S_PL(make_params(n), seed)
+    n, seed, steps = args
+    config = analysis.construct_S_PL(make_params(n), seed)
     if not analysis.in_S_PL(config):
         return seed, [], True  # rejected by the precheck, not a violation
     leader_home = next(i for i, a in enumerate(config.agents) if a.leader)
@@ -267,10 +264,12 @@ def _ppl_closure_task(args) -> tuple[int, list[str], bool]:
     return seed, violations, False
 
 
-def _por_closure_task(args) -> list[str]:
+def _por_closure_task(args) -> tuple[int, list[str], bool]:
     n, seed, steps = args
     config = oriented_configuration(n, seed)
     trial = run_orientation_reference(config, seed + 1, max_steps=0, post_steps=steps)
+    if not trial.converged:  # with no steps allowed: not oriented at step 0
+        return seed, [], True
     violations = []
     if trial.post_dir_changes:
         violations.append(
@@ -278,7 +277,7 @@ def _por_closure_task(args) -> list[str]:
         )
     if trial.monotone_violations:
         violations.append(f"seed={seed}: segment count increased")
-    return violations
+    return seed, violations, False
 
 
 def run_closure_suite(
@@ -287,52 +286,36 @@ def run_closure_suite(
     trials: int,
     seed: int,
     steps: int = CLOSURE_STEPS,
-    initial_configs: list[Configuration] | None = None,
     workers: int = 1,
 ) -> ClosureReport:
     """Start from safe configurations and verify safety never degrades.
 
-    PPL trials assert membership in the safe set and a fixed leader identity
-    at every check interval.  POR trials drive oriented starts through
-    ``run_orientation_reference``, one transition call per step, and assert
-    that no step changes a direction or raises the segment count.  Supplied
-    ``initial_configs`` (PPL only) that fail the safe-set precheck are
-    reported as rejected, not as violations.  Raises InvalidSizeError,
-    before any trial runs, for a ``protocol`` that is not a ``Protocol``, a
-    ring size below its minimum (2 for PPL, 3 for POR), ``trials`` < 1,
-    ``steps`` < 1, a bad ``seed`` (see ``ExperimentSpec``), ``workers`` < 1,
-    or ``initial_configs`` that are empty, of another ring size or for POR.
+    Each trial builds its own start from its seed: ``construct_S_PL`` for
+    PPL, ``oriented_configuration`` for POR.  PPL trials assert membership
+    in the safe set and a fixed leader identity at every check interval.
+    POR trials drive oriented starts through ``run_orientation_reference``,
+    one transition call per step, and assert that no step changes a
+    direction or raises the segment count.  A start that fails its precheck
+    (not in the safe set, or not oriented at step 0) runs no step and is
+    reported as rejected; the suite built it, so the report does not pass.
+    Raises InvalidSizeError, before any trial runs, for a ``protocol`` that
+    is not a ``Protocol``, a ring size below its minimum (2 for PPL, 3 for
+    POR), ``trials`` < 1, ``steps`` < 1, a bad ``seed`` (see
+    ``ExperimentSpec``) or ``workers`` < 1.
     """
     _require_sizes(protocol, (n,))
     require_count("trials", trials, 1)
     require_count("steps", steps, 1)
     require_count("workers", workers, 1)
-    if initial_configs is not None:
-        if protocol is not Protocol.PPL:
-            raise InvalidSizeError("initial_configs applies to the ppl protocol only")
-        if not initial_configs:
-            raise InvalidSizeError("initial_configs must not be empty")
-        if any(c.params.n != n for c in initial_configs):
-            raise InvalidSizeError(f"initial_configs must all have n={n}")
     report = ClosureReport(
         protocol=protocol.value, n=n, trials=trials, steps_per_trial=steps
     )
-    if protocol is Protocol.PPL:
-        tasks = []
-        for t in range(trials):
-            tseed = trial_seed(seed, n, t)
-            snapshot = None
-            if initial_configs is not None:
-                snapshot = initial_configs[t % len(initial_configs)].to_snapshot()
-            tasks.append((n, tseed, steps, snapshot))
-        for tseed, violations, rejected in _map(_ppl_closure_task, tasks, workers):
-            report.violations.extend(violations)
-            if rejected:
-                report.rejected_trials.append(tseed)
-    else:
-        tasks = [(n, trial_seed(seed, n, t), steps) for t in range(trials)]
-        for violations in _map(_por_closure_task, tasks, workers):
-            report.violations.extend(violations)
+    task = _ppl_closure_task if protocol is Protocol.PPL else _por_closure_task
+    tasks = [(n, trial_seed(seed, n, t), steps) for t in range(trials)]
+    for tseed, violations, rejected in _map(task, tasks, workers):
+        report.violations.extend(violations)
+        if rejected:
+            report.rejected_trials.append(tseed)
     return report
 
 

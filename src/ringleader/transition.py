@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core.params import ProtocolParams
 from .core.state import CONSTRUCT, DETECT, AgentState, Token
@@ -283,7 +283,7 @@ def interact_traced(
 def interact_block(
     agents: Sequence[AgentState],
     indices: Iterable[int],
-    nxt: Sequence[int] | Mapping[int, int],
+    nxt: Sequence[int],
     psi: int,
     two_psi: int,
     kappa_max: int,

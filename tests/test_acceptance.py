@@ -125,7 +125,7 @@ def test_c4_convergence_and_scaling():
 # --------------------------------------------------------------------------
 
 def test_c5_lottery_bounds():
-    ceiling = lottery.bound_probability(4, 1) + 0.03
+    ceiling = lottery.bound_probability(4, 1) + lottery.SAMPLING_SLACK
     upper = lottery.estimate_bound(4, 1, lottery.Bound.UPPER, 10_000, 50_001)
     assert upper <= ceiling, upper
     lower = lottery.estimate_bound(4, 1, lottery.Bound.LOWER, 10_000, 50_002)

@@ -205,11 +205,10 @@ ELIMINATION_ARGS = dict(n=8, initial_leaders=2, trials=2, seed=3, multiplier=1.0
         dict(workers=0),
     )] + [("closure", o) for o in (
         dict(workers=0),
-        dict(initial_configs=[]),
-        dict(protocol=Protocol.POR, initial_configs=[analysis.construct_S_PL(P8, 0)]),
+        dict(steps=2.5),
+        dict(workers=True),
         dict(protocol="por"),
         dict(steps=0),
-        dict(initial_configs=[analysis.construct_S_PL(P16, 3)]),
     )],
 )
 def test_suites_reject_bad_input_before_any_trial(monkeypatch, suite, overrides):
@@ -232,7 +231,6 @@ REJECTED_CALLS = {
     "spec por range check": lambda: small_spec(protocol=Protocol.POR, range_check=True),
     "spec string protocol": lambda: small_spec(protocol="ppl"),
     "closure string protocol": lambda: run_closure_suite(**{**CLOSURE_ARGS, "protocol": "ppl"}),
-    "closure no configs": lambda: run_closure_suite(**CLOSURE_ARGS, initial_configs=[]),
     "elimination leaders": lambda: run_elimination_suite(
         **{**ELIMINATION_ARGS, "initial_leaders": 9}
     ),
@@ -359,16 +357,36 @@ def test_closure_ppl_workers_match():
     assert a == b
 
 
-def test_closure_rejects_corrupted_start():
-    params = make_params(16)
-    good = analysis.construct_S_PL(params, 1)
-    corrupted = good.copy()
-    corrupted.agents[5].dist = (corrupted.agents[5].dist + 1) % params.two_psi
-    report = run_closure_suite(
-        Protocol.PPL, n=16, trials=1, seed=1, steps=1000, initial_configs=[corrupted]
-    )
-    assert report.passed  # rejection is not a violation
-    assert len(report.rejected_trials) == 1
+def _shift_one_distance(config):
+    agent = config.agents[5]
+    agent.dist = (agent.dist + 1) % config.params.two_psi
+
+
+def _turn_one_head_back(config):
+    config.agents[0].dir = config.agents[-1].color  # agents 0 and n-1 now face each other
+
+
+@pytest.mark.parametrize(
+    "protocol, module, builder, spoil",
+    [
+        (Protocol.PPL, analysis, "construct_S_PL", _shift_one_distance),
+        (Protocol.POR, harness, "oriented_configuration", _turn_one_head_back),
+    ],
+    ids=["ppl", "por"],
+)
+def test_closure_rejects_start_failing_precheck(monkeypatch, protocol, module, builder, spoil):
+    original = getattr(module, builder)
+
+    def spoiled(*args):
+        config = original(*args)
+        spoil(config)
+        return config
+
+    monkeypatch.setattr(module, builder, spoiled)
+    report = run_closure_suite(protocol, n=12, trials=3, seed=5, steps=1000)
+    assert report.rejected_trials == [trial_seed(5, 12, t) for t in range(3)]
+    assert report.violations == []
+    assert not report.passed  # the suite built the start, so a rejection is a fault
 
 
 def test_closure_por_small():

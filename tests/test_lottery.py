@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ringleader.lottery import (
+    SAMPLING_SLACK,
     Bound,
     LotteryOutcome,
     _count_rounds,
@@ -100,14 +101,14 @@ def test_bad_args_rejected():
 
 def test_upper_bound_quick():
     rate = estimate_bound(4, 1, Bound.UPPER, 2000, 1)
-    assert rate <= bound_probability(4, 1) + 0.03
+    assert rate <= bound_probability(4, 1) + SAMPLING_SLACK
 
 
 def test_lower_bound_quick():
     rate = estimate_bound(4, 1, Bound.LOWER, 2000, 2)
-    assert rate <= bound_probability(4, 1) + 0.03
+    assert rate <= bound_probability(4, 1) + SAMPLING_SLACK
 
 
 def test_alternate_parameters_quick():
     rate = estimate_bound(2, 2, Bound.UPPER, 2000, 3)
-    assert rate <= bound_probability(2, 2) + 0.03
+    assert rate <= bound_probability(2, 2) + SAMPLING_SLACK
