@@ -9,19 +9,31 @@ nested configuration sets ``C_PB`` (every live bullet peaceful), ``C_DL``
 
 The ``C_DL``/``S_PL`` predicates rotate indices so the unique leader sits at
 position 0; they are rotation-invariant by construction.
+
+``in_S_PL`` reads the b bits of the full segments as one word.  Its low psi
+bits are the starting ID x0, and the ID chain holds exactly when the word
+equals the chain word for x0, cached per parameters.  The tokens are then
+checked against a table per (parameters, x0): for each color and each
+distance from the leader, the set of correct tokens plus ``None``, so one
+set lookup per agent decides validity, working pair and payload at once.
+``token_is_correct`` reads the same table.  The tables sit in a
+least-recently-used cache of at most 128 agent positions in all, about
+1.4 KB each: one table at n = 128, four at n = 32.  A table depends only on
+the parameters and x0, never on a configuration, so a configuration changed
+in place is judged afresh.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .core.params import ProtocolParams, require_count, require_index
 from .core.state import CONSTRUCT, AgentState, Configuration, Token
-from .transition import TokenColor, _off_track
+from .transition import TokenColor, _off_track, _token_table
 
 
 class NoBorderError(ValueError):
@@ -171,33 +183,6 @@ def token_is_valid(config: Configuration, i: int, which: TokenColor) -> bool:
     )
 
 
-def _tokens_correct(
-    tokens: Iterable[tuple[int, Token]],
-    targets: list[dict[int, tuple[int, int]]],
-    ids: list[int],
-    zeros: list[int],
-) -> bool:
-    """Validity + working-pair + correctness for tokens of one color in a
-    ``C_DL`` ring.
-
-    ``tokens`` holds ``(k, token)`` pairs, ``k`` being the holder's distance
-    from the leader; ``targets`` is the color's table from :func:`_layout`,
-    and ``ids``/``zeros`` come from :func:`_full_segments`.  A token fails
-    when its table row has no slot for its offset, or when its carry and
-    value bits disagree with its home segment's ID.
-    """
-    for k, (offset, value, carry) in tokens:
-        slot = targets[k].get(offset)
-        if slot is None:
-            return False
-        seg, x = slot
-        # the +1 addition flips ID bits 0..j, where j is the lowest zero bit
-        j = zeros[seg]
-        if carry != (x < j) or value != ((ids[seg] >> x) & 1) ^ (x <= j):
-            return False
-    return True
-
-
 def token_is_correct(config: Configuration, i: int, which: TokenColor) -> bool:
     """Check a token's carry/value payload against its home segment's ID.
 
@@ -215,13 +200,18 @@ def token_is_correct(config: Configuration, i: int, which: TokenColor) -> bool:
     if not token_is_valid(config, i, which):
         raise PreconditionError("token is not valid")
     ring, layout = _from_leader(config)
+    p = config.params
     leader_pos = next(k for k, a in enumerate(config.agents) if a.leader)
-    k = (i - leader_pos) % config.params.n
-    targets = layout.black if which is TokenColor.BLACK else layout.white
-    if token.offset not in targets[k]:
+    k = (i - leader_pos) % p.n
+    black = which is TokenColor.BLACK
+    slot = (layout.black if black else layout.white)[k].get(token.offset)
+    if slot is None:
         raise PreconditionError("token is not working for any segment pair")
-    ids, zeros = _full_segments(ring, config.params)
-    return _tokens_correct([(k, token)], targets, ids, zeros)
+    seg = slot[0]
+    home_id = _b_word(ring[seg * p.psi :], p.psi)
+    # the table of the chain whose segment S_seg carries this ring's ID
+    tables = _allowed(p, (home_id - seg) & ((1 << p.psi) - 1))
+    return token in tables[0 if black else 1][k]
 
 
 # --------------------------------------------------------------------------
@@ -268,6 +258,9 @@ class _Layout(NamedTuple):
     last: list[int]  # settled last flags
     black: list[dict[int, tuple[int, int]]]  # token targets, see _targets
     white: list[dict[int, tuple[int, int]]]
+    # chain[x0]: the b word of the full segments (see _b_word) when S_0 has
+    # ID x0 and every later full segment its predecessor's ID plus one
+    chain: list[int]
 
 
 def _targets(p: ProtocolParams, d: int) -> list[dict[int, tuple[int, int]]]:
@@ -302,13 +295,76 @@ def _targets(p: ProtocolParams, d: int) -> list[dict[int, tuple[int, int]]]:
 
 @functools.lru_cache(maxsize=64)
 def _layout(p: ProtocolParams) -> _Layout:
-    last_from = p.psi * (p.zeta - 1)
+    psi, full = p.psi, p.zeta - 1
+    mask = (1 << psi) - 1
     return _Layout(
         dist=[k % p.two_psi for k in range(p.n)],
-        last=[1 if k >= last_from else 0 for k in range(p.n)],
+        last=[1 if k >= psi * full else 0 for k in range(p.n)],
         black=_targets(p, 0),
-        white=_targets(p, p.psi),
+        white=_targets(p, psi),
+        chain=[
+            sum(((x0 + s) & mask) << (s * psi) for s in range(full))
+            for x0 in range(1 << psi)
+        ],
     )
+
+
+# The per-starting-ID token tables are kept for at most this many agent
+# positions in all, least recently used first out.  A table costs about
+# 1.4 KB per position (two sets of about ten tokens), so the cache stays
+# under 200 KB: one table at n = 128, four at n = 32, which covers a closure
+# suite's trials checked in turn.  A ring larger than this keeps one table.
+_TABLE_POSITIONS = 128
+_TokenSets = tuple[frozenset[Token | None], ...]
+_tables: dict[tuple[int, int, int], tuple[_TokenSets, _TokenSets]] = {}  # (n, psi, x0)
+
+
+def _allowed(p: ProtocolParams, x0: int) -> tuple[_TokenSets, _TokenSets]:
+    """The correct tokens by distance from the leader, black then white, in
+    a ``C_DL`` ring whose full segments carry the +1 chain from ID ``x0``.
+
+    ``table[k]`` holds ``None`` and, for each offset in the color's
+    :func:`_targets` row k, the one token with that offset whose carry and
+    value bits are correct for its home segment's ID: a token at distance k
+    is valid, working and correct exactly when it is in ``table[k]``.
+    Cached within ``_TABLE_POSITIONS``.
+    """
+    key = (p.n, p.psi, x0)  # all a table depends on; cheaper to hash than p
+    tables = _tables.pop(key, None)
+    if tables is None:
+        # make room first, so that an evicted table's memory is reused
+        while _tables and sum(n for n, _, _ in _tables) + p.n > _TABLE_POSITIONS:
+            del _tables[next(iter(_tables))]
+        tables = _correct_tokens(p, x0)
+    _tables[key] = tables  # most recently used last
+    return tables
+
+
+def _correct_tokens(p: ProtocolParams, x0: int) -> tuple[_TokenSets, _TokenSets]:
+    """Build :func:`_allowed`'s table.  Legal tokens are ``_token_table``'s
+    objects, and equal tokens and equal sets are one object."""
+    psi = p.psi
+    mask = (1 << psi) - 1
+    legal = _token_table(psi)
+    interned: dict = {}
+
+    def correct(row: dict[int, tuple[int, int]]) -> frozenset[Token | None]:
+        allowed: set[Token | None] = {None}
+        for offset, (seg, x) in row.items():
+            sid = (x0 + seg) & mask
+            # the +1 addition flips ID bits 0..j, where j is the lowest zero bit
+            j = (~sid & (sid + 1)).bit_length() - 1
+            value, carry = ((sid >> x) & 1) ^ (x <= j), int(x < j)
+            if -psi < offset <= psi:
+                token = legal[4 * offset + 2 * value + carry]
+            else:  # outside the declared range, but judged all the same
+                token = Token(offset, value, carry)
+            allowed.add(interned.setdefault(token, token))
+        frozen = frozenset(allowed)
+        return interned.setdefault(frozen, frozen)
+
+    layout = _layout(p)
+    return tuple(map(correct, layout.black)), tuple(map(correct, layout.white))
 
 
 def _from_leader(config: Configuration) -> tuple[list[AgentState], _Layout] | None:
@@ -342,22 +398,12 @@ def _bullets_peaceful(ring: list[AgentState]) -> bool:
     return ring[0].shield == 1 and not any([a.signal_b for a in ring[: rightmost + 1]])
 
 
-def _full_segments(
-    ring: list[AgentState], p: ProtocolParams
-) -> tuple[list[int], list[int]]:
-    """IDs of the full segments S_0 .. S_{zeta-2} of a ring that starts at
-    its leader, and each ID's lowest zero bit (psi when all bits are one)."""
-    psi = p.psi
-    full = ring[: psi * (p.zeta - 1)]
-    if not full:
-        return [], []
-    # the b bits as one integer, agent k at bit k: the bytes 0/1 become the
-    # digits "0"/"1", most significant (rightmost agent) first
-    word = int(bytes([a.b for a in reversed(full)]).translate(_BIT_CHARS), 2)
-    mask = (1 << psi) - 1
-    ids = [(word >> shift) & mask for shift in range(0, len(full), psi)]
-    zeros = [(~sid & (sid + 1)).bit_length() - 1 for sid in ids]
-    return ids, zeros
+def _b_word(ring: list[AgentState], length: int) -> int:
+    """The b bits of ``ring[:length]`` as one integer, agent k at bit k."""
+    # the bytes 0/1 become the digits "0"/"1", most significant (rightmost
+    # agent) first
+    digits = bytes([a.b for a in reversed(ring[:length])]).translate(_BIT_CHARS)
+    return int(digits, 2) if digits else 0
 
 
 def in_C_DL(config: Configuration) -> bool:
@@ -374,18 +420,16 @@ def in_S_PL(config: Configuration) -> bool:
         return False
     ring, layout = found
     p = config.params
-    ids, zeros = _full_segments(ring, p)
-    mask = (1 << p.psi) - 1
-    for s in range(len(ids) - 1):
-        if ids[s + 1] != (ids[s] + 1) & mask:
-            return False
-    black = [(k, a.token_b) for k, a in enumerate(ring) if a.token_b is not None]
-    if not _tokens_correct(black, layout.black, ids, zeros):
+    word = _b_word(ring, p.psi * (p.zeta - 1))
+    x0 = word & ((1 << p.psi) - 1)
+    if word != layout.chain[x0]:
         return False
-    white = [(k, a.token_w) for k, a in enumerate(ring) if a.token_w is not None]
-    if not _tokens_correct(white, layout.white, ids, zeros):
-        return False
-    return _bullets_peaceful(ring)
+    black, white = _allowed(p, x0)
+    return (
+        all(map(frozenset.__contains__, black, [a.token_b for a in ring]))
+        and all(map(frozenset.__contains__, white, [a.token_w for a in ring]))
+        and _bullets_peaceful(ring)
+    )
 
 
 # --------------------------------------------------------------------------

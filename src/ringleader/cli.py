@@ -11,6 +11,7 @@ subcommand's usage line, like a flag argparse cannot parse.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import analysis, harness, lottery
@@ -24,6 +25,20 @@ def _int_list(text: str) -> tuple[int, ...]:
     if not values:
         raise argparse.ArgumentTypeError(f"need comma-separated ints, got {text!r}")
     return values
+
+
+def _summary(records) -> str:
+    converged = sum(r.converged for r in records)
+    violations = sum(r.violations for r in records)
+    return f"converged {converged}/{len(records)}, violations {violations}"
+
+
+def _step_quantiles(steps: list[int]) -> str:
+    """Nearest-rank p50/p90/p99 and the max: each is a step count some trial
+    took (a trial that did not converge counts with its cutoff)."""
+    steps = sorted(steps)
+    ranks = [steps[math.ceil(q * len(steps) / 100) - 1] for q in (50, 90, 99)]
+    return "p50 {} p90 {} p99 {} max {}".format(*ranks, steps[-1])
 
 
 def _cmd_sweep(args) -> int:
@@ -41,10 +56,13 @@ def _cmd_sweep(args) -> int:
     if args.out:
         harness.export_csv(records, args.out)
         print(f"wrote {len(records)} records to {args.out}")
-    converged = sum(r.converged for r in records)
-    violations = sum(r.violations for r in records)
-    print(f"converged {converged}/{len(records)}, violations {violations}")
-    return 0 if (converged == len(records) and violations == 0) else 1
+    by_n: dict[int, list] = {}
+    for r in records:
+        by_n.setdefault(r.n, []).append(r)
+    for n, rows in by_n.items():
+        print(f"n={n}: {_summary(rows)}, steps {_step_quantiles([r.steps for r in rows])}")
+    print(_summary(records))
+    return 0 if all(r.converged and not r.violations for r in records) else 1
 
 
 def _cmd_closure(args) -> int:

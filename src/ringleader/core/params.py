@@ -7,11 +7,12 @@ Everything else -- the distance modulus ``2*psi``, the clock ceiling
 else.
 
 The ``require_*`` helpers are the one place where a size, count, seed,
-agent index or multiplier coming from outside the library is checked;
-every public entry point calls them before it does any work.
+agent index, multiplier or enum choice coming from outside the library is
+checked; every public entry point calls them before it does any work.
 """
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -19,7 +20,8 @@ from numbers import Real
 
 class InvalidSizeError(ValueError):
     """Raised for an outside value the library does not accept: a ring or
-    parameter size, a count, a seed, an agent index or a multiplier."""
+    parameter size, a count, a seed, an agent index, a multiplier or an enum
+    choice."""
 
 
 KAPPA_FACTOR = 32  # minimum clock ceiling is 32*psi
@@ -57,6 +59,13 @@ def require_sizes(protocol: str, n_values: tuple[int, ...], least: int) -> None:
         raise InvalidSizeError("need at least one ring size")
     for n in n_values:
         require_count(f"{protocol} ring size", n, least)
+
+
+def require_member(name: str, value: object, kind: type[enum.Enum]) -> None:
+    """Raise InvalidSizeError unless ``value`` is a member of the enum ``kind``
+    (its value, such as the string ``"upper"``, is not)."""
+    if not isinstance(value, kind):
+        raise InvalidSizeError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def require_multiplier(name: str, value: object) -> None:

@@ -114,6 +114,8 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
 def _check_token(name: str, token: Token | None, psi: int) -> None:
     if token is None:
         return
+    if type(token) is not Token:  # the transition reads its fields by name
+        raise ValueError(f"{name}: {token!r} is not a Token")
     off, val, car = token
     if type(off) is not int or off == 0 or off < -psi + 1 or off > psi:
         raise ValueError(

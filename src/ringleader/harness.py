@@ -20,6 +20,7 @@ from .core.params import (
     ProtocolParams,
     make_params,
     require_count,
+    require_member,
     require_multiplier,
     require_sizes,
 )
@@ -47,8 +48,7 @@ class Protocol(enum.Enum):
 def _require_sizes(protocol: Protocol, n_values: tuple) -> None:
     """Raises InvalidSizeError unless ``protocol`` is a ``Protocol`` and every
     ring size is an int >= 2, or >= 3 for POR (a two-hop coloring needs 3)."""
-    if not isinstance(protocol, Protocol):
-        raise InvalidSizeError(f"protocol must be a Protocol, got {protocol!r}")
+    require_member("protocol", protocol, Protocol)
     require_sizes(protocol.value, n_values, 3 if protocol is Protocol.POR else 2)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core.params import require_count
+from .core.params import require_count, require_member
 
 
 # Added to ``bound_probability`` when an empirical failure rate from a few
@@ -83,9 +83,11 @@ def estimate_bound(
     LOWER: with a budget of ``64*c*k*2**k`` flips, the event is
     ``wins >= 16*c*k``; a violation is ``wins < 16*c*k``.
     Either violation has probability at most ``2**(-c*k)``.  Raises
-    InvalidSizeError for ``k`` < 1 (< 2 for LOWER), ``c`` < 1, ``trials`` < 1
-    or a negative ``seed``, or any of them not an int.
+    InvalidSizeError for a ``which`` that is not a :class:`Bound`, for ``k``
+    < 1 (< 2 for LOWER), ``c`` < 1, ``trials`` < 1 or a negative ``seed``, or
+    any of them not an int.
     """
+    require_member("which", which, Bound)
     require_count("k", k, 2 if which is Bound.LOWER else 1)  # LOWER needs k >= 2
     require_count("c", c, 1)
     require_count("trials", trials, 1)

@@ -489,6 +489,75 @@ def test_correct_fresh_token_keeps_s_pl():
     assert in_S_PL(work)
 
 
+def _safe_with_tokens(n, seed):
+    """A safe configuration reached by a run from a safe start, holding at
+    least one black and one white token."""
+    def holds_both(work):
+        agents = work.agents
+        return any(a.token_b for a in agents) and any(a.token_w for a in agents)
+
+    final, _, stopped = run(
+        construct_S_PL(make_params(n), seed), SchedulerStream(n, seed + 1), 1000 * n, holds_both
+    )
+    assert stopped and in_S_PL(final)
+    return final
+
+
+@pytest.mark.parametrize("mutation", ["full-segment b", "token value", "leader moved"])
+def test_s_pl_verdict_follows_in_place_mutation(mutation):
+    # the same object is checked before and after the change, so a cache
+    # keyed on anything but the ring's current contents would miss it
+    cfg = _safe_with_tokens(16, 4)
+    agents = cfg.agents
+    lead = next(i for i, a in enumerate(agents) if a.leader)
+    before = [a.copy() for a in agents]
+    assert in_S_PL(cfg)
+    if mutation == "full-segment b":
+        agents[(lead + P16.psi) % 16].b ^= 1  # bit 0 of S_1's ID
+    elif mutation == "token value":
+        i = next(i for i, a in enumerate(agents) if a.token_w is not None)
+        token = agents[i].token_w
+        agents[i].token_w = token._replace(value_bit=1 - token.value_bit)
+    else:
+        agents[lead].leader = 0
+        agents[(lead + 1) % 16].leader = 1
+    assert not in_S_PL(cfg)
+    cfg.agents[:] = before
+    assert in_S_PL(cfg)
+
+
+def test_s_pl_interleaved_frames_match_fresh_calls():
+    """Two safe frames with different starting IDs at each of two ring sizes,
+    the same two IDs at both sizes.  Each frame also carries a fresh black
+    token at its leader that is correct for its own ID or for the other
+    frame's, or a wrong one at a later black border.  Checked in turn, every
+    verdict must be the one a call with no cached table gives."""
+    configs = []
+    # (n, seeds whose S_0 IDs are 12 and 13, a black border past agent 7)
+    for n, seeds, far in ((16, (3, 0), 8), (32, (24, 9), 20)):
+        p = make_params(n)
+        frames = [construct_S_PL(p, seed) for seed in seeds]
+        assert [segment_id(f, Segment(0, p.psi)) for f in frames] == [12, 13]
+        for frame in frames:
+            configs.append((frame, True))
+            for other in frames:
+                b0 = other.agents[0].b
+                work = frame.copy()
+                work.agents[0].token_b = Token(p.psi, 1 - b0, b0)
+                configs.append((work, other is frame))
+            work = frame.copy()
+            b = work.agents[far].b
+            work.agents[far].token_b = Token(p.psi, b, b)  # value should be 1-b
+            configs.append((work, False))
+    order = configs[::2] + configs[1::2]  # alternate sizes and frames
+    for cfg, want in order:
+        analysis._tables.clear()
+        assert in_S_PL(cfg) == want
+    for _ in range(3):
+        for cfg, want in order:
+            assert in_S_PL(cfg) == want
+
+
 def test_peaceful_bullet_set_is_closed():
     # rejection-sample adversarial configurations that happen to have every
     # live bullet peaceful: runs from them must stay that way and never

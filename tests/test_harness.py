@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import json
 import subprocess
 import sys
@@ -240,6 +241,8 @@ REJECTED_CALLS = {
     "safe seed": lambda: analysis.construct_S_PL(P16, -1),
     "lottery seed": lambda: estimate_bound(4, 1, Bound.UPPER, 10, -1),
     "lottery lower k": lambda: estimate_bound(1, 1, Bound.LOWER, 10, 0),
+    "lottery string bound": lambda: estimate_bound(1, 1, "upper", 20, 0),
+    "lottery no bound": lambda: estimate_bound(4, 1, None, 20, 0),
     "coloring float n": lambda: generate_two_hop_coloring(8.0, 0),
     "coloring seed": lambda: generate_two_hop_coloring(8, -1),
     "params kappa": lambda: make_params(8, 3),
@@ -731,6 +734,25 @@ def test_cli_sweep_and_csv(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "converged 2/2" in capsys.readouterr().out
+
+
+def test_cli_sweep_prints_step_quantiles_per_n(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    argv = ["sweep", "--n", "8,16", "--trials", "11", "--seed", "3", "--out", str(out)]
+    assert cli_main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    for n in (8, 16):
+        steps = sorted(int(r["steps"]) for r in rows if r["n"] == str(n))
+        assert len(steps) == 11
+        # nearest rank of 11: p50 is the 6th, p90 the 10th, p99 the 11th
+        want = (
+            f"n={n}: converged 11/11, violations 0, "
+            f"steps p50 {steps[5]} p90 {steps[9]} p99 {steps[10]} max {steps[10]}"
+        )
+        assert want in lines
+    assert lines[-1] == "converged 22/22, violations 0"
 
 
 def test_cli_sweep_writes_no_csv_without_out(tmp_path, monkeypatch, capsys):

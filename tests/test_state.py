@@ -170,7 +170,9 @@ def test_validate_catches_mode_and_token(params8):
 @pytest.mark.parametrize(
     "field, value",
     [("leader", True), ("leader", 1.0), ("dist", True), ("mode", 1.0),
-     ("token_b", Token(1.5, 0, 0)), ("token_b", Token(1, 1.0, 0))],
+     ("token_b", Token(1.5, 0, 0)), ("token_b", Token(1, 1.0, 0)),
+     # a token must be a Token, not a list or plain tuple of the same ints
+     ("token_b", [1, 0, 0]), ("token_w", (1, 0, 0))],
 )
 def test_validate_requires_plain_ints(params8, field, value):
     cfg = random_configuration(params8, 1)
