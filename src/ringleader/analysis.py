@@ -12,13 +12,15 @@ position 0; they are rotation-invariant by construction.
 
 ``in_S_PL`` reads the b bits of the full segments as one word.  Its low psi
 bits are the starting ID x0, and the ID chain holds exactly when the word
-equals the chain word for x0, cached per parameters.  The tokens are then
-checked against a table per (parameters, x0): for each color and each
-distance from the leader, the set of correct tokens plus ``None``, so one
-set lookup per agent decides validity, working pair and payload at once.
-``token_is_correct`` reads the same table.  The tables sit in a
-least-recently-used cache of at most 128 agent positions in all, about
-1.4 KB each: one table at n = 128, four at n = 32.  A table depends only on
+equals the chain word for x0, built for the x0 a call meets and kept in a
+small cache.  The tokens are then checked against a table per (parameters,
+x0): for each color and each distance from the leader, the set of correct
+tokens plus ``None``, so one set lookup per agent decides validity, working
+pair and payload at once.  ``token_is_correct`` applies the same rule
+(``_correct_token``) to its one token and builds no table.  The tables sit in
+a least-recently-used cache of at most 128 agent positions in all, about
+1.4 KB each: one table at n = 128, four at n = 32.  Nothing here is built
+for each of the 2**psi possible IDs.  A cached word or table depends only on
 the parameters and x0, never on a configuration, so a configuration changed
 in place is judged afresh.
 """
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core.params import ProtocolParams, require_count, require_index
+from .core.params import ProtocolParams, require_count, require_index, require_member
 from .core.state import CONSTRUCT, AgentState, Configuration, Token
 from .transition import TokenColor, _off_track, _token_table
 
@@ -163,6 +165,7 @@ def is_perfect(config: Configuration) -> bool:
 # --------------------------------------------------------------------------
 
 def _token_of(agent: AgentState, which: TokenColor) -> Token | None:
+    require_member("which", which, TokenColor)
     return agent.token_b if which is TokenColor.BLACK else agent.token_w
 
 
@@ -171,7 +174,11 @@ def _color_d(which: TokenColor, psi: int) -> int:
 
 
 def token_is_valid(config: Configuration, i: int, which: TokenColor) -> bool:
-    """True iff the token at agent i is still on its shuttle trajectory."""
+    """True iff the token at agent i is still on its shuttle trajectory.
+
+    Raises InvalidSizeError for a ``which`` that is not a
+    :class:`TokenColor`.
+    """
     require_index("i", i, config.params.n)
     agent = config.agents[i]
     token = _token_of(agent, which)
@@ -188,7 +195,8 @@ def token_is_correct(config: Configuration, i: int, which: TokenColor) -> bool:
 
     Requires the configuration to be in ``C_DL`` and the token to be valid
     and working for a segment pair; anything else raises
-    :class:`PreconditionError`.
+    :class:`PreconditionError`.  Raises InvalidSizeError for a ``which``
+    that is not a :class:`TokenColor`.
     """
     require_index("i", i, config.params.n)
     agent = config.agents[i]
@@ -203,15 +211,14 @@ def token_is_correct(config: Configuration, i: int, which: TokenColor) -> bool:
     p = config.params
     leader_pos = next(k for k, a in enumerate(config.agents) if a.leader)
     k = (i - leader_pos) % p.n
-    black = which is TokenColor.BLACK
-    slot = (layout.black if black else layout.white)[k].get(token.offset)
+    slot = (layout.black if which is TokenColor.BLACK else layout.white)[k].get(
+        token.offset
+    )
     if slot is None:
         raise PreconditionError("token is not working for any segment pair")
-    seg = slot[0]
+    seg, x = slot
     home_id = _b_word(ring[seg * p.psi :], p.psi)
-    # the table of the chain whose segment S_seg carries this ring's ID
-    tables = _allowed(p, (home_id - seg) & ((1 << p.psi) - 1))
-    return token in tables[0 if black else 1][k]
+    return token == _correct_token(p.psi, home_id, x, token.offset)
 
 
 # --------------------------------------------------------------------------
@@ -258,9 +265,6 @@ class _Layout(NamedTuple):
     last: list[int]  # settled last flags
     black: list[dict[int, tuple[int, int]]]  # token targets, see _targets
     white: list[dict[int, tuple[int, int]]]
-    # chain[x0]: the b word of the full segments (see _b_word) when S_0 has
-    # ID x0 and every later full segment its predecessor's ID plus one
-    chain: list[int]
 
 
 def _targets(p: ProtocolParams, d: int) -> list[dict[int, tuple[int, int]]]:
@@ -295,18 +299,35 @@ def _targets(p: ProtocolParams, d: int) -> list[dict[int, tuple[int, int]]]:
 
 @functools.lru_cache(maxsize=64)
 def _layout(p: ProtocolParams) -> _Layout:
-    psi, full = p.psi, p.zeta - 1
-    mask = (1 << psi) - 1
+    last_from = p.psi * (p.zeta - 1)
     return _Layout(
         dist=[k % p.two_psi for k in range(p.n)],
-        last=[1 if k >= psi * full else 0 for k in range(p.n)],
+        last=[1 if k >= last_from else 0 for k in range(p.n)],
         black=_targets(p, 0),
-        white=_targets(p, psi),
-        chain=[
-            sum(((x0 + s) & mask) << (s * psi) for s in range(full))
-            for x0 in range(1 << psi)
-        ],
+        white=_targets(p, p.psi),
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _chain_word(psi: int, full: int, x0: int) -> int:
+    """The b word (see :func:`_b_word`) of ``full`` segments of ``psi``
+    agents when S_0 has ID ``x0`` and every later segment its predecessor's
+    ID plus one."""
+    mask = (1 << psi) - 1
+    return sum(((x0 + s) & mask) << (s * psi) for s in range(full))
+
+
+def _correct_token(psi: int, sid: int, x: int, offset: int) -> Token:
+    """The token with ``offset`` whose payload is correct for ID bit ``x``
+    of a home segment with ID ``sid``: ``value`` is bit x of sid plus one
+    and ``carry`` the carry into bit x + 1.  Legal tokens are
+    ``_token_table``'s objects."""
+    # the +1 addition flips ID bits 0..j, where j is the lowest zero bit
+    j = (~sid & (sid + 1)).bit_length() - 1
+    value, carry = ((sid >> x) & 1) ^ (x <= j), int(x < j)
+    if -psi < offset <= psi:
+        return _token_table(psi)[4 * offset + 2 * value + carry]
+    return Token(offset, value, carry)  # outside the declared range, judged all the same
 
 
 # The per-starting-ID token tables are kept for at most this many agent
@@ -314,6 +335,8 @@ def _layout(p: ProtocolParams) -> _Layout:
 # 1.4 KB per position (two sets of about ten tokens), so the cache stays
 # under 200 KB: one table at n = 128, four at n = 32, which covers a closure
 # suite's trials checked in turn.  A ring larger than this keeps one table.
+# A functools.lru_cache of four tables kept four at n = 128 as well and
+# raised the converge benchmark's peak RSS by about 1 MB.
 _TABLE_POSITIONS = 128
 _TokenSets = tuple[frozenset[Token | None], ...]
 _tables: dict[tuple[int, int, int], tuple[_TokenSets, _TokenSets]] = {}  # (n, psi, x0)
@@ -345,20 +368,12 @@ def _correct_tokens(p: ProtocolParams, x0: int) -> tuple[_TokenSets, _TokenSets]
     objects, and equal tokens and equal sets are one object."""
     psi = p.psi
     mask = (1 << psi) - 1
-    legal = _token_table(psi)
     interned: dict = {}
 
     def correct(row: dict[int, tuple[int, int]]) -> frozenset[Token | None]:
         allowed: set[Token | None] = {None}
         for offset, (seg, x) in row.items():
-            sid = (x0 + seg) & mask
-            # the +1 addition flips ID bits 0..j, where j is the lowest zero bit
-            j = (~sid & (sid + 1)).bit_length() - 1
-            value, carry = ((sid >> x) & 1) ^ (x <= j), int(x < j)
-            if -psi < offset <= psi:
-                token = legal[4 * offset + 2 * value + carry]
-            else:  # outside the declared range, but judged all the same
-                token = Token(offset, value, carry)
+            token = _correct_token(psi, (x0 + seg) & mask, x, offset)
             allowed.add(interned.setdefault(token, token))
         frozen = frozenset(allowed)
         return interned.setdefault(frozen, frozen)
@@ -418,11 +433,12 @@ def in_S_PL(config: Configuration) -> bool:
     found = _from_leader(config)
     if found is None:
         return False
-    ring, layout = found
+    ring = found[0]
     p = config.params
-    word = _b_word(ring, p.psi * (p.zeta - 1))
+    full = p.zeta - 1
+    word = _b_word(ring, p.psi * full)
     x0 = word & ((1 << p.psi) - 1)
-    if word != layout.chain[x0]:
+    if word != _chain_word(p.psi, full, x0):
         return False
     black, white = _allowed(p, x0)
     return (

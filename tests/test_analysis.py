@@ -1,6 +1,7 @@
 """Predicate tests, including the exhaustive leaderless-imperfection oracle
 and an increment-arithmetic oracle for token correctness."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -245,6 +246,17 @@ def test_no_token_error():
     cfg = ring(P16)
     with pytest.raises(NoTokenError):
         token_is_valid(cfg, 3, TokenColor.BLACK)
+
+
+@pytest.mark.parametrize("which", ["black", "white", None])
+@pytest.mark.parametrize("check", [token_is_valid, token_is_correct])
+def test_token_color_must_be_a_token_color(check, which):
+    # agent 0 holds a valid, correct black token and no white one
+    work = construct_S_PL(P16, 1).copy()
+    b0 = work.agents[0].b
+    work.agents[0].token_b = Token(P16.psi, 1 - b0, b0)
+    with pytest.raises(InvalidSizeError):
+        check(work, 0, which)
 
 
 # --------------------------------------------------------------------------
@@ -556,6 +568,26 @@ def test_s_pl_interleaved_frames_match_fresh_calls():
     for _ in range(3):
         for cfg, want in order:
             assert in_S_PL(cfg) == want
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_checks_build_nothing_per_possible_id(n):
+    # psi may be far above log2 n; a check that built anything for each of
+    # the 2**psi starting IDs would not return
+    p = ProtocolParams(n=n, psi=40, kappa_max=1280)
+    cfg = construct_S_PL(p, 3)
+    work = cfg.copy()
+    b0 = work.agents[0].b
+    work.agents[0].token_b = Token(p.psi, 1 - b0, b0)
+    start = time.perf_counter()
+    assert in_C_DL(cfg) and in_S_PL(cfg)
+    # the leader's token works only when S_0 is a full segment
+    assert in_S_PL(work) == (n > p.psi)
+    if n > p.psi:
+        assert token_is_correct(work, 0, TokenColor.BLACK)
+        work.agents[0].token_b = Token(p.psi, b0, b0)
+        assert not in_S_PL(work)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_peaceful_bullet_set_is_closed():
