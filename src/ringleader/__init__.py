@@ -3,6 +3,7 @@ election and ring orientation population protocols on directed rings."""
 
 from .analysis import (
     Segment,
+    TokenColor,
     construct_S_PL,
     in_C_DL,
     in_C_PB,
@@ -36,14 +37,6 @@ from .orientation import (
     interact_or,
     is_oriented,
     segment_count,
-)
-from .transition import (
-    TokenColor,
-    create_leader_diststep,
-    determine_mode,
-    eliminate_leaders,
-    interact_ppl,
-    move_token,
 )
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ in place is judged afresh.
 """
 from __future__ import annotations
 
+import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ import numpy as np
 
 from .core.params import ProtocolParams, require_count, require_index, require_member
 from .core.state import CONSTRUCT, AgentState, Configuration, Token
-from .transition import TokenColor, _off_track, _token_table
+from .transition import _off_track, _token_table
 
 
 class NoBorderError(ValueError):
@@ -163,6 +164,11 @@ def is_perfect(config: Configuration) -> bool:
 # --------------------------------------------------------------------------
 # token validity and correctness
 # --------------------------------------------------------------------------
+
+class TokenColor(enum.Enum):
+    BLACK = "black"
+    WHITE = "white"
+
 
 def _token_of(agent: AgentState, which: TokenColor) -> Token | None:
     require_member("which", which, TokenColor)

@@ -3,10 +3,11 @@
 Subcommands: sweep (``--protocol por`` for orientation), closure, eliminate,
 lottery, check, dump, load.
 Exit code 0 means zero invariant violations and (for suites) full
-convergence; anything else exits 1, as does a snapshot that does not parse
-or validate (``ConfigFormatError``).  Input values are checked by the
-library only: a value it rejects with ``InvalidSizeError`` exits 2 with the
-subcommand's usage line, like a flag argparse cannot parse.
+convergence; anything else exits 1, as does a snapshot that cannot be read,
+parsed or validated (``ConfigFormatError``) or an output file that cannot be
+written.  Input values are checked by the library only: a value it rejects
+with ``InvalidSizeError`` exits 2 with the subcommand's usage line, like a
+flag argparse cannot parse.
 """
 from __future__ import annotations
 
@@ -52,6 +53,8 @@ def _cmd_sweep(args) -> int:
         range_check=args.range_check,
         workers=args.workers,
     )
+    if args.out:  # an unwritable path fails here, not after the sweep
+        open(args.out, "w").close()
     records = harness.run_convergence_sweep(spec)
     if args.out:
         harness.export_csv(records, args.out)
@@ -229,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except InvalidSizeError as exc:  # a value the library rejects: usage error, exit 2
         args.parser.error(str(exc))
-    except ConfigFormatError as exc:  # a snapshot that does not parse or validate
+    except (ConfigFormatError, OSError) as exc:  # a bad snapshot or output path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -53,11 +53,10 @@ class AgentState:
     token_b: Token | None = None
     token_w: Token | None = None
     # ``mode`` is a function of ``clock`` once an interaction has written
-    # it, but it stays a stored field: the reference blocks that follow
-    # mode determination (run in order by ``interact_traced``, or alone
-    # through ``create_leader_diststep`` and ``move_token``) read the mode
-    # it wrote, and the snapshot format and ``random_configuration``'s
-    # draw order both include it.
+    # it, but it stays a stored field: the reference blocks that
+    # ``interact_traced`` runs after mode determination read the mode it
+    # wrote, and the snapshot format and ``random_configuration``'s draw
+    # order both include it.
     mode: int = CONSTRUCT
     clock: int = 0
     hits: int = 0

@@ -622,6 +622,8 @@ def load_config(path: str | Path) -> Configuration:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigFormatError(f"{path}: {exc}") from None
     try:
         return Configuration.from_snapshot(data)
     except ValueError as exc:

@@ -1,6 +1,6 @@
 """The pairwise transition function for the leader-election protocol.
 
-``interact_ppl`` maps (initiator state, responder state) to successor states.
+The transition maps (initiator state, responder state) to successor states.
 It runs five blocks in a fixed order, and later statements observe earlier
 statements' writes:
 
@@ -17,28 +17,20 @@ be rearranged.
 
 Two implementations exist.  The five standalone blocks below are the
 reference, and ``interact_traced`` is their one composition: it runs them in
-order in place and records events.  Each block also has a pure public
-wrapper (``determine_mode``, ``create_leader_diststep``, ``move_token``,
-``eliminate_leaders``).  The fused ``interact_block`` runs the whole
-transition over a block of scheduler indices in one call, records no events,
-and short-circuits the token blocks when no token activity is possible;
-``run`` uses it unless an ``on_step`` hook asks for events, in which case the
-run goes through ``interact_traced``.  The acceptance suite asserts the fused
-form and ``interact_traced`` are bit-identical on random state pairs.
+order in place and records events.  The fused ``interact_block`` runs the
+whole transition over a block of scheduler indices in one call, records no
+events, and short-circuits the token blocks when no token activity is
+possible; ``run`` uses it unless an ``on_step`` hook asks for events, in
+which case the run goes through ``interact_traced``.  The acceptance suite
+asserts the fused form and ``interact_traced`` are bit-identical on random
+state pairs.  These two are the module's only public functions.
 """
 from __future__ import annotations
 
-import enum
 import functools
 from typing import Iterable, Sequence
 
-from .core.params import ProtocolParams
 from .core.state import CONSTRUCT, DETECT, AgentState, Token
-
-
-class TokenColor(enum.Enum):
-    BLACK = "black"
-    WHITE = "white"
 
 
 # --------------------------------------------------------------------------
@@ -484,60 +476,3 @@ def interact_block(
         if r.leader > sb:
             sb = r.leader
         l.signal_b = sb
-
-
-# --------------------------------------------------------------------------
-# public pure operations
-# --------------------------------------------------------------------------
-
-def interact_ppl(
-    l: AgentState, r: AgentState, params: ProtocolParams
-) -> tuple[AgentState, AgentState]:
-    """Full transition as a pure function: returns successor states."""
-    l2, r2 = l.copy(), r.copy()
-    interact_block([l2, r2], (0,), (1,), params.psi, params.two_psi, params.kappa_max)
-    return l2, r2
-
-
-def determine_mode(
-    l: AgentState, r: AgentState, params: ProtocolParams
-) -> tuple[AgentState, AgentState]:
-    """Mode-determination block alone (signals, hits, clocks, modes)."""
-    l2, r2 = l.copy(), r.copy()
-    _determine_mode_inplace(l2, r2, params.psi, params.kappa_max)
-    return l2, r2
-
-
-def create_leader_diststep(
-    l: AgentState, r: AgentState, params: ProtocolParams
-) -> tuple[AgentState, AgentState]:
-    """Distance-chain block alone; assumes mode determination already ran."""
-    l2, r2 = l.copy(), r.copy()
-    _dist_last_inplace(l2, r2, params.psi, params.two_psi)
-    return l2, r2
-
-
-def move_token(
-    l: AgentState, r: AgentState, which: TokenColor, params: ProtocolParams
-) -> tuple[AgentState, AgentState]:
-    """One color's token-relay block alone."""
-    l2, r2 = l.copy(), r.copy()
-    psi = params.psi
-    if which is TokenColor.BLACK:
-        l2.token_b, r2.token_b = _relay_inplace(
-            l2, r2, l2.token_b, r2.token_b, 0, psi, params.two_psi, [], "B"
-        )
-    else:
-        l2.token_w, r2.token_w = _relay_inplace(
-            l2, r2, l2.token_w, r2.token_w, psi, psi, params.two_psi, [], "W"
-        )
-    return l2, r2
-
-
-def eliminate_leaders(
-    l: AgentState, r: AgentState
-) -> tuple[AgentState, AgentState]:
-    """Leader-elimination block alone."""
-    l2, r2 = l.copy(), r.copy()
-    _eliminate_inplace(l2, r2, [])
-    return l2, r2

@@ -3,7 +3,7 @@ import pytest
 
 from ringleader.core.params import make_params
 from ringleader.core.state import AgentState, Token
-from ringleader.transition import interact_traced
+from ringleader.transition import interact_block, interact_traced
 
 
 @pytest.fixture
@@ -55,4 +55,11 @@ def reference_pair(l: AgentState, r: AgentState, params) -> tuple[AgentState, Ag
     """The reference composition ``interact_traced`` applied to copies."""
     l2, r2 = l.copy(), r.copy()
     interact_traced(l2, r2, params.psi, params.two_psi, params.kappa_max, [])
+    return l2, r2
+
+
+def fused_pair(l: AgentState, r: AgentState, params) -> tuple[AgentState, AgentState]:
+    """The fused fast path ``interact_block`` applied to copies."""
+    l2, r2 = l.copy(), r.copy()
+    interact_block([l2, r2], (0,), (1,), params.psi, params.two_psi, params.kappa_max)
     return l2, r2

@@ -24,9 +24,8 @@ from ringleader.harness import (
     run_orientation_sweep,
     run_token_audit,
 )
-from ringleader.transition import interact_ppl
 
-from conftest import random_state_pairs, reference_pair
+from conftest import fused_pair, random_state_pairs, reference_pair
 
 WORKERS = 2
 
@@ -225,7 +224,7 @@ def test_c8_fused_equals_chained_100k():
         for l, r in random_state_pairs(
             80_000 + n, 25_000, params.psi, params.kappa_max
         ):
-            assert interact_ppl(l, r, params) == reference_pair(l, r, params)
+            assert fused_pair(l, r, params) == reference_pair(l, r, params)
             checked += 1
     assert checked == 100_000
     _report("C8 fused vs reference transition, 100000 random pairs bit-exact")

@@ -13,6 +13,7 @@ from ringleader.analysis import (
     NoTokenError,
     PreconditionError,
     Segment,
+    TokenColor,
     construct_S_PL,
     in_C_DL,
     in_C_PB,
@@ -32,7 +33,6 @@ from ringleader.core.sim import run, step
 from ringleader.core.state import AgentState, Configuration, Token
 from ringleader.core.state import random_configuration
 from ringleader.harness import multi_leader_configuration
-from ringleader.transition import TokenColor
 
 from test_transition import legal_shuttle_states
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -674,6 +675,22 @@ def test_load_bad_field(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "name, blob",
+    [("missing.json", None), (".", None), ("utf16.json", b"\xff\xfe")],
+    ids=["missing", "directory", "not-utf8"],
+)
+@pytest.mark.parametrize("command", [["load"], ["check", "s-pl"]])
+def test_unreadable_snapshot_is_a_format_error(tmp_path, capsys, name, blob, command):
+    path = tmp_path / name
+    if blob is not None:
+        path.write_bytes(blob)
+    with pytest.raises(ConfigFormatError, match=re.escape(str(path))):
+        load_config(path)
+    assert cli_main([*command, str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # --------------------------------------------------------------------------
 # CLI
 # --------------------------------------------------------------------------
@@ -816,6 +833,16 @@ def test_cli_rejects_bad_sizes_and_workers(argv, capsys):
     captured = capsys.readouterr()
     assert f"usage: ringleader {argv[0]}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["dump"], ["sweep", "--n", "8", "--trials", "1"]])
+def test_cli_reports_unwritable_out_path_before_running(tmp_path, monkeypatch, capsys, command):
+    def no_sweep(spec):
+        raise AssertionError("the sweep ran before its output path was checked")
+
+    monkeypatch.setattr(harness, "run_convergence_sweep", no_sweep)
+    assert cli_main([*command, "--out", str(tmp_path / "missing" / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_lets_other_errors_through(monkeypatch):

@@ -9,22 +9,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ringleader
+from ringleader import transition
 from ringleader.core.params import make_params
 from ringleader.core.state import CONSTRUCT, DETECT, AgentState, Token
 from ringleader.transition import (
-    TokenColor,
+    _determine_mode_inplace,
+    _dist_last_inplace,
+    _eliminate_inplace,
     _off_track,
+    _relay_inplace,
     _token_table,
-    create_leader_diststep,
-    determine_mode,
-    eliminate_leaders,
-    interact_ppl,
-    move_token,
 )
 
-from conftest import random_state_pairs, reference_pair
+from conftest import fused_pair, random_state_pairs, reference_pair
 
 P4 = make_params(16)  # psi=4, kappa_max=128
+
+
+def relay(l: AgentState, r: AgentState, color: str) -> None:
+    """Run one color's token block (``"B"`` or ``"W"``) on l and r in place."""
+    if color == "B":
+        l.token_b, r.token_b = _relay_inplace(
+            l, r, l.token_b, r.token_b, 0, P4.psi, P4.two_psi, [], "B"
+        )
+    else:
+        l.token_w, r.token_w = _relay_inplace(
+            l, r, l.token_w, r.token_w, P4.psi, P4.psi, P4.two_psi, [], "W"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -87,62 +99,62 @@ def test_final_turnaround_is_off_track():
 def test_left_signal_absorbs_right():
     l = AgentState(signal_r=5)
     r = AgentState(signal_r=3, hits=2)
-    l2, r2 = determine_mode(l, r, P4)
-    assert (l2.signal_r, r2.signal_r) == (0, 5)
-    assert r2.hits == 0
-    assert (l2.clock, r2.clock) == (0, 0)
+    _determine_mode_inplace(l, r, P4.psi, P4.kappa_max)
+    assert (l.signal_r, r.signal_r) == (0, 5)
+    assert r.hits == 0
+    assert (l.clock, r.clock) == (0, 0)
 
 
 def test_weaker_left_signal_is_absorbed_rightward():
     l = AgentState(signal_r=2)
     r = AgentState(signal_r=9, hits=0)
-    l2, r2 = determine_mode(l, r, P4)
-    assert (l2.signal_r, r2.signal_r) == (0, 9)
-    assert r2.hits == 1  # no absorption by the left: hit counter keeps counting
+    _determine_mode_inplace(l, r, P4.psi, P4.kappa_max)
+    assert (l.signal_r, r.signal_r) == (0, 9)
+    assert r.hits == 1  # no absorption by the left: hit counter keeps counting
 
 
 def test_full_hits_advance_clock_when_no_signal():
     l = AgentState()
     r = AgentState(hits=P4.psi - 1, clock=17)
-    l2, r2 = determine_mode(l, r, P4)
-    assert r2.clock == 18
-    assert r2.hits == 0
-    assert l2.hits == 0
+    _determine_mode_inplace(l, r, P4.psi, P4.kappa_max)
+    assert r.clock == 18
+    assert r.hits == 0
+    assert l.hits == 0
 
 
 def test_clock_is_capped():
     r = AgentState(hits=P4.psi - 1, clock=P4.kappa_max)
-    _, r2 = determine_mode(AgentState(), r, P4)
-    assert r2.clock == P4.kappa_max
-    assert r2.mode == DETECT
+    _determine_mode_inplace(AgentState(), r, P4.psi, P4.kappa_max)
+    assert r.clock == P4.kappa_max
+    assert r.mode == DETECT
 
 
 def test_full_hits_cost_signal_ttl():
     l = AgentState(signal_r=7)
     r = AgentState(signal_r=0, hits=P4.psi - 1)
-    l2, r2 = determine_mode(l, r, P4)
+    _determine_mode_inplace(l, r, P4.psi, P4.kappa_max)
     # no absorption (right had no signal), so the incremented counter fills
-    assert r2.signal_r == 6
-    assert r2.hits == 0
-    assert l2.signal_r == 0
+    assert r.signal_r == 6
+    assert r.hits == 0
+    assert l.signal_r == 0
 
 
 def test_mode_follows_clock_both_agents():
     l = AgentState(clock=P4.kappa_max, mode=CONSTRUCT)
     r = AgentState(clock=0, mode=DETECT)
-    l2, r2 = determine_mode(l, r, P4)
-    assert l2.mode == DETECT and r2.mode == CONSTRUCT
+    _determine_mode_inplace(l, r, P4.psi, P4.kappa_max)
+    assert l.mode == DETECT and r.mode == CONSTRUCT
 
 
 def test_leader_seeds_signal_on_right_neighbor():
     l = AgentState(leader=1)
     r = AgentState()
-    l2, r2 = determine_mode(l, r, P4)
+    _determine_mode_inplace(l, r, P4.psi, P4.kappa_max)
     # the fresh signal cascades one hop in the same interaction
-    assert l2.signal_r == 0
-    assert r2.signal_r in (P4.kappa_max, P4.kappa_max - 1)
-    assert r2.signal_r == P4.kappa_max  # hits could not have filled here
-    assert (l2.clock, r2.clock) == (0, 0)
+    assert l.signal_r == 0
+    assert r.signal_r in (P4.kappa_max, P4.kappa_max - 1)
+    assert r.signal_r == P4.kappa_max  # hits could not have filled here
+    assert (l.clock, r.clock) == (0, 0)
 
 
 # --------------------------------------------------------------------------
@@ -152,55 +164,55 @@ def test_leader_seeds_signal_on_right_neighbor():
 def test_detect_mismatch_creates_shielded_leader():
     l = AgentState(dist=0)
     r = AgentState(dist=5, mode=DETECT, bullet=0, shield=0, signal_b=1)
-    l2, r2 = create_leader_diststep(l, r, P4)
-    assert (r2.leader, r2.bullet, r2.shield, r2.signal_b) == (1, 2, 1, 0)
-    assert r2.dist == 5  # detection mode never rewrites dist
-    assert l2.last == 1  # the new leader is visible to the same statement
+    _dist_last_inplace(l, r, P4.psi, P4.two_psi)
+    assert (r.leader, r.bullet, r.shield, r.signal_b) == (1, 2, 1, 0)
+    assert r.dist == 5  # detection mode never rewrites dist
+    assert l.last == 1  # the new leader is visible to the same statement
 
 
 def test_construct_copies_incremented_dist():
     l = AgentState(dist=3)
     r = AgentState(dist=7, mode=CONSTRUCT)
-    _, r2 = create_leader_diststep(l, r, P4)
-    assert r2.dist == 4
+    _dist_last_inplace(l, r, P4.psi, P4.two_psi)
+    assert r.dist == 4
 
 
 def test_construct_wraps_mod_two_psi():
     l = AgentState(dist=2 * P4.psi - 1)
     r = AgentState(mode=CONSTRUCT, dist=1)
-    _, r2 = create_leader_diststep(l, r, P4)
-    assert r2.dist == 0
+    _dist_last_inplace(l, r, P4.psi, P4.two_psi)
+    assert r.dist == 0
 
 
 def test_detect_match_stays_follower():
     l = AgentState(dist=4)
     r = AgentState(dist=5, mode=DETECT)
-    _, r2 = create_leader_diststep(l, r, P4)
-    assert r2.leader == 0
+    _dist_last_inplace(l, r, P4.psi, P4.two_psi)
+    assert r.leader == 0
 
 
 def test_last_cleared_at_border_responder():
     l = AgentState(dist=P4.psi - 1, last=1)
     r = AgentState(dist=2, mode=CONSTRUCT, last=1)
-    l2, r2 = create_leader_diststep(l, r, P4)
-    assert r2.dist == P4.psi
-    assert l2.last == 0
+    _dist_last_inplace(l, r, P4.psi, P4.two_psi)
+    assert r.dist == P4.psi
+    assert l.last == 0
 
 
 def test_last_copied_from_interior_responder():
     l = AgentState(dist=1, last=0)
     r = AgentState(dist=9, mode=CONSTRUCT, last=1)
-    l2, r2 = create_leader_diststep(l, r, P4)
-    assert r2.dist == 2
-    assert l2.last == 1
+    _dist_last_inplace(l, r, P4.psi, P4.two_psi)
+    assert r.dist == 2
+    assert l.last == 1
 
 
 def test_leader_responder_resets_dist_and_sets_last():
     l = AgentState(dist=6)
     r = AgentState(leader=1, dist=3, mode=CONSTRUCT)
-    l2, r2 = create_leader_diststep(l, r, P4)
-    assert r2.dist == 0
-    assert l2.last == 1
+    _dist_last_inplace(l, r, P4.psi, P4.two_psi)
+    assert r.dist == 0
+    assert l.last == 1
 
 
 # --------------------------------------------------------------------------
@@ -210,99 +222,99 @@ def test_leader_responder_resets_dist_and_sets_last():
 def test_border_generates_and_forwards_token():
     l = AgentState(dist=0, last=0, b=1)
     r = AgentState(dist=1)
-    l2, r2 = move_token(l, r, TokenColor.BLACK, P4)
+    relay(l, r, "B")
     # payload rule: value 1-b, carry b; the fresh token advances immediately
-    assert l2.token_b is None
-    assert r2.token_b == Token(P4.psi - 1, 0, 1)
+    assert l.token_b is None
+    assert r.token_b == Token(P4.psi - 1, 0, 1)
 
 
 def test_no_generation_in_final_segment():
     l = AgentState(dist=0, last=1, b=1)
     r = AgentState(dist=1)
-    l2, r2 = move_token(l, r, TokenColor.BLACK, P4)
-    assert l2.token_b is None and r2.token_b is None
+    relay(l, r, "B")
+    assert l.token_b is None and r.token_b is None
 
 
 def test_white_border_generates_white():
     l = AgentState(dist=P4.psi, last=0, b=0)
     r = AgentState(dist=P4.psi + 1)
-    l2, r2 = move_token(l, r, TokenColor.WHITE, P4)
-    assert r2.token_w == Token(P4.psi - 1, 1, 0)
-    assert l2.token_w is None
+    relay(l, r, "W")
+    assert r.token_w == Token(P4.psi - 1, 1, 0)
+    assert l.token_w is None
 
 
 def test_left_token_dies_against_occupied_right():
     l = AgentState(dist=1, token_b=Token(3, 1, 0))
     r = AgentState(dist=2, token_b=Token(2, 0, 1))
-    l2, r2 = move_token(l, r, TokenColor.BLACK, P4)
-    assert l2.token_b is None
-    assert r2.token_b == Token(2, 0, 1)
+    relay(l, r, "B")
+    assert l.token_b is None
+    assert r.token_b == Token(2, 0, 1)
 
 
 def test_left_token_dies_entering_final_segment():
     l = AgentState(dist=1, token_b=Token(3, 1, 0))
     r = AgentState(dist=2, last=1)
-    l2, r2 = move_token(l, r, TokenColor.BLACK, P4)
-    assert l2.token_b is None and r2.token_b is None
+    relay(l, r, "B")
+    assert l.token_b is None and r.token_b is None
 
 
 def test_arrival_writes_bit_in_construction():
     l = AgentState(dist=P4.psi - 1, token_b=Token(1, 1, 0))
     r = AgentState(dist=P4.psi, b=0, mode=CONSTRUCT)
-    l2, r2 = move_token(l, r, TokenColor.BLACK, P4)
-    assert r2.b == 1
-    assert r2.token_b == Token(1 - P4.psi, 1, 0)
-    assert l2.token_b is None
+    relay(l, r, "B")
+    assert r.b == 1
+    assert r.token_b == Token(1 - P4.psi, 1, 0)
+    assert l.token_b is None
 
 
 def test_arrival_mismatch_in_detection_creates_leader():
     l = AgentState(dist=P4.psi - 1, token_b=Token(1, 0, 1))
     r = AgentState(dist=P4.psi, b=1, mode=DETECT)
-    _, r2 = move_token(l, r, TokenColor.BLACK, P4)
-    assert (r2.leader, r2.bullet, r2.shield, r2.signal_b) == (1, 2, 1, 0)
-    assert r2.b == 1  # detection never writes the bit
-    assert r2.token_b == Token(1 - P4.psi, 0, 1)
+    relay(l, r, "B")
+    assert (r.leader, r.bullet, r.shield, r.signal_b) == (1, 2, 1, 0)
+    assert r.b == 1  # detection never writes the bit
+    assert r.token_b == Token(1 - P4.psi, 0, 1)
 
 
 def test_arrival_match_in_detection_is_quiet():
     l = AgentState(dist=P4.psi - 1, token_b=Token(1, 1, 1))
     r = AgentState(dist=P4.psi, b=1, mode=DETECT)
-    _, r2 = move_token(l, r, TokenColor.BLACK, P4)
-    assert r2.leader == 0
-    assert r2.token_b == Token(1 - P4.psi, 1, 1)
+    relay(l, r, "B")
+    assert r.leader == 0
+    assert r.token_b == Token(1 - P4.psi, 1, 1)
 
 
 def test_rightward_move_decrements_offset():
     l = AgentState(dist=2, token_b=Token(3, 1, 1))
     r = AgentState(dist=3)
-    l2, r2 = move_token(l, r, TokenColor.BLACK, P4)
-    assert l2.token_b is None
-    assert r2.token_b == Token(2, 1, 1)
+    relay(l, r, "B")
+    assert l.token_b is None
+    assert r.token_b == Token(2, 1, 1)
 
 
 def test_rearm_with_carry_set():
     l = AgentState(dist=1, b=0)
     r = AgentState(dist=2, token_b=Token(-1, 0, 1))
-    l2, r2 = move_token(l, r, TokenColor.BLACK, P4)
-    assert l2.token_b == Token(P4.psi, 1, 0)
-    assert r2.token_b is None
+    relay(l, r, "B")
+    assert l.token_b == Token(P4.psi, 1, 0)
+    assert r.token_b is None
 
 
 def test_rearm_with_carry_clear():
     l = AgentState(dist=1, b=1)
     r = AgentState(dist=2, token_b=Token(-1, 0, 0))
-    l2, r2 = move_token(l, r, TokenColor.BLACK, P4)
-    assert l2.token_b == Token(P4.psi, 1, 0)
-    assert r2.token_b is None
+    relay(l, r, "B")
+    assert l.token_b == Token(P4.psi, 1, 0)
+    assert r.token_b is None
 
 
 def test_leftward_move_keeps_payload():
     # the moving token's own bits ride along with it
     l = AgentState(dist=2)
     r = AgentState(dist=3, token_b=Token(-2, 1, 0))
-    l2, r2 = move_token(l, r, TokenColor.BLACK, P4)
-    assert l2.token_b == Token(-1, 1, 0)
-    assert r2.token_b is None
+    relay(l, r, "B")
+    assert l.token_b == Token(-1, 1, 0)
+    assert r.token_b is None
 
 
 @pytest.mark.parametrize("psi", range(2, 10))
@@ -320,16 +332,16 @@ def test_sweep_deletes_off_track_rightward_token():
     # off its trajectory and gets swept after the move
     l = AgentState(dist=2 * P4.psi - 1, token_b=Token(2, 0, 0))
     r = AgentState(dist=0)
-    l2, r2 = move_token(l, r, TokenColor.BLACK, P4)
-    assert l2.token_b is None and r2.token_b is None
+    relay(l, r, "B")
+    assert l.token_b is None and r.token_b is None
 
 
 def test_sweep_deletes_off_track_leftward_token():
     # a leftward token targeting its home border exactly is off-track
     l = AgentState(dist=1)
     r = AgentState(dist=2, token_b=Token(-2, 1, 1))
-    l2, r2 = move_token(l, r, TokenColor.BLACK, P4)
-    assert l2.token_b is None and r2.token_b is None
+    relay(l, r, "B")
+    assert l.token_b is None and r.token_b is None
 
 
 def test_branch_chain_runs_before_sweep():
@@ -337,25 +349,25 @@ def test_branch_chain_runs_before_sweep():
     # removes its turn-around remnant
     l = AgentState(dist=2 * P4.psi - 1, token_b=Token(1, 0, 0))
     r = AgentState(dist=0, mode=CONSTRUCT, b=1)
-    l2, r2 = move_token(l, r, TokenColor.BLACK, P4)
-    assert r2.b == 0
-    assert l2.token_b is None and r2.token_b is None
+    relay(l, r, "B")
+    assert r.b == 0
+    assert l.token_b is None and r.token_b is None
 
 
 def test_on_track_midleg_token_survives():
     # position 2 offset 3 is round 1's rightward leg: it must not be swept
     l = AgentState(dist=2, token_b=Token(3, 1, 0))
     r = AgentState(dist=3)
-    l2, r2 = move_token(l, r, TokenColor.BLACK, P4)
-    assert r2.token_b == Token(2, 1, 0)
+    relay(l, r, "B")
+    assert r.token_b == Token(2, 1, 0)
 
 
 def test_white_relay_ignores_black_slots():
     l = AgentState(dist=0, last=0, b=1, token_w=Token(2, 1, 1))
     r = AgentState(dist=1, token_b=Token(3, 0, 0))
-    l2, r2 = move_token(l, r, TokenColor.WHITE, P4)
-    assert r2.token_b == Token(3, 0, 0)  # untouched by the white pass
-    assert l2.token_b is None  # black slot at l untouched (was empty)
+    relay(l, r, "W")
+    assert r.token_b == Token(3, 0, 0)  # untouched by the white pass
+    assert l.token_b is None  # black slot at l untouched (was empty)
 
 
 # --------------------------------------------------------------------------
@@ -365,81 +377,81 @@ def test_white_relay_ignores_black_slots():
 def test_live_bullet_kills_unshielded_leader():
     l = AgentState(bullet=2)
     r = AgentState(leader=1, shield=0)
-    l2, r2 = eliminate_leaders(l, r)
-    assert r2.leader == 0
-    assert l2.bullet == 0
+    _eliminate_inplace(l, r, [])
+    assert r.leader == 0
+    assert l.bullet == 0
 
 
 def test_live_bullet_stopped_by_shield():
     l = AgentState(bullet=2)
     r = AgentState(leader=1, shield=1)
-    l2, r2 = eliminate_leaders(l, r)
-    assert r2.leader == 1
-    assert l2.bullet == 0
+    _eliminate_inplace(l, r, [])
+    assert r.leader == 1
+    assert l.bullet == 0
 
 
 def test_dummy_bullet_never_kills():
     l = AgentState(bullet=1)
     r = AgentState(leader=1, shield=0)
-    l2, r2 = eliminate_leaders(l, r)
-    assert r2.leader == 1
-    assert l2.bullet == 0
+    _eliminate_inplace(l, r, [])
+    assert r.leader == 1
+    assert l.bullet == 0
 
 
 def test_moving_bullet_blocked_by_existing_bullet():
     l = AgentState(bullet=1)
     r = AgentState(leader=0, bullet=2, signal_b=1)
-    l2, r2 = eliminate_leaders(l, r)
-    assert r2.bullet == 2
-    assert l2.bullet == 0
-    assert r2.signal_b == 0
+    _eliminate_inplace(l, r, [])
+    assert r.bullet == 2
+    assert l.bullet == 0
+    assert r.signal_b == 0
 
 
 def test_bullet_advances_onto_empty_follower():
     l = AgentState(bullet=2)
     r = AgentState(leader=0, bullet=0, signal_b=1)
-    l2, r2 = eliminate_leaders(l, r)
-    assert (l2.bullet, r2.bullet) == (0, 2)
-    assert r2.signal_b == 0
+    _eliminate_inplace(l, r, [])
+    assert (l.bullet, r.bullet) == (0, 2)
+    assert r.signal_b == 0
 
 
 def test_leader_seeds_bullet_absence_signal():
     l = AgentState()
     r = AgentState(leader=1)
-    l2, _ = eliminate_leaders(l, r)
-    assert l2.signal_b == 1
+    _eliminate_inplace(l, r, [])
+    assert l.signal_b == 1
 
 
 def test_signal_spreads_leftward():
     l = AgentState(signal_b=0)
     r = AgentState(signal_b=1)
-    l2, r2 = eliminate_leaders(l, r)
-    assert l2.signal_b == 1
-    assert r2.signal_b == 1  # the signal copies left; the right keeps its own
+    _eliminate_inplace(l, r, [])
+    assert l.signal_b == 1
+    assert r.signal_b == 1  # the signal copies left; the right keeps its own
 
 
 def test_initiator_leader_fires_live_and_shields():
     l = AgentState(leader=1, signal_b=1, shield=0)
     r = AgentState()
-    l2, r2 = eliminate_leaders(l, r)
+    _eliminate_inplace(l, r, [])
     # fired live, shield up, signal consumed; the bullet moved onto r
-    assert (l2.shield, l2.signal_b) == (1, 0)
-    assert l2.bullet == 0 and r2.bullet == 2
+    assert (l.shield, l.signal_b) == (1, 0)
+    assert l.bullet == 0 and r.bullet == 2
 
 
 def test_responder_leader_fires_dummy_and_unshields():
     l = AgentState()
     r = AgentState(leader=1, signal_b=1, shield=1)
-    l2, r2 = eliminate_leaders(l, r)
-    assert (r2.bullet, r2.shield, r2.signal_b) == (1, 0, 0)
-    assert l2.signal_b == 1  # the leader reseeds its absence signal at l
+    _eliminate_inplace(l, r, [])
+    assert (r.bullet, r.shield, r.signal_b) == (1, 0, 0)
+    assert l.signal_b == 1  # the leader reseeds its absence signal at l
 
 
 def test_dummy_fire_opens_leader_to_incoming_live_bullet():
     l = AgentState(bullet=2)
     r = AgentState(leader=1, signal_b=1, shield=1)
-    _, r2 = eliminate_leaders(l, r)
-    assert r2.leader == 0  # unshielded by its own dummy fire, then hit
+    _eliminate_inplace(l, r, [])
+    assert r.leader == 0  # unshielded by its own dummy fire, then hit
 
 
 # --------------------------------------------------------------------------
@@ -449,7 +461,7 @@ def test_dummy_fire_opens_leader_to_incoming_live_bullet():
 def test_leader_initiator_signal_end_state():
     l = AgentState(leader=1)
     r = AgentState()
-    l2, r2 = interact_ppl(l, r, P4)
+    l2, r2 = fused_pair(l, r, P4)
     assert l2.signal_r == 0
     assert r2.signal_r == P4.kappa_max
 
@@ -457,28 +469,21 @@ def test_leader_initiator_signal_end_state():
 def test_construct_responder_takes_incremented_dist():
     l = AgentState(dist=3)
     r = AgentState(leader=0, mode=CONSTRUCT)
-    _, r2 = interact_ppl(l, r, P4)
+    _, r2 = fused_pair(l, r, P4)
     assert r2.dist == 4
 
 
 def test_leader_responder_marks_last():
     l = AgentState(dist=2)
     r = AgentState(leader=1)
-    l2, _ = interact_ppl(l, r, P4)
+    l2, _ = fused_pair(l, r, P4)
     assert l2.last == 1
-
-
-def test_purity_inputs_untouched():
-    for l, r in random_state_pairs(7, 200, P4.psi, P4.kappa_max):
-        l_snap, r_snap = l.copy(), r.copy()
-        interact_ppl(l, r, P4)
-        assert l == l_snap and r == r_snap
 
 
 def test_initiator_never_gains_leadership():
     for l, r in random_state_pairs(11, 5000, P4.psi, P4.kappa_max):
         was = l.leader
-        l2, _ = interact_ppl(l, r, P4)
+        l2, _ = fused_pair(l, r, P4)
         if was == 0:
             assert l2.leader == 0
 
@@ -499,8 +504,9 @@ def test_leader_creation_requires_detection_mode():
     # if the responder ends mode determination constructing, no creation path
     created = 0
     for l, r in _pairs_reaching_detection(13, 20_000):
-        _, r_dm = determine_mode(l, r, P4)
-        l2, r2 = interact_ppl(l, r, P4)
+        l_dm, r_dm = l.copy(), r.copy()
+        _determine_mode_inplace(l_dm, r_dm, P4.psi, P4.kappa_max)
+        l2, r2 = fused_pair(l, r, P4)
         if r.leader == 0 and r2.leader == 1:
             created += 1
             assert r_dm.mode == DETECT
@@ -510,7 +516,7 @@ def test_leader_creation_requires_detection_mode():
 def test_new_leader_is_shielded_with_live_bullet():
     seen = 0
     for l, r in _pairs_reaching_detection(17, 20_000):
-        l2, r2 = interact_ppl(l, r, P4)
+        l2, r2 = fused_pair(l, r, P4)
         if r.leader == 0 and r2.leader == 1:
             seen += 1
             assert (r2.bullet, r2.shield, r2.signal_b) == (2, 1, 0)
@@ -520,7 +526,7 @@ def test_new_leader_is_shielded_with_live_bullet():
 def test_bullets_increase_only_by_firing_or_creation():
     for l, r in random_state_pairs(19, 20_000, P4.psi, P4.kappa_max):
         before = (l.bullet > 0) + (r.bullet > 0)
-        l2, r2 = interact_ppl(l, r, P4)
+        l2, r2 = fused_pair(l, r, P4)
         after = (l2.bullet > 0) + (r2.bullet > 0)
         if after > before:
             fired_l = l.leader == 1 and l.signal_b == 1
@@ -531,19 +537,19 @@ def test_bullets_increase_only_by_firing_or_creation():
 
 def test_fused_equals_chained_sample():
     for l, r in random_state_pairs(23, 20_000, P4.psi, P4.kappa_max):
-        assert interact_ppl(l, r, P4) == reference_pair(l, r, P4)
+        assert fused_pair(l, r, P4) == reference_pair(l, r, P4)
 
 
 @pytest.mark.parametrize("n", [2, 5, 100])
 def test_fused_equals_chained_other_sizes(n):
     p = make_params(n)
     for l, r in random_state_pairs(29 + n, 3000, p.psi, p.kappa_max):
-        assert interact_ppl(l, r, p) == reference_pair(l, r, p)
+        assert fused_pair(l, r, p) == reference_pair(l, r, p)
 
 
 def test_range_preservation_bulk():
     for l, r in random_state_pairs(31, 20_000, P4.psi, P4.kappa_max):
-        l2, r2 = interact_ppl(l, r, P4)
+        l2, r2 = fused_pair(l, r, P4)
         l2.validate(P4)
         r2.validate(P4)
 
@@ -552,7 +558,7 @@ def test_mode_matches_clock_after_any_interaction():
     # adversarial starts may decouple mode from clock; one interaction
     # repairs it on both participants
     for l, r in random_state_pairs(41, 20_000, P4.psi, P4.kappa_max):
-        for a in interact_ppl(l, r, P4):
+        for a in fused_pair(l, r, P4):
             assert a.mode == (DETECT if a.clock == P4.kappa_max else CONSTRUCT)
 
 
@@ -588,7 +594,7 @@ def agent_states(draw, psi=4, kappa_max=128):
 @settings(max_examples=300, deadline=None)
 @given(agent_states(), agent_states())
 def test_range_preservation_property(l, r):
-    l2, r2 = interact_ppl(l, r, P4)
+    l2, r2 = fused_pair(l, r, P4)
     l2.validate(P4)
     r2.validate(P4)
 
@@ -596,7 +602,7 @@ def test_range_preservation_property(l, r):
 @settings(max_examples=300, deadline=None)
 @given(agent_states(), agent_states())
 def test_fused_equals_chained_property(l, r):
-    assert interact_ppl(l, r, P4) == reference_pair(l, r, P4)
+    assert fused_pair(l, r, P4) == reference_pair(l, r, P4)
 
 
 def test_valid_tokens_with_consistent_dists_stay_valid():
@@ -638,11 +644,30 @@ def test_valid_tokens_with_consistent_dists_stay_valid():
             token_b=sample_token(rd, 0),
             token_w=sample_token(rd, psi),
         )
-        for color, d in ((TokenColor.BLACK, 0), (TokenColor.WHITE, psi)):
-            l2, r2 = move_token(l, r, color, P4)
+        for color, d in (("B", 0), ("W", psi)):
+            l2, r2 = l.copy(), r.copy()
+            relay(l2, r2, color)
             for holder in (l2, r2):
-                tok = holder.token_b if color is TokenColor.BLACK else holder.token_w
+                tok = holder.token_b if color == "B" else holder.token_w
                 if tok is not None:
                     checked += 1
                     assert not _off_track(holder.dist, tok.offset, d, two_psi, psi)
     assert checked > 10_000
+
+
+# --------------------------------------------------------------------------
+# public surface
+# --------------------------------------------------------------------------
+
+def test_transition_exports_one_reference_and_one_fast_path():
+    public = {
+        name
+        for name, obj in vars(transition).items()
+        if not name.startswith("_")
+        and callable(obj)
+        and getattr(obj, "__module__", None) == transition.__name__
+    }
+    assert public == {"interact_traced", "interact_block"}
+    deleted = ("interact_ppl", "determine_mode", "create_leader_diststep",
+               "move_token", "eliminate_leaders")
+    assert [name for name in deleted if hasattr(ringleader, name)] == []
