@@ -13,16 +13,16 @@ position 0; they are rotation-invariant by construction.
 ``in_S_PL`` reads the b bits of the full segments as one word.  Its low psi
 bits are the starting ID x0, and the ID chain holds exactly when the word
 equals the chain word for x0, built for the x0 a call meets and kept in a
-small cache.  The tokens are then checked against a table per (parameters,
+small cache.  The tokens are then checked against a table for (parameters,
 x0): for each color and each distance from the leader, the set of correct
-tokens plus ``None``, so one set lookup per agent decides validity, working
-pair and payload at once.  ``token_is_correct`` applies the same rule
-(``_correct_token``) to its one token and builds no table.  The tables sit in
-a least-recently-used cache of at most 128 agent positions in all, about
-1.4 KB each: one table at n = 128, four at n = 32.  Nothing here is built
-for each of the 2**psi possible IDs.  A cached word or table depends only on
-the parameters and x0, never on a configuration, so a configuration changed
-in place is judged afresh.
+tokens plus ``None``, so one set lookup per agent decides legality,
+validity, working pair and payload at once.  ``token_is_correct`` applies
+the same rule (``_correct_token``) to its one token and builds no table.
+Only the latest table is kept: a run checks one starting ID for its whole
+length, so a second table would only serve a re-run of the same seeds.
+Nothing here is built for each of the 2**psi possible IDs.  A cached word or
+table depends only on the parameters and x0, never on a configuration, so a
+configuration changed in place is judged afresh.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core.params import ProtocolParams, require_count, require_index, require_member
-from .core.state import CONSTRUCT, AgentState, Configuration, Token
+from .core.state import CONSTRUCT, AgentState, Configuration, Token, legal_tokens
 from .transition import _off_track, _token_table
 
 
@@ -180,7 +180,9 @@ def _color_d(which: TokenColor, psi: int) -> int:
 
 
 def token_is_valid(config: Configuration, i: int, which: TokenColor) -> bool:
-    """True iff the token at agent i is still on its shuttle trajectory.
+    """True iff the token at agent i is legal (see
+    :func:`~ringleader.core.state.legal_tokens`) and still on its shuttle
+    trajectory.
 
     Raises InvalidSizeError for a ``which`` that is not a
     :class:`TokenColor`.
@@ -191,7 +193,7 @@ def token_is_valid(config: Configuration, i: int, which: TokenColor) -> bool:
     if token is None:
         raise NoTokenError(f"agent {i} holds no {which.value} token")
     p = config.params
-    return not _off_track(
+    return token in legal_tokens(p.psi) and not _off_track(
         agent.dist, token.offset, _color_d(which, p.psi), p.two_psi, p.psi
     )
 
@@ -279,25 +281,27 @@ def _targets(p: ProtocolParams, d: int) -> list[dict[int, tuple[int, int]]]:
     ``d`` is the color's home border (0 black, psi white).  For a token held
     ``k`` agents right of the leader, ``table[k][offset]`` is ``(seg, x)``:
     its home segment S_seg and the index x of the ID bit it carries.  The
-    offset is missing when the token is invalid, anchored outside
-    S_0 .. S_{zeta-2}, or targeting past the ring's end.
+    offset is missing when it is not a legal token's, or the token is
+    invalid, anchored outside S_0 .. S_{zeta-2}, or targeting past the
+    ring's end.
     """
     n, psi, two_psi = p.n, p.psi, p.two_psi
+    offsets = {token.offset for token in legal_tokens(psi)}
     table = []
     for k in range(n):
         row: dict[int, tuple[int, int]] = {}
         rel = (k + d) % two_psi  # position within the two-segment window
         anchor = k - rel  # home border, a multiple of psi
         if 0 <= anchor <= psi * (p.zeta - 2):
-            # every offset that can land in the window, legal or not, so
-            # that a token outside the declared range is judged as well
-            for offset in range(1, two_psi):  # rightward: target in the next segment
+            for offset in offsets:
                 window = rel + offset
-                if psi <= window < two_psi and anchor + window < n:
+                if anchor + window >= n:
+                    continue
+                # rightward tokens target the next segment, leftward ones
+                # the interior of the home segment
+                if offset > 0 and psi <= window < two_psi:
                     row[offset] = (anchor // psi, window - psi)
-            for offset in range(2 - two_psi, 0):  # leftward: target in the home segment
-                window = rel + offset
-                if 1 <= window < psi and anchor + window < n:
+                elif offset < 0 and 1 <= window < psi:
                     row[offset] = (anchor // psi, window - 1)
         table.append(row)
     return table
@@ -326,28 +330,18 @@ def _chain_word(psi: int, full: int, x0: int) -> int:
 def _correct_token(psi: int, sid: int, x: int, offset: int) -> Token:
     """The token with ``offset`` whose payload is correct for ID bit ``x``
     of a home segment with ID ``sid``: ``value`` is bit x of sid plus one
-    and ``carry`` the carry into bit x + 1.  Legal tokens are
-    ``_token_table``'s objects."""
+    and ``carry`` the carry into bit x + 1.  ``offset`` is a legal token's,
+    and the token returned is ``_token_table``'s object."""
     # the +1 addition flips ID bits 0..j, where j is the lowest zero bit
     j = (~sid & (sid + 1)).bit_length() - 1
     value, carry = ((sid >> x) & 1) ^ (x <= j), int(x < j)
-    if -psi < offset <= psi:
-        return _token_table(psi)[4 * offset + 2 * value + carry]
-    return Token(offset, value, carry)  # outside the declared range, judged all the same
+    return _token_table(psi)[4 * offset + 2 * value + carry]
 
 
-# The per-starting-ID token tables are kept for at most this many agent
-# positions in all, least recently used first out.  A table costs about
-# 1.4 KB per position (two sets of about ten tokens), so the cache stays
-# under 200 KB: one table at n = 128, four at n = 32, which covers a closure
-# suite's trials checked in turn.  A ring larger than this keeps one table.
-# A functools.lru_cache of four tables kept four at n = 128 as well and
-# raised the converge benchmark's peak RSS by about 1 MB.
-_TABLE_POSITIONS = 128
 _TokenSets = tuple[frozenset[Token | None], ...]
-_tables: dict[tuple[int, int, int], tuple[_TokenSets, _TokenSets]] = {}  # (n, psi, x0)
 
 
+@functools.lru_cache(maxsize=1)
 def _allowed(p: ProtocolParams, x0: int) -> tuple[_TokenSets, _TokenSets]:
     """The correct tokens by distance from the leader, black then white, in
     a ``C_DL`` ring whose full segments carry the +1 chain from ID ``x0``.
@@ -355,23 +349,9 @@ def _allowed(p: ProtocolParams, x0: int) -> tuple[_TokenSets, _TokenSets]:
     ``table[k]`` holds ``None`` and, for each offset in the color's
     :func:`_targets` row k, the one token with that offset whose carry and
     value bits are correct for its home segment's ID: a token at distance k
-    is valid, working and correct exactly when it is in ``table[k]``.
-    Cached within ``_TABLE_POSITIONS``.
+    is legal, valid, working and correct exactly when it is in
+    ``table[k]``.  Equal sets are one object.
     """
-    key = (p.n, p.psi, x0)  # all a table depends on; cheaper to hash than p
-    tables = _tables.pop(key, None)
-    if tables is None:
-        # make room first, so that an evicted table's memory is reused
-        while _tables and sum(n for n, _, _ in _tables) + p.n > _TABLE_POSITIONS:
-            del _tables[next(iter(_tables))]
-        tables = _correct_tokens(p, x0)
-    _tables[key] = tables  # most recently used last
-    return tables
-
-
-def _correct_tokens(p: ProtocolParams, x0: int) -> tuple[_TokenSets, _TokenSets]:
-    """Build :func:`_allowed`'s table.  Legal tokens are ``_token_table``'s
-    objects, and equal tokens and equal sets are one object."""
     psi = p.psi
     mask = (1 << psi) - 1
     interned: dict = {}
@@ -379,8 +359,7 @@ def _correct_tokens(p: ProtocolParams, x0: int) -> tuple[_TokenSets, _TokenSets]
     def correct(row: dict[int, tuple[int, int]]) -> frozenset[Token | None]:
         allowed: set[Token | None] = {None}
         for offset, (seg, x) in row.items():
-            token = _correct_token(psi, (x0 + seg) & mask, x, offset)
-            allowed.add(interned.setdefault(token, token))
+            allowed.add(_correct_token(psi, (x0 + seg) & mask, x, offset))
         frozen = frozenset(allowed)
         return interned.setdefault(frozen, frozen)
 

@@ -10,6 +10,7 @@ place; every public operation that promises purity copies first.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -30,14 +31,29 @@ class Token(NamedTuple):
     """A segment-ID relay token: signed target offset plus two payload bits.
 
     ``offset`` is the relative index of the agent the token is moving toward
-    (positive = rightward, negative = leftward, never 0 and never ``-psi``).
-    ``value_bit`` is the ID bit being carried to the target; ``carry_bit`` is
-    the running carry of the +1 addition.
+    (positive = rightward, negative = leftward).  ``value_bit`` is the ID bit
+    being carried to the target; ``carry_bit`` is the running carry of the +1
+    addition.  The legal tokens for a given psi are :func:`legal_tokens`.
     """
 
     offset: int
     value_bit: int
     carry_bit: int
+
+
+@functools.cache
+def legal_tokens(psi: int) -> tuple[Token, ...]:
+    """Every legal token for ``psi``, each once: offsets ``1-psi .. -1`` then
+    ``1 .. psi``, each with (value, carry) 00, 01, 10, 11.
+
+    The one list of legal tokens: validation, the random draw, the
+    transition and the safe-set predicate all take it from here.
+    """
+    return tuple(
+        Token(offset, payload >> 1, payload & 1)
+        for offset in (*range(1 - psi, 0), *range(1, psi + 1))
+        for payload in range(4)
+    )
 
 
 @dataclass(slots=True)
@@ -113,15 +129,14 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
 def _check_token(name: str, token: Token | None, psi: int) -> None:
     if token is None:
         return
-    if type(token) is not Token:  # the transition reads its fields by name
-        raise ValueError(f"{name}: {token!r} is not a Token")
-    off, val, car = token
-    if type(off) is not int or off == 0 or off < -psi + 1 or off > psi:
-        raise ValueError(
-            f"{name}: offset {off} outside [-psi+1,-1] U [1,psi] for psi={psi}"
-        )
-    _check_bit(f"{name}.value_bit", val)
-    _check_bit(f"{name}.carry_bit", car)
+    # the transition reads a token's fields by name, so a plain tuple of the
+    # same ints is not a token; as in every field, a bool or float is no int
+    if (
+        type(token) is not Token
+        or any(type(field) is not int for field in token)
+        or token not in legal_tokens(psi)
+    ):
+        raise ValueError(f"{name}: {token!r} is not a legal token for psi={psi}")
 
 
 class Configuration:
@@ -257,21 +272,14 @@ def random_configuration(params: ProtocolParams, seed: int) -> Configuration:
     require_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     n, psi, kmax = params.n, params.psi, params.kappa_max
-    token_choices = 1 + (2 * psi - 1) * 4  # bottom + offsets x value x carry
+    tokens = (None, *legal_tokens(psi))
     # one exclusive bound per field, in AgentState's field order
-    highs = [2, 2, 2 * psi, 2, token_choices, token_choices, 2,
+    highs = [2, 2, 2 * psi, 2, len(tokens), len(tokens), 2,
              kmax + 1, psi + 1, kmax + 1, 3, 2, 2]
-
-    def token(pick: int) -> Token | None:
-        if pick == 0:
-            return None
-        idx, payload = divmod(pick - 1, 4)
-        offset = idx - (psi - 1) if idx < psi - 1 else idx - psi + 2
-        return Token(offset, payload >> 1, payload & 1)
 
     # one draw for the whole ring, agent by agent and field by field
     agents = []
     for row in rng.integers(0, highs * n).reshape(n, len(highs)).tolist():
-        row[4:6] = token(row[4]), token(row[5])
+        row[4:6] = tokens[row[4]], tokens[row[5]]
         agents.append(AgentState(*row))
     return Configuration(params, agents)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -567,39 +567,16 @@ def run_peaceful_audit(
 # CSV / snapshot I/O (csv and json load on first use, not with the package)
 # --------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "protocol",
-    "n",
-    "psi",
-    "kappa_max",
-    "seed",
-    "steps",
-    "converged",
-    "final_leader_count",
-    "violations",
-)
-
-
 def export_csv(records: list[TrialRecord], path: str | Path) -> None:
+    """One header row of ``TrialRecord``'s field names, then one row per
+    record: ``None`` is a blank cell and a bool is 0 or 1."""
     import csv
 
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        writer = csv.writer(fh)  # writes None as the empty string
+        writer.writerow(f.name for f in fields(TrialRecord))
         for r in records:
-            writer.writerow(
-                [
-                    r.protocol,
-                    r.n,
-                    "" if r.psi is None else r.psi,
-                    "" if r.kappa_max is None else r.kappa_max,
-                    r.seed,
-                    r.steps,
-                    int(r.converged),
-                    "" if r.final_leader_count is None else r.final_leader_count,
-                    r.violations,
-                ]
-            )
+            writer.writerow(int(v) if type(v) is bool else v for v in astuple(r))
 
 
 class ConfigFormatError(ValueError):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Sequence
 
-from .core.state import CONSTRUCT, DETECT, AgentState, Token
+from .core.state import CONSTRUCT, DETECT, AgentState, Token, legal_tokens
 
 
 # --------------------------------------------------------------------------
@@ -121,17 +121,16 @@ def _off_track(dist: int, offset: int, d: int, two_psi: int, psi: int) -> bool:
 
 @functools.cache
 def _token_table(psi: int) -> list[Token | None]:
-    """Every legal token for ``psi``, built once and shared by all moves.
+    """The tokens of :func:`legal_tokens`, indexed for the moves.
 
     ``table[4*offset + 2*value_bit + carry_bit]`` is
     ``Token(offset, value_bit, carry_bit)``.  Negative offsets index from the
     end; at length ``8*psi`` the two offset ranges do not overlap.
     """
     table: list[Token | None] = [None] * (8 * psi)
-    for offset in (*range(1 - psi, 0), *range(1, psi + 1)):
-        for value in (0, 1):
-            for carry in (0, 1):
-                table[4 * offset + 2 * value + carry] = Token(offset, value, carry)
+    for token in legal_tokens(psi):
+        offset, value, carry = token
+        table[4 * offset + 2 * value + carry] = token
     return table
 
 

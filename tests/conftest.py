@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ringleader.core.params import make_params
-from ringleader.core.state import AgentState, Token
+from ringleader.core.state import AgentState, legal_tokens
 from ringleader.transition import interact_block, interact_traced
 
 
@@ -18,15 +18,10 @@ def params8():
 
 def random_agent(rng: np.random.Generator, psi: int, kappa_max: int) -> AgentState:
     """One agent with every field drawn uniformly from its declared range."""
+    tokens = (None, *legal_tokens(psi))
 
     def token():
-        pick = int(rng.integers(0, 1 + (2 * psi - 1) * 4))
-        if pick == 0:
-            return None
-        pick -= 1
-        idx, payload = divmod(pick, 4)
-        offset = idx - (psi - 1) if idx < psi - 1 else idx - psi + 2
-        return Token(offset, payload >> 1, payload & 1)
+        return tokens[int(rng.integers(0, len(tokens)))]
 
     return AgentState(
         leader=int(rng.integers(0, 2)),

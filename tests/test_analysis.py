@@ -30,7 +30,7 @@ from ringleader.analysis import (
 from ringleader.core.params import InvalidSizeError, ProtocolParams, make_params
 from ringleader.core.scheduler import SchedulerStream
 from ringleader.core.sim import run, step
-from ringleader.core.state import AgentState, Configuration, Token
+from ringleader.core.state import AgentState, Configuration, Token, legal_tokens
 from ringleader.core.state import random_configuration
 from ringleader.harness import multi_leader_configuration
 
@@ -359,6 +359,49 @@ def test_correctness_rejects_token_without_working_pair():
         token_is_correct(work, 13, TokenColor.WHITE)
 
 
+def _out_of_range_frame():
+    """A safe frame whose leader holds the black token ``Token(5, 0, 1)``:
+    offset psi + 1, which no legal token has."""
+    cfg = construct_S_PL(P16, 1).copy()
+    cfg.agents[0].token_b = Token(P16.psi + 1, 0, 1)
+    with pytest.raises(ValueError, match=r"agents\[0\]\.token_b"):
+        cfg.validate()
+    return cfg
+
+
+def test_out_of_range_token_is_not_valid():
+    assert not token_is_valid(_out_of_range_frame(), 0, TokenColor.BLACK)
+
+
+def test_out_of_range_token_is_not_correct():
+    with pytest.raises(PreconditionError):
+        token_is_correct(_out_of_range_frame(), 0, TokenColor.BLACK)
+
+
+def test_out_of_range_token_is_not_safe():
+    assert not in_S_PL(_out_of_range_frame())
+
+
+def test_no_single_out_of_range_token_is_safe():
+    # every offset in [-2psi, 2psi] outside the legal range, at every
+    # position, in either slot, with every payload
+    base = construct_S_PL(P16, 1)
+    assert in_S_PL(base)
+    psi = P16.psi
+    legal = {t.offset for t in legal_tokens(psi)}
+    safe = []
+    for offset in set(range(-2 * psi, 2 * psi + 1)) - legal:
+        for i in range(P16.n):
+            for slot in ("token_b", "token_w"):
+                for value in (0, 1):
+                    for carry in (0, 1):
+                        work = base.copy()
+                        setattr(work.agents[i], slot, Token(offset, value, carry))
+                        if in_S_PL(work):
+                            safe.append((i, slot, offset, value, carry))
+    assert safe == []
+
+
 # --------------------------------------------------------------------------
 # peaceful bullets
 # --------------------------------------------------------------------------
@@ -563,7 +606,7 @@ def test_s_pl_interleaved_frames_match_fresh_calls():
             configs.append((work, False))
     order = configs[::2] + configs[1::2]  # alternate sizes and frames
     for cfg, want in order:
-        analysis._tables.clear()
+        analysis._allowed.cache_clear()
         assert in_S_PL(cfg) == want
     for _ in range(3):
         for cfg, want in order:
@@ -637,10 +680,7 @@ def _mutate_one_field(cfg, rng):
     elif field == "bullet":
         agent.bullet = (agent.bullet + int(rng.integers(1, 3))) % 3
     elif field == "token":
-        offsets = [o for o in range(1 - p.psi, p.psi + 1) if o != 0]
-        tokens = [None] + [
-            Token(o, v, c) for o in offsets for v in (0, 1) for c in (0, 1)
-        ]
+        tokens = (None, *legal_tokens(p.psi))
         token = tokens[int(rng.integers(0, len(tokens)))]
         setattr(agent, "token_b" if rng.integers(0, 2) else "token_w", token)
     else:

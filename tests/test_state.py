@@ -13,6 +13,7 @@ from ringleader.core.state import (
     AgentState,
     Configuration,
     Token,
+    legal_tokens,
     random_configuration,
 )
 
@@ -179,6 +180,29 @@ def test_validate_requires_plain_ints(params8, field, value):
     setattr(cfg.agents[4], field, value)
     with pytest.raises(ValueError, match=rf"agents\[4\]\.{field}"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("psi", [2, 3, 4, 5])
+def test_validate_accepts_exactly_the_legal_tokens(psi):
+    params = make_params(1 << psi)
+    assert params.psi == psi
+    legal = set(legal_tokens(psi))
+    assert len(legal) == 4 * (2 * psi - 1)
+    cfg = Configuration(params, [AgentState() for _ in range(params.n)])
+    for offset in range(-2 * psi, 2 * psi + 1):
+        for value in (0, 1):
+            for carry in (0, 1):
+                token = Token(offset, value, carry)
+                for slot in ("token_b", "token_w"):
+                    setattr(cfg.agents[1], slot, token)
+                    try:
+                        cfg.validate()
+                        accepted = True
+                    except ValueError as exc:
+                        assert f"agents[1].{slot}" in str(exc)
+                        accepted = False
+                    setattr(cfg.agents[1], slot, None)
+                    assert accepted == (token in legal), (slot, token)
 
 
 def test_token_field_distribution(params8):

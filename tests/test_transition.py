@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ringleader
 from ringleader import transition
 from ringleader.core.params import make_params
-from ringleader.core.state import CONSTRUCT, DETECT, AgentState, Token
+from ringleader.core.state import CONSTRUCT, DETECT, AgentState, Token, legal_tokens
 from ringleader.transition import (
     _determine_mode_inplace,
     _dist_last_inplace,
@@ -321,6 +321,7 @@ def test_leftward_move_keeps_payload():
 def test_token_table_holds_every_legal_token_once(psi):
     offsets = [*range(1 - psi, 0), *range(1, psi + 1)]
     legal = [Token(o, v, c) for o in offsets for v in (0, 1) for c in (0, 1)]
+    assert legal_tokens(psi) == tuple(legal)  # in random_configuration's draw order
     table = _token_table(psi)
     for t in legal:
         assert table[4 * t.offset + 2 * t.value_bit + t.carry_bit] == t
@@ -567,12 +568,7 @@ def agent_states(draw, psi=4, kappa_max=128):
     def token():
         if draw(st.booleans()):
             return None
-        off = draw(
-            st.one_of(
-                st.integers(-psi + 1, -1), st.integers(1, psi)
-            )
-        )
-        return Token(off, draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+        return draw(st.sampled_from(legal_tokens(psi)))
 
     return AgentState(
         leader=draw(st.integers(0, 1)),
