@@ -35,7 +35,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .core.params import ProtocolParams, require_count, require_index, require_member
-from .core.state import CONSTRUCT, AgentState, Configuration, Token, legal_tokens
+from .core.state import (
+    CONSTRUCT,
+    AgentState,
+    Configuration,
+    Token,
+    is_legal_token,
+    legal_tokens,
+)
 from .transition import _off_track, _token_table
 
 
@@ -180,9 +187,9 @@ def _color_d(which: TokenColor, psi: int) -> int:
 
 
 def token_is_valid(config: Configuration, i: int, which: TokenColor) -> bool:
-    """True iff the token at agent i is legal (see
-    :func:`~ringleader.core.state.legal_tokens`) and still on its shuttle
-    trajectory.
+    """True iff the token at agent i is legal, by the rule of
+    ``AgentState.validate`` (:func:`~ringleader.core.state.is_legal_token`),
+    and still on its shuttle trajectory.
 
     Raises InvalidSizeError for a ``which`` that is not a
     :class:`TokenColor`.
@@ -193,7 +200,7 @@ def token_is_valid(config: Configuration, i: int, which: TokenColor) -> bool:
     if token is None:
         raise NoTokenError(f"agent {i} holds no {which.value} token")
     p = config.params
-    return token in legal_tokens(p.psi) and not _off_track(
+    return is_legal_token(token, p.psi) and not _off_track(
         agent.dist, token.offset, _color_d(which, p.psi), p.two_psi, p.psi
     )
 
@@ -414,7 +421,13 @@ def in_C_DL(config: Configuration) -> bool:
 
 def in_S_PL(config: Configuration) -> bool:
     """The safe set: ``C_DL``, all tokens valid and correct, and consecutive
-    full segments carrying consecutive IDs."""
+    full segments carrying consecutive IDs.
+
+    It judges tokens by value, in set lookups, so it assumes tokens as
+    ``AgentState.validate`` admits them: a token with ``bool`` bits passes
+    here as its twin of plain ints, though ``validate`` and
+    :func:`token_is_valid` reject it.
+    """
     found = _from_leader(config)
     if found is None:
         return False

@@ -126,16 +126,22 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
         raise ValueError(f"{name}: {value!r} out of range [{lo}, {hi}]")
 
 
+def is_legal_token(token: object, psi: int) -> bool:
+    """True iff ``token`` is a :class:`Token` of plain ints in
+    :func:`legal_tokens`.
+
+    The transition reads a token's fields by name, so a plain tuple of the
+    same ints is not a token; as in every field, a bool or float is no int.
+    """
+    return (
+        type(token) is Token
+        and all(type(field) is int for field in token)
+        and token in legal_tokens(psi)
+    )
+
+
 def _check_token(name: str, token: Token | None, psi: int) -> None:
-    if token is None:
-        return
-    # the transition reads a token's fields by name, so a plain tuple of the
-    # same ints is not a token; as in every field, a bool or float is no int
-    if (
-        type(token) is not Token
-        or any(type(field) is not int for field in token)
-        or token not in legal_tokens(psi)
-    ):
+    if token is not None and not is_legal_token(token, psi):
         raise ValueError(f"{name}: {token!r} is not a legal token for psi={psi}")
 
 

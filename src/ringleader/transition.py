@@ -21,9 +21,16 @@ order in place and records events.  The fused ``interact_block`` runs the
 whole transition over a block of scheduler indices in one call, records no
 events, and short-circuits the token blocks when no token activity is
 possible; ``run`` uses it unless an ``on_step`` hook asks for events, in
-which case the run goes through ``interact_traced``.  The acceptance suite
-asserts the fused form and ``interact_traced`` are bit-identical on random
-state pairs.  These two are the module's only public functions.
+which case the run goes through ``interact_traced``.  Its token relays are
+lookups in per-psi relay tables (``_relay_tables``, built once per psi):
+where a moving token lands after the sweep, the bit a rightward arrival
+carries, and which tokens stay on track at each dist.  The tables are
+built by running the reference ``_relay_inplace`` on synthetic pairs and
+by ``_off_track``, so the fused loop holds no second copy of the move and
+sweep rules; arming, destruction and an arrival's construct/detect write
+stay inline.  The tests assert the fused form and ``interact_traced`` are
+bit-identical on random state pairs and on every pre-state of one color's
+relay at psi = 2 and 3.  These two are the module's only public functions.
 """
 from __future__ import annotations
 
@@ -271,6 +278,85 @@ def interact_traced(
 # fused block loop
 # --------------------------------------------------------------------------
 
+def _moved(psi: int, d: int, t: Token, b: int | None) -> tuple[Token, int | None] | None:
+    """What the reference ``_relay_inplace`` makes of ``t`` when it moves
+    onto an empty agent outside the final segment: right from an initiator
+    (``b`` None), or left onto an initiator whose bit is ``b``.
+
+    Returns the moved token, read at the first dist whose sweep keeps it,
+    and the bit its arrival wrote into the responder (None if it wrote
+    none); None when ``t`` does not move that way.  Dists are tried in the
+    order 0, psi, 1, psi+1, ...: any token is on track at one of the first
+    four.
+    """
+    two_psi = 2 * psi
+    for x in sorted(range(two_psi), key=lambda x: x % psi):
+        trace: list = []
+        if b is None:
+            r = AgentState(dist=x, b=-1)  # -1: no arrival wrote r.b
+            moved = _relay_inplace(AgentState(), r, t, None, d, psi, two_psi, trace, None)[1]
+            wrote = None if r.b == -1 else r.b
+        else:
+            l = AgentState(dist=x, b=b)
+            moved = _relay_inplace(l, AgentState(), None, t, d, psi, two_psi, trace, None)[0]
+            wrote = None
+        if not any(event[0] == "tmove" for event in trace):
+            return None
+        if moved is not None:
+            return moved, wrote
+    raise AssertionError(f"{t} moves, but the sweep removes it at every dist")
+
+
+def _color_tables(psi: int, d: int) -> tuple[tuple, tuple, tuple]:
+    """One color's relay as lookups, indexed by dist, then by legal token.
+
+    ``right[rd][t]`` is ``(successor, value)`` when ``t`` moves right onto
+    an empty responder with dist ``rd`` outside the final segment: the token
+    the responder holds after the sweep (None if swept), and the bit its
+    arrival writes or checks (None if it passes through).  ``left[ld][t]``
+    is, by the initiator's ``b``, the token an initiator with dist ``ld``
+    outside the final segment holds after ``t`` moved onto it and the
+    sweep.  Either entry is None for a token that does not move that way.
+    ``on_track[x]`` holds the tokens the sweep keeps at dist ``x``.  Moves
+    come from :func:`_moved` and sweeps from ``_off_track``, so the fused
+    loop holds no second copy of either rule.
+    """
+    two_psi = 2 * psi
+    tokens = legal_tokens(psi)
+    on_track = tuple(
+        frozenset(t for t in tokens if not _off_track(x, t.offset, d, two_psi, psi))
+        for x in range(two_psi)
+    )
+    rightward = {t: _moved(psi, d, t, None) for t in tokens}
+    leftward = {t: (_moved(psi, d, t, 0), _moved(psi, d, t, 1)) for t in tokens}
+    right = tuple(
+        {
+            t: None if move is None else (move[0] if move[0] in kept else None, move[1])
+            for t, move in rightward.items()
+        }
+        for kept in on_track
+    )
+    left = tuple(
+        {
+            t: None if moves[0] is None
+            else tuple(moved if moved in kept else None for moved, _ in moves)
+            for t, moves in leftward.items()
+        }
+        for kept in on_track
+    )
+    return right, left, on_track
+
+
+@functools.cache
+def _relay_tables(psi: int) -> tuple:
+    """``interact_block``'s relay tables for ``psi``, built once per ``psi``:
+    the token an idle border arms, indexed by its ``b``, then the black and
+    the white :func:`_color_tables`."""
+    tokens = _token_table(psi)
+    armed = (tokens[4 * psi + 2], tokens[4 * psi + 1])  # Token(psi, 1 - b, b)
+    return armed, _color_tables(psi, 0), _color_tables(psi, psi)
+
+
 def interact_block(
     agents: Sequence[AgentState],
     indices: Iterable[int],
@@ -281,14 +367,14 @@ def interact_block(
 ) -> None:
     """Apply the full transition on arc ``(i, nxt[i])`` for each ``i`` in turn.
 
-    Semantically identical to ``interact_traced`` for every index, but
-    records no events.  Both token colors are written out inline and skipped
-    outright when neither agent holds a token of that color and the
-    initiator cannot arm one; the off-track sweep inlines ``_off_track``.
+    Semantically identical to ``interact_traced`` for every index on
+    agents that ``AgentState.validate`` accepts, but records no events.
+    Each token color's relay is a lookup in its :func:`_relay_tables`
+    entries and is skipped outright when neither agent holds a token of that
+    color and the initiator cannot arm one; a token outside ``legal_tokens``
+    has no entry and raises KeyError.
     """
-    tokens = _token_table(psi)
-    arm = 4 * psi  # tokens[arm + 2*value + carry] is Token(psi, value, carry)
-    back = 4 * (1 - psi)  # tokens[back + ...] is Token(1 - psi, value, carry)
+    armed, (right_b, left_b, on_b), (right_w, left_w, on_w) = _relay_tables(psi)
     for i in indices:
         l = agents[i]
         r = agents[nxt[i]]
@@ -348,107 +434,71 @@ def interact_block(
         lt = l.token_b
         rt = r.token_b
         if lt is None and ld == 0 and llast == 0:
-            b = l.b
-            lt = tokens[arm + 2 - b]  # Token(psi, 1 - b, b)
-        if lt is not None or rt is not None:
-            if lt is not None and (rt is not None or rlast == 1):
-                lt = None
-            if lt is not None:  # then rt is None: at most one token moves
-                offset, value, carry = lt
-                if offset == 1:
-                    if rmode == DETECT:
-                        if value != r.b:
-                            r.leader = 1
-                            r.bullet = 2
-                            r.shield = 1
-                            r.signal_b = 0
-                    else:
-                        r.b = value
-                    rt = tokens[back + 2 * value + carry]
-                    lt = None
-                elif offset > 1:
-                    rt = tokens[4 * offset - 4 + 2 * value + carry]
-                    lt = None
-            elif rt is not None:
-                offset, value, carry = rt
-                if offset == -1:
-                    b = l.b
-                    lt = tokens[arm + 2 - b if carry else arm + 2 * b]
-                    rt = None
-                elif offset < -1:
-                    lt = tokens[4 * offset + 4 + 2 * value + carry]
-                    rt = None
-            if lt is not None:
-                if llast == 1:
-                    lt = None
+            lt = armed[l.b]
+        if lt is not None:
+            if rt is None and rlast == 0:
+                move = right_b[rd][lt]
+                if move is None:  # a leftward token stays, swept at l
+                    if llast == 1 or lt not in on_b[ld]:
+                        l.token_b = None
                 else:
-                    offset = lt[0]
-                    t = (ld + offset) % two_psi
-                    if (t < psi) if offset > 0 else (t == 0 or t >= psi):
-                        lt = None
-            if rt is not None:
-                if rlast == 1:
-                    rt = None
-                else:
-                    offset = rt[0]
-                    t = (rd + offset) % two_psi
-                    if (t < psi) if offset > 0 else (t == 0 or t >= psi):
-                        rt = None
-            l.token_b = lt
-            r.token_b = rt
+                    nt, value = move
+                    if value is not None:
+                        if rmode == DETECT:
+                            if value != r.b:
+                                r.leader = 1
+                                r.bullet = 2
+                                r.shield = 1
+                                r.signal_b = 0
+                        else:
+                            r.b = value
+                    l.token_b = None
+                    r.token_b = nt
+            else:  # no move onto an occupied agent or into the final segment
+                l.token_b = None
+        if rt is not None:
+            move = left_b[ld][rt]
+            if move is None:  # a rightward token stays, swept at r
+                if rlast == 1 or rt not in on_b[rd]:
+                    r.token_b = None
+            else:
+                l.token_b = None if llast == 1 else move[l.b]
+                r.token_b = None
 
         # white token relay: home border at relative psi
         lt = l.token_w
         rt = r.token_w
         if lt is None and ld == psi and llast == 0:
-            b = l.b
-            lt = tokens[arm + 2 - b]  # Token(psi, 1 - b, b)
-        if lt is not None or rt is not None:
-            if lt is not None and (rt is not None or rlast == 1):
-                lt = None
-            if lt is not None:  # then rt is None: at most one token moves
-                offset, value, carry = lt
-                if offset == 1:
-                    if rmode == DETECT:
-                        if value != r.b:
-                            r.leader = 1
-                            r.bullet = 2
-                            r.shield = 1
-                            r.signal_b = 0
-                    else:
-                        r.b = value
-                    rt = tokens[back + 2 * value + carry]
-                    lt = None
-                elif offset > 1:
-                    rt = tokens[4 * offset - 4 + 2 * value + carry]
-                    lt = None
-            elif rt is not None:
-                offset, value, carry = rt
-                if offset == -1:
-                    b = l.b
-                    lt = tokens[arm + 2 - b if carry else arm + 2 * b]
-                    rt = None
-                elif offset < -1:
-                    lt = tokens[4 * offset + 4 + 2 * value + carry]
-                    rt = None
-            if lt is not None:
-                if llast == 1:
-                    lt = None
+            lt = armed[l.b]
+        if lt is not None:
+            if rt is None and rlast == 0:
+                move = right_w[rd][lt]
+                if move is None:  # a leftward token stays, swept at l
+                    if llast == 1 or lt not in on_w[ld]:
+                        l.token_w = None
                 else:
-                    offset = lt[0]
-                    t = (ld + offset + psi) % two_psi
-                    if (t < psi) if offset > 0 else (t == 0 or t >= psi):
-                        lt = None
-            if rt is not None:
-                if rlast == 1:
-                    rt = None
-                else:
-                    offset = rt[0]
-                    t = (rd + offset + psi) % two_psi
-                    if (t < psi) if offset > 0 else (t == 0 or t >= psi):
-                        rt = None
-            l.token_w = lt
-            r.token_w = rt
+                    nt, value = move
+                    if value is not None:
+                        if rmode == DETECT:
+                            if value != r.b:
+                                r.leader = 1
+                                r.bullet = 2
+                                r.shield = 1
+                                r.signal_b = 0
+                        else:
+                            r.b = value
+                    l.token_w = None
+                    r.token_w = nt
+            else:  # no move onto an occupied agent or into the final segment
+                l.token_w = None
+        if rt is not None:
+            move = left_w[ld][rt]
+            if move is None:  # a rightward token stays, swept at r
+                if rlast == 1 or rt not in on_w[rd]:
+                    r.token_w = None
+            else:
+                l.token_w = None if llast == 1 else move[l.b]
+                r.token_w = None
 
         # leader elimination
         if l.leader and l.signal_b:

@@ -378,6 +378,28 @@ def test_out_of_range_token_is_not_correct():
         token_is_correct(_out_of_range_frame(), 0, TokenColor.BLACK)
 
 
+def _bool_bit_frame():
+    """A safe frame whose leader holds its fresh black token with ``bool``
+    bits, which ``validate`` rejects; the twin of plain ints is correct."""
+    cfg = construct_S_PL(P16, 9).copy()
+    b0 = cfg.agents[0].b
+    cfg.agents[0].token_b = Token(P16.psi, 1 - b0, b0)
+    assert token_is_correct(cfg, 0, TokenColor.BLACK)
+    cfg.agents[0].token_b = Token(P16.psi, bool(1 - b0), bool(b0))
+    with pytest.raises(ValueError, match=r"agents\[0\]\.token_b"):
+        cfg.validate()
+    return cfg
+
+
+def test_token_with_bool_bits_is_not_valid():
+    assert not token_is_valid(_bool_bit_frame(), 0, TokenColor.BLACK)
+
+
+def test_token_with_bool_bits_is_not_correct():
+    with pytest.raises(PreconditionError):
+        token_is_correct(_bool_bit_frame(), 0, TokenColor.BLACK)
+
+
 def test_out_of_range_token_is_not_safe():
     assert not in_S_PL(_out_of_range_frame())
 

@@ -4,6 +4,9 @@ The token-validity oracle here enumerates the legal shuttle trajectory
 directly (every round's rightward and leftward leg, plus the turn-around
 states) and is kept independent of the arithmetic formula it checks.
 """
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,17 @@ from hypothesis import strategies as st
 
 import ringleader
 from ringleader import transition
-from ringleader.core.params import make_params
-from ringleader.core.state import CONSTRUCT, DETECT, AgentState, Token, legal_tokens
+from ringleader.core.params import ProtocolParams, make_params
+from ringleader.core.scheduler import SchedulerStream
+from ringleader.core.sim import run
+from ringleader.core.state import (
+    CONSTRUCT,
+    DETECT,
+    AgentState,
+    Token,
+    legal_tokens,
+    random_configuration,
+)
 from ringleader.transition import (
     _determine_mode_inplace,
     _dist_last_inplace,
@@ -649,6 +661,56 @@ def test_valid_tokens_with_consistent_dists_stay_valid():
                     checked += 1
                     assert not _off_track(holder.dist, tok.offset, d, two_psi, psi)
     assert checked > 10_000
+
+
+# --------------------------------------------------------------------------
+# the fused loop's relay tables
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("slot", ["token_b", "token_w"])
+@pytest.mark.parametrize("psi", [2, 3])
+def test_fused_relay_equals_reference_on_every_prestate(psi, slot):
+    # every pre-state of one color's relay, the other color's slots empty:
+    # random pairs may miss a wrong table entry for a rare (token, dist),
+    # this cannot.  A responder clock of 0 or kappa_max makes it construct
+    # or detect.  At psi = 3, where offsets -2 and 3 first appear, two bits
+    # stay 0 to fit the time: l.last, which the distance block rewrites
+    # before the relays read it, and r.b, which only an arrival's value bit
+    # meets; a constructing responder takes that bit, so a wrong one shows.
+    p = ProtocolParams(n=2**psi, psi=psi, kappa_max=32 * psi)
+    slots = (None, *legal_tokens(psi))
+    dists = range(p.two_psi)
+    bits = (0, 1)
+    pinned = bits if psi == 2 else (0,)  # l.last and r.b
+    checked = 0
+    for lt, rt, ld, rd, llast, rlast, lb, rb, clock, leader in itertools.product(
+        slots, slots, dists, dists, pinned, bits, bits, pinned, (0, p.kappa_max), bits
+    ):
+        l = AgentState(b=lb, dist=ld, last=llast)
+        r = AgentState(leader=leader, b=rb, dist=rd, last=rlast, clock=clock)
+        setattr(l, slot, lt)
+        setattr(r, slot, rt)
+        assert fused_pair(l, r, p) == reference_pair(l, r, p)
+        checked += 1
+    assert checked == len(slots) ** 2 * p.two_psi**2 * 2**4 * len(pinned) ** 2
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_relay_tables_are_built_once_per_psi(n):
+    # psi far above log2 n: the tables hold O(psi^2) entries, so a build
+    # per run or per block would show in the time and in the cache misses
+    p = ProtocolParams(n=n, psi=40, kappa_max=1280)
+    cfg = random_configuration(p, 5)
+    transition._relay_tables.cache_clear()
+    start = time.perf_counter()
+    fused = run(cfg, SchedulerStream(n, 6), 10 * n, lambda c: False)
+    assert time.perf_counter() - start < 1.0
+    assert run(cfg, SchedulerStream(n, 6), 10 * n, lambda c: False) == fused
+    assert transition._relay_tables.cache_info().misses == 1
+    reference = run(
+        cfg, SchedulerStream(n, 6), 10 * n, lambda c: False, on_step=lambda *args: None
+    )
+    assert fused == reference
 
 
 # --------------------------------------------------------------------------
