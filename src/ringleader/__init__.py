@@ -11,6 +11,7 @@ from .analysis import (
     is_peaceful,
     is_perfect,
     leader_count,
+    leaderless_settled,
     nearest_leader_distances,
     segment_id,
     segments,

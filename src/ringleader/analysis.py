@@ -482,3 +482,22 @@ def construct_S_PL(params: ProtocolParams, seed: int) -> Configuration:
         for i in range(n)
     ]
     return Configuration(params, agents)
+
+
+def leaderless_settled(params: ProtocolParams, seed: int) -> Configuration:
+    """:func:`construct_S_PL` with its leader's ``leader`` and ``shield``
+    bits cleared.
+
+    The distance chain and the segment IDs stay settled, but no leader,
+    signal or bullet is left, so the ring must detect the missing leader
+    (a full clock, then a chain mismatch) before it can make one.  This is
+    the start family whose convergence time shows the log n factor of
+    O(n^2 log n).  Raises InvalidSizeError for a seed that is not an
+    int >= 0.
+    """
+    config = construct_S_PL(params, seed)
+    for agent in config.agents:
+        if agent.leader:
+            agent.leader = 0
+            agent.shield = 0
+    return config

@@ -139,12 +139,16 @@ def _cmd_check(args) -> int:
     return 0 if result else 1
 
 
+_STARTS = {
+    "random": random_configuration,
+    "safe": analysis.construct_S_PL,
+    "leaderless": analysis.leaderless_settled,
+}
+
+
 def _cmd_dump(args) -> int:
     params = make_params(args.n, args.kappa_max)
-    if args.kind == "random":
-        config = random_configuration(params, args.seed)
-    else:
-        config = analysis.construct_S_PL(params, args.seed)
+    config = _STARTS[args.kind](params, args.seed)
     harness.dump_config(config, args.out)
     print(f"wrote {args.kind} configuration (n={args.n}, seed={args.seed}) to {args.out}")
     return 0
@@ -214,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump", help="write a configuration snapshot")
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kind", choices=["random", "safe"], default="random")
+    p.add_argument("--kind", choices=sorted(_STARTS), default="random")
     p.add_argument("--kappa-max", type=int, default=None)
     p.add_argument("--out", default="config.json")
     p.set_defaults(func=_cmd_dump, parser=p)

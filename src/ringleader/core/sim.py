@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..transition import interact_block, interact_traced
+from ..transition import _quiet, interact_block, interact_traced
 from .params import require_count, require_index
 from .scheduler import SchedulerStream
 from .state import Configuration
@@ -41,21 +41,32 @@ def run(
     n steps, so the check amortizes to constant work per step.  The
     reported step count is therefore the first multiple of n at which
     ``stop`` held -- an overcount of less than n -- and never exceeds
-    ``max_steps``.  The input configuration is not mutated.
+    ``max_steps``.  ``stop`` is a predicate: it must not modify the
+    configuration it is given, because the run carries state about that
+    configuration from one block to the next.  The input configuration is
+    not mutated.
 
     Without ``on_step``, each block of n drawn indices runs in one call to
-    the fused, event-free ``interact_block``.  ``on_step(work, i, trace)``, when
+    the fused, event-free ``interact_block``.  While the ring is quiet (no
+    leader, resetting signal, bullet or bullet-absence signal, and no full
+    clock), that call skips the bookkeeping that cannot fire: the signal
+    and mode writes and the elimination block.  The run learns the ring is
+    quiet from an early-exit scan before each block, made only while it
+    does not already know, and ``interact_block`` reports when a clock fills
+    and the quiet stretch ends.  ``on_step(work, i, trace)``, when
     given, is called after every interaction with the working configuration,
     the initiator index and the list of events the transition emitted; such
     runs go through the five reference blocks (``interact_traced``) one
     interaction at a time and cost more.  The list is reused from step to step; copy it to keep it.
     Both paths compute the same run.  Raises InvalidSizeError for a
-    ``max_steps`` that is not an int >= 0.
+    ``max_steps`` that is not an int >= 0, and ValueError for a start
+    configuration that ``Configuration.validate`` rejects.
     """
     require_count("max_steps", max_steps, 0)
     n = config.params.n
     if scheduler.n != n:
         raise ValueError(f"scheduler built for n={scheduler.n}, ring has n={n}")
+    config.validate()
 
     work = config.copy()
     if stop(work):
@@ -66,12 +77,15 @@ def run(
     agents = work.agents
     nxt = [(i + 1) % n for i in range(n)]
     trace: list = []
+    quiet = False
 
     done = 0
     while done < max_steps:
         block = min(n, max_steps - done)
         if on_step is None:
-            interact_block(agents, scheduler.draw(block), nxt, psi, two_psi, kmax)
+            if not quiet:
+                quiet = _quiet(agents, kmax)
+            quiet = interact_block(agents, scheduler.draw(block), nxt, psi, two_psi, kmax, quiet)
         else:
             for i in scheduler.draw(block):
                 interact_traced(agents[i], agents[nxt[i]], psi, two_psi, kmax, trace)

@@ -28,9 +28,22 @@ carries, and which tokens stay on track at each dist.  The tables are
 built by running the reference ``_relay_inplace`` on synthetic pairs and
 by ``_off_track``, so the fused loop holds no second copy of the move and
 sweep rules; arming, destruction and an arrival's construct/detect write
-stay inline.  The tests assert the fused form and ``interact_traced`` are
-bit-identical on random state pairs and on every pre-state of one color's
-relay at psi = 2 and 3.  These two are the module's only public functions.
+stay inline.
+
+The fused loop has one shortcut for quiet rings: no agent holds a leader, a
+resetting signal, a bullet or a bullet-absence signal, every agent
+constructs, and no clock is full (``_quiet``).  In such a ring the signal
+and mode writes, every DETECT branch and the whole elimination block change
+nothing, so a quiet step only moves the hit counters and ticks a clock
+before the shared distance and relay code.  A quiet ring stays quiet until a
+tick fills a clock to ``kappa_max``; from that step on the call runs the
+full blocks.  ``run`` carries the flag from block to block.  Leaderless
+rings spend most of their convergence time quiet, waiting for that clock.
+
+The tests assert the fused form and ``interact_traced`` are bit-identical on
+random state pairs, on quiet pairs one tick from a full clock, and on every
+pre-state of one color's relay at psi = 2 and 3.  These two are the
+module's only public functions.
 """
 from __future__ import annotations
 
@@ -357,6 +370,17 @@ def _relay_tables(psi: int) -> tuple:
     return armed, _color_tables(psi, 0), _color_tables(psi, psi)
 
 
+def _quiet(agents: Iterable[AgentState], kappa_max: int) -> bool:
+    """True when no agent holds a leader, a resetting signal, a bullet or a
+    bullet-absence signal, every agent constructs and no clock is full: the
+    ring :func:`interact_block` may run in its quiet branch.  Stops at the
+    first agent that is not quiet."""
+    for a in agents:
+        if a.leader or a.signal_r or a.bullet or a.signal_b or a.mode or a.clock >= kappa_max:
+            return False
+    return True
+
+
 def interact_block(
     agents: Sequence[AgentState],
     indices: Iterable[int],
@@ -364,7 +388,8 @@ def interact_block(
     psi: int,
     two_psi: int,
     kappa_max: int,
-) -> None:
+    quiet: bool,
+) -> bool:
     """Apply the full transition on arc ``(i, nxt[i])`` for each ``i`` in turn.
 
     Semantically identical to ``interact_traced`` for every index on
@@ -373,6 +398,17 @@ def interact_block(
     entries and is skipped outright when neither agent holds a token of that
     color and the initiator cannot arm one; a token outside ``legal_tokens``
     has no entry and raises KeyError.
+
+    ``quiet`` may be True only when :func:`_quiet` holds for ``agents``.  In
+    a quiet ring no leader seeds a resetting signal, no signal resets a
+    clock, every mode stays CONSTRUCT (so no DETECT branch creates a
+    leader), and elimination finds no leader, bullet or signal to act on.
+    A quiet step therefore only moves the hit counters and ticks a clock,
+    then builds the distance chain and relays tokens as usual, and the ring
+    stays quiet -- until a tick fills a clock to ``kappa_max``.  That step
+    turns its responder to DETECT and runs the rest of its blocks, and every
+    later step of the call, in full.  Returns whether the ring is still
+    quiet.
     """
     armed, (right_b, left_b, on_b), (right_w, left_w, on_w) = _relay_tables(psi)
     for i in indices:
@@ -380,34 +416,47 @@ def interact_block(
         r = agents[nxt[i]]
 
         # mode determination
-        if l.leader:
-            l.signal_r = kappa_max
-        l.hits = 0
-        rh = r.hits + 1
-        if rh > psi:
-            rh = psi
-        ls = l.signal_r
-        rs = r.signal_r
-        if ls > 0 or rs > 0:
-            l.clock = 0
-            r.clock = 0
-            if rs > 0 and ls >= rs:
+        if quiet:  # no leader, signal or full clock: only hits and a tick
+            l.hits = 0
+            rmode = CONSTRUCT
+            rh = r.hits + 1
+            if rh >= psi:
                 rh = 0
-            merged = ls if ls > rs else rs
-            l.signal_r = 0
-            if rh == psi:
-                r.signal_r = merged - 1
+                clock = r.clock + 1
+                r.clock = clock
+                if clock == kappa_max:  # the ring leaves quiet here
+                    r.mode = rmode = DETECT
+                    quiet = False
+            r.hits = rh
+        else:
+            if l.leader:
+                l.signal_r = kappa_max
+            l.hits = 0
+            rh = r.hits + 1
+            if rh > psi:
+                rh = psi
+            ls = l.signal_r
+            rs = r.signal_r
+            if ls > 0 or rs > 0:
+                l.clock = 0
+                r.clock = 0
+                if rs > 0 and ls >= rs:
+                    rh = 0
+                merged = ls if ls > rs else rs
+                l.signal_r = 0
+                if rh == psi:
+                    r.signal_r = merged - 1
+                    rh = 0
+                else:
+                    r.signal_r = merged
+            elif rh == psi:
+                if r.clock < kappa_max:
+                    r.clock = r.clock + 1
                 rh = 0
-            else:
-                r.signal_r = merged
-        elif rh == psi:
-            if r.clock < kappa_max:
-                r.clock = r.clock + 1
-            rh = 0
-        r.hits = rh
-        l.mode = DETECT if l.clock == kappa_max else CONSTRUCT
-        rmode = DETECT if r.clock == kappa_max else CONSTRUCT
-        r.mode = rmode
+            r.hits = rh
+            l.mode = DETECT if l.clock == kappa_max else CONSTRUCT
+            rmode = DETECT if r.clock == kappa_max else CONSTRUCT
+            r.mode = rmode
 
         # distance chain
         ld = l.dist
@@ -500,7 +549,9 @@ def interact_block(
                 l.token_w = None if llast == 1 else move[l.b]
                 r.token_w = None
 
-        # leader elimination
+        # leader elimination: nothing to act on in a quiet ring
+        if quiet:
+            continue
         if l.leader and l.signal_b:
             l.bullet = 2
             l.shield = 1
@@ -525,3 +576,4 @@ def interact_block(
         if r.leader > sb:
             sb = r.leader
         l.signal_b = sb
+    return quiet

@@ -3,7 +3,7 @@ import pytest
 
 from ringleader.core.params import make_params
 from ringleader.core.state import AgentState, legal_tokens
-from ringleader.transition import interact_block, interact_traced
+from ringleader.transition import _quiet, interact_block, interact_traced
 
 
 @pytest.fixture
@@ -54,7 +54,11 @@ def reference_pair(l: AgentState, r: AgentState, params) -> tuple[AgentState, Ag
 
 
 def fused_pair(l: AgentState, r: AgentState, params) -> tuple[AgentState, AgentState]:
-    """The fused fast path ``interact_block`` applied to copies."""
+    """The fused fast path ``interact_block`` applied to copies.
+
+    The quiet flag is derived as ``run`` derives it, by a scan of the agents
+    the call touches, so quiet pairs go through the quiet branch."""
     l2, r2 = l.copy(), r.copy()
-    interact_block([l2, r2], (0,), (1,), params.psi, params.two_psi, params.kappa_max)
+    quiet = _quiet((l2, r2), params.kappa_max)
+    interact_block([l2, r2], (0,), (1,), params.psi, params.two_psi, params.kappa_max, quiet)
     return l2, r2

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from ringleader import analysis
+from ringleader import analysis, transition
 from ringleader.analysis import (
     NoBorderError,
     NoLiveBulletError,
@@ -21,6 +21,7 @@ from ringleader.analysis import (
     is_peaceful,
     is_perfect,
     leader_count,
+    leaderless_settled,
     nearest_leader_distances,
     segment_id,
     segments,
@@ -782,6 +783,19 @@ def test_construct_all_sizes(n):
 def test_construct_deterministic():
     assert construct_S_PL(P16, 5) == construct_S_PL(P16, 5)
     assert construct_S_PL(P16, 5) != construct_S_PL(P16, 6)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 64])
+def test_leaderless_settled_is_the_safe_ring_without_its_leader(n):
+    params = make_params(n)
+    safe, leaderless = construct_S_PL(params, 7), leaderless_settled(params, 7)
+    leaderless.validate()
+    assert leader_count(leaderless) == 0 and not in_S_PL(leaderless)
+    assert transition._quiet(leaderless.agents, params.kappa_max)
+    leaderless.agents[0].leader = leaderless.agents[0].shield = 1
+    assert leaderless == safe
+    with pytest.raises(InvalidSizeError):
+        leaderless_settled(params, -1)
 
 
 def test_construct_chain_values():

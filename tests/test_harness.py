@@ -505,11 +505,12 @@ def _break_block(monkeypatch, spoil):
     """Make unhooked runs apply ``spoil(agent)`` to every touched agent."""
     original = sim.interact_block
 
-    def broken(agents, indices, nxt, psi, two_psi, kappa_max):
+    def broken(agents, indices, nxt, psi, two_psi, kappa_max, quiet):
         indices = list(indices)
-        original(agents, indices, nxt, psi, two_psi, kappa_max)
+        quiet = original(agents, indices, nxt, psi, two_psi, kappa_max, quiet)
         for i in indices:
             spoil(agents[i])
+        return quiet
 
     monkeypatch.setattr(sim, "interact_block", broken)
 
@@ -706,6 +707,16 @@ def test_cli_dump_check_load(tmp_path, capsys):
     assert "true" in out and "valid snapshot" in out
 
 
+def test_cli_dumps_a_leaderless_settled_ring(tmp_path, capsys):
+    snap = tmp_path / "leaderless.json"
+    assert cli_main(["dump", "--kind", "leaderless", "--n", "16", "--seed", "3",
+                     "--out", str(snap)]) == 0
+    assert load_config(snap) == analysis.leaderless_settled(P16, 3)
+    assert cli_main(["load", str(snap)]) == 0
+    assert "leaders=0" in capsys.readouterr().out
+    assert cli_main(["check", "s-pl", str(snap)]) == 1
+
+
 def test_cli_check_random_not_safe(tmp_path):
     snap = tmp_path / "rand.json"
     assert cli_main(["dump", "--kind", "random", "--n", "8", "--seed", "1",
@@ -808,6 +819,7 @@ def test_cli_sweep_range_check(capsys):
         ["closure", "--seed", "-1"],
         ["eliminate", "--seed", "-1"],
         ["dump", "--seed", "-1"],
+        ["dump", "--kind", "leaderless", "--seed", "-1"],
         ["lottery", "--seed", "-1"],
         ["sweep", "--seed", "1.5"],
         ["sweep", "--multiplier", "inf"],

@@ -1,10 +1,11 @@
 import pytest
 
-from ringleader.analysis import construct_S_PL, in_S_PL, leader_count
+from ringleader.analysis import construct_S_PL, in_S_PL, leader_count, leaderless_settled
+from ringleader.core import sim
 from ringleader.core.params import make_params
 from ringleader.core.scheduler import SchedulerStream
 from ringleader.core.sim import run, step
-from ringleader.core.state import CONSTRUCT, AgentState, Configuration
+from ringleader.core.state import CONSTRUCT, AgentState, Configuration, Token
 from ringleader.core.state import random_configuration
 
 P16 = make_params(16)
@@ -123,21 +124,11 @@ def test_on_step_sees_every_interaction():
     assert seen == SchedulerStream(16, 15).draw(1000)
 
 
-def _leaderless_settled(params, seed):
-    """A safe configuration with its leader's leader and shield bits cleared."""
-    cfg = construct_S_PL(params, seed)
-    for agent in cfg.agents:
-        if agent.leader:
-            agent.leader = 0
-            agent.shield = 0
-    return cfg
-
-
 _STARTS = {
     # start -> (configuration builder, stop predicate)
     "random": (random_configuration, in_S_PL),
     "safe": (construct_S_PL, lambda c: not in_S_PL(c)),
-    "leaderless": (_leaderless_settled, in_S_PL),
+    "leaderless": (leaderless_settled, in_S_PL),
 }
 
 
@@ -158,6 +149,58 @@ def test_on_step_does_not_change_the_run(n, start):
     hooked = run(cfg, SchedulerStream(n, 17), 3000, stop, on_step=hook)
     assert hooked[0] == plain[0] and hooked[1:] == plain[1:]
     assert events  # every start fires tokens or bullets
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 64])
+def test_quiet_stretch_ends_as_the_reference_run_does(n, monkeypatch):
+    # leaderless settled rings are quiet until a clock fills; with every
+    # clock one or two ticks short, the fused loop enters its quiet branch
+    # and must leave it inside a block.  Both runs are compared at every
+    # stop check, not only at the end.
+    params = make_params(n)
+    cfg = leaderless_settled(params, n)
+    for i, agent in enumerate(cfg.agents):
+        agent.clock = params.kappa_max - 1 - i % 2
+    calls = []
+    original = sim.interact_block
+
+    def spy(agents, indices, nxt, psi, two_psi, kappa_max, quiet):
+        still = original(agents, indices, nxt, psi, two_psi, kappa_max, quiet)
+        calls.append((quiet, still))
+        return still
+
+    def recording(frames):
+        def stop(config):
+            frames.append(config.copy())
+            return in_S_PL(config)
+        return stop
+
+    monkeypatch.setattr(sim, "interact_block", spy)
+    plain_frames, hooked_frames = [], []
+    plain = run(cfg, SchedulerStream(n, 7), 400 * n * n, recording(plain_frames))
+    hooked = run(
+        cfg, SchedulerStream(n, 7), 400 * n * n, recording(hooked_frames),
+        on_step=lambda *args: None,
+    )
+    assert (True, False) in calls  # the quiet branch ran and was left
+    assert plain[1:] == hooked[1:] and plain[2]
+    assert plain_frames == hooked_frames
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("token_b", Token(5, 0, 1)), ("clock", 129), ("mode", 2)],
+)
+@pytest.mark.parametrize("hooked", [False, True])
+def test_run_rejects_an_invalid_start(field, value, hooked):
+    # both paths reject it: the fused loop would otherwise fail on a token
+    # it has no table entry for, and could take a ring whose clock or mode
+    # is out of range for quiet
+    cfg = construct_S_PL(P16, 1)
+    setattr(cfg.agents[0], field, value)
+    on_step = (lambda *args: None) if hooked else None
+    with pytest.raises(ValueError, match=f"agents\\[0\\].{field}"):
+        run(cfg, SchedulerStream(16, 2), 64, lambda c: False, on_step=on_step)
 
 
 class _CountingScheduler(SchedulerStream):

@@ -714,6 +714,40 @@ def test_relay_tables_are_built_once_per_psi(n):
 
 
 # --------------------------------------------------------------------------
+# the fused loop's quiet branch
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_fused_equals_reference_on_quiet_pairs_near_a_full_clock(n):
+    # random pairs are almost never quiet (no leader, signal or bullet),
+    # so draw quiet ones whose clocks sit one or two ticks below full: the
+    # fused loop takes its quiet branch on every pair and leaves it on
+    # those whose tick fills the responder's clock
+    p = make_params(n)
+    rng = np.random.Generator(np.random.PCG64(n))
+    filled = 0
+    for l, r in random_state_pairs(53 + n, 3000, p.psi, p.kappa_max):
+        for a in (l, r):
+            a.leader = a.signal_r = a.bullet = a.signal_b = 0
+            a.mode = CONSTRUCT
+            a.clock = p.kappa_max - int(rng.integers(1, 3))
+        assert transition._quiet((l, r), p.kappa_max)
+        expected = reference_pair(l, r, p)
+        assert fused_pair(l, r, p) == expected
+        filled += expected[1].mode == DETECT
+    assert filled > 300
+
+
+def test_quiet_holds_only_without_leader_signal_bullet_or_full_clock():
+    kmax = P4.kappa_max
+    assert transition._quiet([AgentState(), AgentState(clock=kmax - 1)], kmax)
+    for field, value in [("leader", 1), ("signal_r", 1), ("bullet", 1), ("signal_b", 1),
+                         ("mode", DETECT), ("clock", kmax)]:
+        agents = [AgentState(), AgentState(**{field: value})]
+        assert not transition._quiet(agents, kmax), field
+
+
+# --------------------------------------------------------------------------
 # public surface
 # --------------------------------------------------------------------------
 
