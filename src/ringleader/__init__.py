@@ -21,7 +21,7 @@ from .analysis import (
 from .core.params import InvalidSizeError, ProtocolParams, make_params
 from .core.scheduler import SchedulerStream
 from .core.sim import run, step
-from .core.state import AgentState, Configuration, Token, random_configuration
+from .core.state import AgentState, Configuration, random_configuration, token, token_fields
 from .harness import (
     ExperimentSpec,
     Protocol,

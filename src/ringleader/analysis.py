@@ -15,8 +15,10 @@ bits are the starting ID x0, and the ID chain holds exactly when the word
 equals the chain word for x0, built for the x0 a call meets and kept in a
 small cache.  The tokens are then checked against a table for (parameters,
 x0): for each color and each distance from the leader, the set of correct
-tokens plus ``None``, so one set lookup per agent decides legality,
-validity, working pair and payload at once.  ``token_is_correct`` applies
+token ints plus ``None``, so one set lookup per agent decides legality,
+validity, working pair and payload at once.  A token's offset is read
+through ``core.state.token_fields`` and a correct token built with
+``core.state.token``.  ``token_is_correct`` applies
 the same rule (``_correct_token``) to its one token and builds no table.
 Only the latest table is kept: a run checks one starting ID for its whole
 length, so a second table would only serve a re-run of the same seeds.
@@ -39,11 +41,12 @@ from .core.state import (
     CONSTRUCT,
     AgentState,
     Configuration,
-    Token,
     is_legal_token,
     legal_tokens,
+    token,
+    token_fields,
 )
-from .transition import _off_track, _token_table
+from .transition import _off_track
 
 
 class NoBorderError(ValueError):
@@ -177,7 +180,7 @@ class TokenColor(enum.Enum):
     WHITE = "white"
 
 
-def _token_of(agent: AgentState, which: TokenColor) -> Token | None:
+def _token_of(agent: AgentState, which: TokenColor) -> int | None:
     require_member("which", which, TokenColor)
     return agent.token_b if which is TokenColor.BLACK else agent.token_w
 
@@ -196,12 +199,12 @@ def token_is_valid(config: Configuration, i: int, which: TokenColor) -> bool:
     """
     require_index("i", i, config.params.n)
     agent = config.agents[i]
-    token = _token_of(agent, which)
-    if token is None:
+    t = _token_of(agent, which)
+    if t is None:
         raise NoTokenError(f"agent {i} holds no {which.value} token")
     p = config.params
-    return is_legal_token(token, p.psi) and not _off_track(
-        agent.dist, token.offset, _color_d(which, p.psi), p.two_psi, p.psi
+    return is_legal_token(t, p.psi) and not _off_track(
+        agent.dist, token_fields(t)[0], _color_d(which, p.psi), p.two_psi, p.psi
     )
 
 
@@ -215,8 +218,8 @@ def token_is_correct(config: Configuration, i: int, which: TokenColor) -> bool:
     """
     require_index("i", i, config.params.n)
     agent = config.agents[i]
-    token = _token_of(agent, which)
-    if token is None:
+    t = _token_of(agent, which)
+    if t is None:
         raise NoTokenError(f"agent {i} holds no {which.value} token")
     if not in_C_DL(config):
         raise PreconditionError("configuration is not in C_DL")
@@ -226,14 +229,13 @@ def token_is_correct(config: Configuration, i: int, which: TokenColor) -> bool:
     p = config.params
     leader_pos = next(k for k, a in enumerate(config.agents) if a.leader)
     k = (i - leader_pos) % p.n
-    slot = (layout.black if which is TokenColor.BLACK else layout.white)[k].get(
-        token.offset
-    )
+    offset = token_fields(t)[0]
+    slot = (layout.black if which is TokenColor.BLACK else layout.white)[k].get(offset)
     if slot is None:
         raise PreconditionError("token is not working for any segment pair")
     seg, x = slot
     home_id = _b_word(ring[seg * p.psi :], p.psi)
-    return token == _correct_token(p.psi, home_id, x, token.offset)
+    return t == _correct_token(home_id, x, offset)
 
 
 # --------------------------------------------------------------------------
@@ -293,7 +295,7 @@ def _targets(p: ProtocolParams, d: int) -> list[dict[int, tuple[int, int]]]:
     ring's end.
     """
     n, psi, two_psi = p.n, p.psi, p.two_psi
-    offsets = {token.offset for token in legal_tokens(psi)}
+    offsets = {token_fields(t)[0] for t in legal_tokens(psi)}
     table = []
     for k in range(n):
         row: dict[int, tuple[int, int]] = {}
@@ -334,18 +336,16 @@ def _chain_word(psi: int, full: int, x0: int) -> int:
     return sum(((x0 + s) & mask) << (s * psi) for s in range(full))
 
 
-def _correct_token(psi: int, sid: int, x: int, offset: int) -> Token:
+def _correct_token(sid: int, x: int, offset: int) -> int:
     """The token with ``offset`` whose payload is correct for ID bit ``x``
     of a home segment with ID ``sid``: ``value`` is bit x of sid plus one
-    and ``carry`` the carry into bit x + 1.  ``offset`` is a legal token's,
-    and the token returned is ``_token_table``'s object."""
+    and ``carry`` the carry into bit x + 1."""
     # the +1 addition flips ID bits 0..j, where j is the lowest zero bit
     j = (~sid & (sid + 1)).bit_length() - 1
-    value, carry = ((sid >> x) & 1) ^ (x <= j), int(x < j)
-    return _token_table(psi)[4 * offset + 2 * value + carry]
+    return token(offset, ((sid >> x) & 1) ^ (x <= j), int(x < j))
 
 
-_TokenSets = tuple[frozenset[Token | None], ...]
+_TokenSets = tuple[frozenset[int | None], ...]
 
 
 @functools.lru_cache(maxsize=1)
@@ -363,10 +363,10 @@ def _allowed(p: ProtocolParams, x0: int) -> tuple[_TokenSets, _TokenSets]:
     mask = (1 << psi) - 1
     interned: dict = {}
 
-    def correct(row: dict[int, tuple[int, int]]) -> frozenset[Token | None]:
-        allowed: set[Token | None] = {None}
+    def correct(row: dict[int, tuple[int, int]]) -> frozenset[int | None]:
+        allowed: set[int | None] = {None}
         for offset, (seg, x) in row.items():
-            allowed.add(_correct_token(psi, (x0 + seg) & mask, x, offset))
+            allowed.add(_correct_token((x0 + seg) & mask, x, offset))
         frozen = frozenset(allowed)
         return interned.setdefault(frozen, frozen)
 
@@ -424,9 +424,9 @@ def in_S_PL(config: Configuration) -> bool:
     full segments carrying consecutive IDs.
 
     It judges tokens by value, in set lookups, so it assumes tokens as
-    ``AgentState.validate`` admits them: a token with ``bool`` bits passes
-    here as its twin of plain ints, though ``validate`` and
-    :func:`token_is_valid` reject it.
+    ``AgentState.validate`` admits them: a ``float`` equal to a correct
+    token passes here, though ``validate`` and :func:`token_is_valid`
+    reject it.
     """
     found = _from_leader(config)
     if found is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -27,22 +27,30 @@ MODE_NAMES = {CONSTRUCT: "Construct", DETECT: "Detect"}
 MODE_VALUES = {v: k for k, v in MODE_NAMES.items()}
 
 
-class Token(NamedTuple):
-    """A segment-ID relay token: signed target offset plus two payload bits.
+def token(offset: int, value_bit: int, carry_bit: int) -> int:
+    """A segment-ID relay token: ``4*offset + 2*value_bit + carry_bit``.
 
-    ``offset`` is the relative index of the agent the token is moving toward
-    (positive = rightward, negative = leftward).  ``value_bit`` is the ID bit
-    being carried to the target; ``carry_bit`` is the running carry of the +1
-    addition.  The legal tokens for a given psi are :func:`legal_tokens`.
+    ``offset`` is the signed relative index of the agent the token is moving
+    toward (positive = rightward).  ``value_bit`` is the ID bit being carried
+    to the target; ``carry_bit`` is the running carry of the +1 addition.
+    Raises ValueError unless ``offset`` is an ``int`` and both bits are the
+    ``int`` 0 or 1, so no triple packs into another's token.  The legal
+    tokens for a given psi are :func:`legal_tokens`.
     """
+    _check_bit("value_bit", value_bit)
+    _check_bit("carry_bit", carry_bit)
+    if type(offset) is not int:
+        raise ValueError(f"offset: {offset!r} is not an int")
+    return 4 * offset + 2 * value_bit + carry_bit
 
-    offset: int
-    value_bit: int
-    carry_bit: int
+
+def token_fields(t: int) -> tuple[int, int, int]:
+    """The ``(offset, value_bit, carry_bit)`` that :func:`token` packed."""
+    return t >> 2, (t >> 1) & 1, t & 1
 
 
 @functools.cache
-def legal_tokens(psi: int) -> tuple[Token, ...]:
+def legal_tokens(psi: int) -> tuple[int, ...]:
     """Every legal token for ``psi``, each once: offsets ``1-psi .. -1`` then
     ``1 .. psi``, each with (value, carry) 00, 01, 10, 11.
 
@@ -50,7 +58,7 @@ def legal_tokens(psi: int) -> tuple[Token, ...]:
     transition and the safe-set predicate all take it from here.
     """
     return tuple(
-        Token(offset, payload >> 1, payload & 1)
+        token(offset, payload >> 1, payload & 1)
         for offset in (*range(1 - psi, 0), *range(1, psi + 1))
         for payload in range(4)
     )
@@ -66,8 +74,8 @@ class AgentState:
     b: int = 0
     dist: int = 0
     last: int = 0
-    token_b: Token | None = None
-    token_w: Token | None = None
+    token_b: int | None = None
+    token_w: int | None = None
     # ``mode`` is a function of ``clock`` once an interaction has written
     # it, but it stays a stored field: the reference blocks that
     # ``interact_traced`` runs after mode determination read the mode it
@@ -126,23 +134,15 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
         raise ValueError(f"{name}: {value!r} out of range [{lo}, {hi}]")
 
 
-def is_legal_token(token: object, psi: int) -> bool:
-    """True iff ``token`` is a :class:`Token` of plain ints in
-    :func:`legal_tokens`.
-
-    The transition reads a token's fields by name, so a plain tuple of the
-    same ints is not a token; as in every field, a bool or float is no int.
-    """
-    return (
-        type(token) is Token
-        and all(type(field) is int for field in token)
-        and token in legal_tokens(psi)
-    )
+def is_legal_token(t: object, psi: int) -> bool:
+    """True iff ``t`` is an ``int`` in :func:`legal_tokens`: as in every
+    field, a bool or float is no int."""
+    return type(t) is int and t in legal_tokens(psi)
 
 
-def _check_token(name: str, token: Token | None, psi: int) -> None:
-    if token is not None and not is_legal_token(token, psi):
-        raise ValueError(f"{name}: {token!r} is not a legal token for psi={psi}")
+def _check_token(name: str, t: int | None, psi: int) -> None:
+    if t is not None and not is_legal_token(t, psi):
+        raise ValueError(f"{name}: {t!r} is not a legal token for psi={psi}")
 
 
 class Configuration:
@@ -197,9 +197,7 @@ class Configuration:
     def from_snapshot(cls, data: dict) -> "Configuration":
         if not isinstance(data, dict):
             raise ValueError(f"snapshot must be a JSON object, got {type(data).__name__}")
-        for key in ("n", "psi", "kappa_max", "agents"):
-            if key not in data:
-                raise ValueError(f"snapshot missing field {key!r}")
+        _require_keys("snapshot", data, ("n", "psi", "kappa_max", "agents"))
         n = data["n"]
         params = ProtocolParams(n=n, psi=data["psi"], kappa_max=data["kappa_max"])
         raw_agents = data["agents"]
@@ -222,8 +220,8 @@ def _agent_to_dict(a: AgentState) -> dict:
         "b": a.b,
         "dist": a.dist,
         "last": a.last,
-        "token_b": None if a.token_b is None else list(a.token_b),
-        "token_w": None if a.token_w is None else list(a.token_w),
+        "token_b": None if a.token_b is None else list(token_fields(a.token_b)),
+        "token_w": None if a.token_w is None else list(token_fields(a.token_w)),
         "mode": MODE_NAMES[a.mode],
         "clock": a.clock,
         "hits": a.hits,
@@ -239,14 +237,25 @@ _INT_FIELDS = tuple(
 )
 
 
+def _require_keys(what: str, data: dict, keys: tuple[str, ...]) -> None:
+    """Raise ValueError unless ``data`` has exactly the keys ``keys``."""
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} missing field {key!r}")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{what} has unknown field {key!r}")
+
+
 def _agent_from_dict(entry: dict) -> AgentState:
     if not isinstance(entry, dict):
         raise ValueError("agent entry is not an object")
+    _require_keys("agent", entry, AgentState.__slots__)
     mode = entry["mode"]
     if mode not in MODE_VALUES:
         raise ValueError(f"mode: unknown value {mode!r}")
 
-    def token(name: str) -> Token | None:
+    def read_token(name: str) -> int | None:
         raw = entry[name]
         if raw is None:
             return None
@@ -254,14 +263,17 @@ def _agent_from_dict(entry: dict) -> AgentState:
             raise ValueError(f"{name}: expected null or [offset, value, carry]")
         for k, value in enumerate(raw):
             require_int(f"{name}[{k}]", value)
-        return Token(*raw)
+        try:
+            return token(*raw)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
     # no coercion: 1.7, "3" and true are errors, not 1, 3 and 1
     for f in _INT_FIELDS:
         require_int(f, entry[f])
     return AgentState(
-        token_b=token("token_b"),
-        token_w=token("token_w"),
+        token_b=read_token("token_b"),
+        token_w=read_token("token_w"),
         mode=MODE_VALUES[mode],
         **{f: entry[f] for f in _INT_FIELDS},
     )

@@ -26,7 +26,7 @@ from .core.params import (
 )
 from .core.scheduler import SchedulerStream
 from .core.sim import run
-from .core.state import AgentState, Configuration, random_configuration
+from .core.state import AgentState, Configuration, random_configuration, token_fields
 from .orientation import (
     OrientationTrial,
     generate_two_hop_coloring,
@@ -489,9 +489,9 @@ def run_token_audit(config: Configuration, seed: int, steps: int) -> TokenAuditR
                     max_moves = moves
                 tracked[(color, dst)] = moves
                 holder = work.agents[dst]
-                token = holder.token_b if color == "B" else holder.token_w
-                if token is not None and _off_track(
-                    holder.dist, token.offset, 0 if color == "B" else psi, two_psi, psi
+                t = holder.token_b if color == "B" else holder.token_w
+                if t is not None and _off_track(
+                    holder.dist, token_fields(t)[0], 0 if color == "B" else psi, two_psi, psi
                 ):
                     invalid_moves += 1
 

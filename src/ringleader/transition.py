@@ -22,9 +22,13 @@ whole transition over a block of scheduler indices in one call, records no
 events, and short-circuits the token blocks when no token activity is
 possible; ``run`` uses it unless an ``on_step`` hook asks for events, in
 which case the run goes through ``interact_traced``.  Its token relays are
-lookups in per-psi relay tables (``_relay_tables``, built once per psi):
-where a moving token lands after the sweep, the bit a rightward arrival
-carries, and which tokens stay on track at each dist.  The tables are
+lookups in per-psi relay tables (``_relay_tables``, built once per psi),
+lists indexed by the token int of ``core.state.token``: where a moving
+token lands after the sweep, the bit a rightward arrival carries, and
+which tokens stay on track at each dist.  An int outside ``legal_tokens``
+reads another token's entry, so the input must pass ``validate``, as
+``run`` enforces.  The reference blocks read a token's fields through
+``token_fields``.  The tables are
 built by running the reference ``_relay_inplace`` on synthetic pairs and
 by ``_off_track``, so the fused loop holds no second copy of the move and
 sweep rules; arming, destruction and an arrival's construct/detect write
@@ -50,7 +54,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Sequence
 
-from .core.state import CONSTRUCT, DETECT, AgentState, Token, legal_tokens
+from .core.state import CONSTRUCT, DETECT, AgentState, legal_tokens, token, token_fields
 
 
 # --------------------------------------------------------------------------
@@ -139,83 +143,61 @@ def _off_track(dist: int, offset: int, d: int, two_psi: int, psi: int) -> bool:
     return target_rel == 0 or target_rel >= psi
 
 
-@functools.cache
-def _token_table(psi: int) -> list[Token | None]:
-    """The tokens of :func:`legal_tokens`, indexed for the moves.
-
-    ``table[4*offset + 2*value_bit + carry_bit]`` is
-    ``Token(offset, value_bit, carry_bit)``.  Negative offsets index from the
-    end; at length ``8*psi`` the two offset ranges do not overlap.
-    """
-    table: list[Token | None] = [None] * (8 * psi)
-    for token in legal_tokens(psi):
-        offset, value, carry = token
-        table[4 * offset + 2 * value + carry] = token
-    return table
-
-
 def _relay_inplace(l, r, lt, rt, d, psi, two_psi, trace, color):
     """One color's token block.  Returns the pair's new token fields.
 
     ``lt``/``rt`` are the current token values of this color at l and r;
     other agent fields are read and written through ``l``/``r`` directly.
     """
-    tokens = _token_table(psi)
     # an idle border (not in the final segment) arms a fresh token carrying
     # the first bit of its segment ID plus one: value 1-b, carry b
     if lt is None and l.dist == d and l.last == 0:
         b = l.b
-        lt = tokens[4 * psi + 2 * (1 - b) + b]  # Token(psi, 1 - b, b)
+        lt = token(psi, 1 - b, b)
         trace.append(("tgen", color))
     # a token never moves onto an occupied agent or into the final segment;
     # the left token is destroyed instead
     if lt is not None and (rt is not None or r.last == 1):
         lt = None
         trace.append(("tdel", color, "l"))
-    if lt is not None and lt.offset == 1:
-        # rightward arrival: construction writes the carried bit, detection
-        # checks it and creates a leader on mismatch; then the token turns
-        # around toward the matching agent of its home segment
-        _, value, carry = lt
-        if r.mode == DETECT:
-            if value != r.b:
-                if r.bullet > 0:
-                    trace.append(("bdel", "r"))
-                r.leader = 1
-                r.bullet = 2
-                r.shield = 1
-                r.signal_b = 0
-                trace.append(("bfire", "r", 2))
+    if lt is not None and token_fields(lt)[0] > 0:
+        offset, value, carry = token_fields(lt)
+        if offset == 1:
+            # rightward arrival: construction writes the carried bit,
+            # detection checks it and creates a leader on mismatch; then the
+            # token turns around toward the matching agent of its home segment
+            if r.mode == DETECT:
+                if value != r.b:
+                    if r.bullet > 0:
+                        trace.append(("bdel", "r"))
+                    r.leader = 1
+                    r.bullet = 2
+                    r.shield = 1
+                    r.signal_b = 0
+                    trace.append(("bfire", "r", 2))
+            else:
+                r.b = value
+            rt = token(1 - psi, value, carry)
         else:
-            r.b = value
-        rt = tokens[4 * (1 - psi) + 2 * value + carry]  # Token(1 - psi, value, carry)
+            rt = token(offset - 1, value, carry)
         lt = None
         trace.append(("tmove", color, "lr"))
-    elif lt is not None and lt.offset >= 2:
-        offset, value, carry = lt
-        rt = tokens[4 * (offset - 1) + 2 * value + carry]
-        lt = None
-        trace.append(("tmove", color, "lr"))
-    elif rt is not None and rt.offset == -1:
-        # leftward arrival: fold l's bit into the running +1 addition and
-        # re-arm for the next round
-        b = l.b
-        if rt.carry_bit == 1:
-            lt = tokens[4 * psi + 2 * (1 - b) + b]  # Token(psi, 1 - b, b)
+    elif rt is not None and token_fields(rt)[0] < 0:
+        offset, value, carry = token_fields(rt)
+        if offset == -1:
+            # leftward arrival: fold l's bit into the running +1 addition and
+            # re-arm for the next round
+            b = l.b
+            lt = token(psi, 1 - b, b) if carry == 1 else token(psi, b, 0)
         else:
-            lt = tokens[4 * psi + 2 * b]  # Token(psi, b, 0)
-        rt = None
-        trace.append(("tmove", color, "rl"))
-    elif rt is not None and rt.offset <= -2:
-        offset, value, carry = rt
-        lt = tokens[4 * (offset + 1) + 2 * value + carry]
+            lt = token(offset + 1, value, carry)
         rt = None
         trace.append(("tmove", color, "rl"))
     # sweep: final-segment residents and off-track tokens are destroyed
-    if lt is not None and (l.last == 1 or _off_track(l.dist, lt.offset, d, two_psi, psi)):
+    if lt is not None and (l.last == 1 or _off_track(l.dist, token_fields(lt)[0], d, two_psi, psi)):
         lt = None
         trace.append(("tdel", color, "l"))
-    if rt is not None and (r.last == 1 or _off_track(r.dist, rt.offset, d, two_psi, psi)):
+    if rt is not None and (r.last == 1 or _off_track(r.dist, token_fields(rt)[0], d, two_psi, psi)):
         rt = None
         trace.append(("tdel", color, "r"))
     return lt, rt
@@ -291,7 +273,7 @@ def interact_traced(
 # fused block loop
 # --------------------------------------------------------------------------
 
-def _moved(psi: int, d: int, t: Token, b: int | None) -> tuple[Token, int | None] | None:
+def _moved(psi: int, d: int, t: int, b: int | None) -> tuple[int, int | None] | None:
     """What the reference ``_relay_inplace`` makes of ``t`` when it moves
     onto an empty agent outside the final segment: right from an initiator
     (``b`` None), or left onto an initiator whose bit is ``b``.
@@ -323,40 +305,38 @@ def _moved(psi: int, d: int, t: Token, b: int | None) -> tuple[Token, int | None
 def _color_tables(psi: int, d: int) -> tuple[tuple, tuple, tuple]:
     """One color's relay as lookups, indexed by dist, then by legal token.
 
-    ``right[rd][t]`` is ``(successor, value)`` when ``t`` moves right onto
-    an empty responder with dist ``rd`` outside the final segment: the token
-    the responder holds after the sweep (None if swept), and the bit its
-    arrival writes or checks (None if it passes through).  ``left[ld][t]``
-    is, by the initiator's ``b``, the token an initiator with dist ``ld``
-    outside the final segment holds after ``t`` moved onto it and the
-    sweep.  Either entry is None for a token that does not move that way.
-    ``on_track[x]`` holds the tokens the sweep keeps at dist ``x``.  Moves
-    come from :func:`_moved` and sweeps from ``_off_track``, so the fused
-    loop holds no second copy of either rule.
+    Each row is a list of length ``8*psi`` indexed by the token itself;
+    negative tokens index from the end, and at that length the rightward
+    and the leftward tokens do not overlap.  ``right[rd][t]`` is
+    ``(successor, value)`` when ``t`` moves right onto an empty responder
+    with dist ``rd`` outside the final segment: the token the responder
+    holds after the sweep (None if swept), and the bit its arrival writes
+    or checks (None if it passes through).  ``left[ld][t]`` is, by the
+    initiator's ``b``, the token an initiator with dist ``ld`` outside the
+    final segment holds after ``t`` moved onto it and the sweep.  Either
+    entry is None for a token that does not move that way.
+    ``on_track[x][t]`` is whether the sweep keeps ``t`` at dist ``x``.
+    Moves come from :func:`_moved` and sweeps from ``_off_track``, so the
+    fused loop holds no second copy of either rule.
     """
     two_psi = 2 * psi
     tokens = legal_tokens(psi)
-    on_track = tuple(
-        frozenset(t for t in tokens if not _off_track(x, t.offset, d, two_psi, psi))
-        for x in range(two_psi)
-    )
-    rightward = {t: _moved(psi, d, t, None) for t in tokens}
-    leftward = {t: (_moved(psi, d, t, 0), _moved(psi, d, t, 1)) for t in tokens}
-    right = tuple(
-        {
-            t: None if move is None else (move[0] if move[0] in kept else None, move[1])
-            for t, move in rightward.items()
-        }
-        for kept in on_track
-    )
-    left = tuple(
-        {
-            t: None if moves[0] is None
-            else tuple(moved if moved in kept else None for moved, _ in moves)
-            for t, moves in leftward.items()
-        }
-        for kept in on_track
-    )
+    rows = range(two_psi)
+    on_track = tuple([False] * (8 * psi) for _ in rows)
+    right = tuple([None] * (8 * psi) for _ in rows)
+    left = tuple([None] * (8 * psi) for _ in rows)
+    for x in rows:
+        for t in tokens:
+            on_track[x][t] = not _off_track(x, token_fields(t)[0], d, two_psi, psi)
+    for t in tokens:
+        rightward = _moved(psi, d, t, None)
+        leftward = _moved(psi, d, t, 0), _moved(psi, d, t, 1)
+        for kept, right_row, left_row in zip(on_track, right, left):
+            if rightward is not None:
+                moved, value = rightward
+                right_row[t] = (moved if kept[moved] else None, value)
+            if leftward[0] is not None:
+                left_row[t] = tuple(moved if kept[moved] else None for moved, _ in leftward)
     return right, left, on_track
 
 
@@ -365,8 +345,7 @@ def _relay_tables(psi: int) -> tuple:
     """``interact_block``'s relay tables for ``psi``, built once per ``psi``:
     the token an idle border arms, indexed by its ``b``, then the black and
     the white :func:`_color_tables`."""
-    tokens = _token_table(psi)
-    armed = (tokens[4 * psi + 2], tokens[4 * psi + 1])  # Token(psi, 1 - b, b)
+    armed = (token(psi, 1, 0), token(psi, 0, 1))  # value 1 - b, carry b
     return armed, _color_tables(psi, 0), _color_tables(psi, psi)
 
 
@@ -396,8 +375,9 @@ def interact_block(
     agents that ``AgentState.validate`` accepts, but records no events.
     Each token color's relay is a lookup in its :func:`_relay_tables`
     entries and is skipped outright when neither agent holds a token of that
-    color and the initiator cannot arm one; a token outside ``legal_tokens``
-    has no entry and raises KeyError.
+    color and the initiator cannot arm one.  A token outside
+    ``legal_tokens`` reads another token's entry or raises IndexError, so
+    ``agents`` must pass ``AgentState.validate``, as ``run`` checks.
 
     ``quiet`` may be True only when :func:`_quiet` holds for ``agents``.  In
     a quiet ring no leader seeds a resetting signal, no signal resets a
@@ -488,7 +468,7 @@ def interact_block(
             if rt is None and rlast == 0:
                 move = right_b[rd][lt]
                 if move is None:  # a leftward token stays, swept at l
-                    if llast == 1 or lt not in on_b[ld]:
+                    if llast == 1 or not on_b[ld][lt]:
                         l.token_b = None
                 else:
                     nt, value = move
@@ -508,7 +488,7 @@ def interact_block(
         if rt is not None:
             move = left_b[ld][rt]
             if move is None:  # a rightward token stays, swept at r
-                if rlast == 1 or rt not in on_b[rd]:
+                if rlast == 1 or not on_b[rd][rt]:
                     r.token_b = None
             else:
                 l.token_b = None if llast == 1 else move[l.b]
@@ -523,7 +503,7 @@ def interact_block(
             if rt is None and rlast == 0:
                 move = right_w[rd][lt]
                 if move is None:  # a leftward token stays, swept at l
-                    if llast == 1 or lt not in on_w[ld]:
+                    if llast == 1 or not on_w[ld][lt]:
                         l.token_w = None
                 else:
                     nt, value = move
@@ -543,7 +523,7 @@ def interact_block(
         if rt is not None:
             move = left_w[ld][rt]
             if move is None:  # a rightward token stays, swept at r
-                if rlast == 1 or rt not in on_w[rd]:
+                if rlast == 1 or not on_w[rd][rt]:
                     r.token_w = None
             else:
                 l.token_w = None if llast == 1 else move[l.b]

@@ -31,7 +31,7 @@ from ringleader.analysis import (
 from ringleader.core.params import InvalidSizeError, ProtocolParams, make_params
 from ringleader.core.scheduler import SchedulerStream
 from ringleader.core.sim import run, step
-from ringleader.core.state import AgentState, Configuration, Token, legal_tokens
+from ringleader.core.state import AgentState, Configuration, legal_tokens, token, token_fields
 from ringleader.core.state import random_configuration
 from ringleader.harness import multi_leader_configuration
 
@@ -211,8 +211,8 @@ def test_validity_matches_trajectory_oracle_exhaustively():
         for dist in range(two_psi):
             for off in offsets:
                 cfg.agents[0].dist = dist
-                cfg.agents[0].token_b = Token(off, 0, 0)
-                cfg.agents[0].token_w = Token(off, 0, 0)
+                cfg.agents[0].token_b = token(off, 0, 0)
+                cfg.agents[0].token_w = token(off, 0, 0)
                 assert token_is_valid(cfg, 0, TokenColor.BLACK) == (
                     (dist, off) in legal
                 )
@@ -223,23 +223,23 @@ def test_validity_matches_trajectory_oracle_exhaustively():
 
 
 def test_fresh_border_token_is_valid():
-    cfg = ring(P16, {0: {"dist": 0, "token_b": Token(4, 0, 1)}})
+    cfg = ring(P16, {0: {"dist": 0, "token_b": token(4, 0, 1)}})
     assert token_is_valid(cfg, 0, TokenColor.BLACK)
 
 
 def test_midleg_tokens_are_valid():
     # both of these sit on legal legs (rounds 0 and 1 of the shuttle)
-    cfg = ring(P16, {0: {"dist": 2, "token_b": Token(2, 0, 0)}})
+    cfg = ring(P16, {0: {"dist": 2, "token_b": token(2, 0, 0)}})
     assert token_is_valid(cfg, 0, TokenColor.BLACK)
-    cfg.agents[0].token_b = Token(3, 0, 0)
+    cfg.agents[0].token_b = token(3, 0, 0)
     assert token_is_valid(cfg, 0, TokenColor.BLACK)
 
 
 def test_border_targeting_tokens_are_invalid():
-    cfg = ring(P16, {0: {"dist": 7, "token_b": Token(1, 0, 0)}})
+    cfg = ring(P16, {0: {"dist": 7, "token_b": token(1, 0, 0)}})
     assert not token_is_valid(cfg, 0, TokenColor.BLACK)
     cfg.agents[0].dist = 2
-    cfg.agents[0].token_b = Token(-2, 0, 0)
+    cfg.agents[0].token_b = token(-2, 0, 0)
     assert not token_is_valid(cfg, 0, TokenColor.BLACK)
 
 
@@ -255,7 +255,7 @@ def test_token_color_must_be_a_token_color(check, which):
     # agent 0 holds a valid, correct black token and no white one
     work = construct_S_PL(P16, 1).copy()
     b0 = work.agents[0].b
-    work.agents[0].token_b = Token(P16.psi, 1 - b0, b0)
+    work.agents[0].token_b = token(P16.psi, 1 - b0, b0)
     with pytest.raises(InvalidSizeError):
         check(work, 0, which)
 
@@ -303,7 +303,7 @@ def test_correctness_accepts_exactly_the_oracle_payload(seed, pair_index):
             for value in (0, 1):
                 for carry in (0, 1):
                     work = cfg.copy()
-                    tok = Token(off, value, carry)
+                    tok = token(off, value, carry)
                     if color is TokenColor.BLACK:
                         work.agents[pos].token_b = tok
                     else:
@@ -318,16 +318,16 @@ def test_fresh_token_at_all_ones_segment_is_correct():
     for j in range(2):
         cfg.agents[j].b = 1  # home segment reads 3: increment wraps to 0
     work = cfg.copy()
-    work.agents[0].token_b = Token(2, 0, 1)  # the generation payload for b=1
+    work.agents[0].token_b = token(2, 0, 1)  # the generation payload for b=1
     assert token_is_correct(work, 0, TokenColor.BLACK)
-    work.agents[0].token_b = Token(2, 0, 0)  # flipped carry
+    work.agents[0].token_b = token(2, 0, 0)  # flipped carry
     assert not token_is_correct(work, 0, TokenColor.BLACK)
 
 
 def test_mutating_home_bits_invalidates_correctness():
     cfg = construct_S_PL(P16, 9)
     work = cfg.copy()
-    work.agents[0].token_b = Token(P16.psi, 1 - work.agents[0].b, work.agents[0].b)
+    work.agents[0].token_b = token(P16.psi, 1 - work.agents[0].b, work.agents[0].b)
     assert token_is_correct(work, 0, TokenColor.BLACK)
     work.agents[1].b ^= 1  # the home segment's ID changed under the token
     before = token_is_correct(work, 0, TokenColor.BLACK)
@@ -338,7 +338,7 @@ def test_mutating_home_bits_invalidates_correctness():
 
 def test_correctness_requires_settled_ring():
     cfg = random_configuration(P16, 1)
-    cfg.agents[0].token_b = Token(4, 0, 1)
+    cfg.agents[0].token_b = token(4, 0, 1)
     with pytest.raises(PreconditionError):
         token_is_correct(cfg, 0, TokenColor.BLACK)
 
@@ -346,7 +346,7 @@ def test_correctness_requires_settled_ring():
 def test_correctness_rejects_invalid_token():
     cfg = construct_S_PL(P16, 2)
     work = cfg.copy()
-    work.agents[7].token_b = Token(1, 0, 0)  # dist 7, targets the border
+    work.agents[7].token_b = token(1, 0, 0)  # dist 7, targets the border
     with pytest.raises(PreconditionError):
         token_is_correct(work, 7, TokenColor.BLACK)
 
@@ -355,16 +355,16 @@ def test_correctness_rejects_token_without_working_pair():
     cfg = construct_S_PL(P16, 3)
     work = cfg.copy()
     # white token anchored at the final segment's border: no working pair
-    work.agents[13].token_w = Token(3, 0, 1)
+    work.agents[13].token_w = token(3, 0, 1)
     with pytest.raises(PreconditionError):
         token_is_correct(work, 13, TokenColor.WHITE)
 
 
 def _out_of_range_frame():
-    """A safe frame whose leader holds the black token ``Token(5, 0, 1)``:
+    """A safe frame whose leader holds the black token ``token(5, 0, 1)``:
     offset psi + 1, which no legal token has."""
     cfg = construct_S_PL(P16, 1).copy()
-    cfg.agents[0].token_b = Token(P16.psi + 1, 0, 1)
+    cfg.agents[0].token_b = token(P16.psi + 1, 0, 1)
     with pytest.raises(ValueError, match=r"agents\[0\]\.token_b"):
         cfg.validate()
     return cfg
@@ -379,26 +379,30 @@ def test_out_of_range_token_is_not_correct():
         token_is_correct(_out_of_range_frame(), 0, TokenColor.BLACK)
 
 
-def _bool_bit_frame():
-    """A safe frame whose leader holds its fresh black token with ``bool``
-    bits, which ``validate`` rejects; the twin of plain ints is correct."""
+def _float_token_frame():
+    """A safe frame whose leader holds its fresh black token as a ``float``,
+    which ``validate`` rejects; the int twin is correct.  A token cannot be
+    built from ``bool`` or non-bit parts at all."""
+    for parts in ((4, True, False), (1, 2, 0)):
+        with pytest.raises(ValueError, match="is not a bit"):
+            token(*parts)
     cfg = construct_S_PL(P16, 9).copy()
     b0 = cfg.agents[0].b
-    cfg.agents[0].token_b = Token(P16.psi, 1 - b0, b0)
+    cfg.agents[0].token_b = token(P16.psi, 1 - b0, b0)
     assert token_is_correct(cfg, 0, TokenColor.BLACK)
-    cfg.agents[0].token_b = Token(P16.psi, bool(1 - b0), bool(b0))
+    cfg.agents[0].token_b = float(cfg.agents[0].token_b)
     with pytest.raises(ValueError, match=r"agents\[0\]\.token_b"):
         cfg.validate()
     return cfg
 
 
-def test_token_with_bool_bits_is_not_valid():
-    assert not token_is_valid(_bool_bit_frame(), 0, TokenColor.BLACK)
+def test_float_token_is_not_valid():
+    assert not token_is_valid(_float_token_frame(), 0, TokenColor.BLACK)
 
 
-def test_token_with_bool_bits_is_not_correct():
+def test_float_token_is_not_correct():
     with pytest.raises(PreconditionError):
-        token_is_correct(_bool_bit_frame(), 0, TokenColor.BLACK)
+        token_is_correct(_float_token_frame(), 0, TokenColor.BLACK)
 
 
 def test_out_of_range_token_is_not_safe():
@@ -411,7 +415,7 @@ def test_no_single_out_of_range_token_is_safe():
     base = construct_S_PL(P16, 1)
     assert in_S_PL(base)
     psi = P16.psi
-    legal = {t.offset for t in legal_tokens(psi)}
+    legal = {token_fields(t)[0] for t in legal_tokens(psi)}
     safe = []
     for offset in set(range(-2 * psi, 2 * psi + 1)) - legal:
         for i in range(P16.n):
@@ -419,7 +423,7 @@ def test_no_single_out_of_range_token_is_safe():
                 for value in (0, 1):
                     for carry in (0, 1):
                         work = base.copy()
-                        setattr(work.agents[i], slot, Token(offset, value, carry))
+                        setattr(work.agents[i], slot, token(offset, value, carry))
                         if in_S_PL(work):
                             safe.append((i, slot, offset, value, carry))
     assert safe == []
@@ -547,7 +551,7 @@ def test_final_segment_bits_unconstrained():
 def test_invalid_token_fails_s_pl():
     cfg = construct_S_PL(P16, 1)
     work = cfg.copy()
-    work.agents[7].token_b = Token(1, 0, 0)
+    work.agents[7].token_b = token(1, 0, 0)
     assert not in_S_PL(work)
 
 
@@ -555,7 +559,7 @@ def test_wrong_payload_token_fails_s_pl():
     cfg = construct_S_PL(P16, 1)
     work = cfg.copy()
     b0 = work.agents[0].b
-    work.agents[0].token_b = Token(P16.psi, b0, b0)  # value should be 1-b0
+    work.agents[0].token_b = token(P16.psi, b0, b0)  # value should be 1-b0
     assert not in_S_PL(work)
 
 
@@ -563,7 +567,7 @@ def test_correct_fresh_token_keeps_s_pl():
     cfg = construct_S_PL(P16, 1)
     work = cfg.copy()
     b0 = work.agents[0].b
-    work.agents[0].token_b = Token(P16.psi, 1 - b0, b0)
+    work.agents[0].token_b = token(P16.psi, 1 - b0, b0)
     assert in_S_PL(work)
 
 
@@ -594,8 +598,8 @@ def test_s_pl_verdict_follows_in_place_mutation(mutation):
         agents[(lead + P16.psi) % 16].b ^= 1  # bit 0 of S_1's ID
     elif mutation == "token value":
         i = next(i for i, a in enumerate(agents) if a.token_w is not None)
-        token = agents[i].token_w
-        agents[i].token_w = token._replace(value_bit=1 - token.value_bit)
+        offset, value, carry = token_fields(agents[i].token_w)
+        agents[i].token_w = token(offset, 1 - value, carry)
     else:
         agents[lead].leader = 0
         agents[(lead + 1) % 16].leader = 1
@@ -621,11 +625,11 @@ def test_s_pl_interleaved_frames_match_fresh_calls():
             for other in frames:
                 b0 = other.agents[0].b
                 work = frame.copy()
-                work.agents[0].token_b = Token(p.psi, 1 - b0, b0)
+                work.agents[0].token_b = token(p.psi, 1 - b0, b0)
                 configs.append((work, other is frame))
             work = frame.copy()
             b = work.agents[far].b
-            work.agents[far].token_b = Token(p.psi, b, b)  # value should be 1-b
+            work.agents[far].token_b = token(p.psi, b, b)  # value should be 1-b
             configs.append((work, False))
     order = configs[::2] + configs[1::2]  # alternate sizes and frames
     for cfg, want in order:
@@ -644,14 +648,14 @@ def test_checks_build_nothing_per_possible_id(n):
     cfg = construct_S_PL(p, 3)
     work = cfg.copy()
     b0 = work.agents[0].b
-    work.agents[0].token_b = Token(p.psi, 1 - b0, b0)
+    work.agents[0].token_b = token(p.psi, 1 - b0, b0)
     start = time.perf_counter()
     assert in_C_DL(cfg) and in_S_PL(cfg)
     # the leader's token works only when S_0 is a full segment
     assert in_S_PL(work) == (n > p.psi)
     if n > p.psi:
         assert token_is_correct(work, 0, TokenColor.BLACK)
-        work.agents[0].token_b = Token(p.psi, b0, b0)
+        work.agents[0].token_b = token(p.psi, b0, b0)
         assert not in_S_PL(work)
     assert time.perf_counter() - start < 1.0
 

@@ -5,7 +5,7 @@ from ringleader.core import sim
 from ringleader.core.params import make_params
 from ringleader.core.scheduler import SchedulerStream
 from ringleader.core.sim import run, step
-from ringleader.core.state import CONSTRUCT, AgentState, Configuration, Token
+from ringleader.core.state import CONSTRUCT, AgentState, Configuration, token
 from ringleader.core.state import random_configuration
 
 P16 = make_params(16)
@@ -187,15 +187,69 @@ def test_quiet_stretch_ends_as_the_reference_run_does(n, monkeypatch):
     assert plain_frames == hooked_frames
 
 
+def _quiet_exit_replay(n: int, psi: int, kappa_max: int, seed: int) -> int:
+    """The first step at which a clock of a leaderless settled ring is full,
+    from the scheduler stream alone: while the ring is quiet, agent j's hit
+    counter gains 1 on arc j - 1 and resets on arc j, and when it reaches
+    psi it resets and ticks j's clock.  Shares no code with the transition."""
+    hits, clocks = [0] * n, [0] * n
+    stream = SchedulerStream(n, seed)
+    step = 0
+    while True:
+        for i in stream.draw(n):
+            step += 1
+            j = (i + 1) % n
+            hits[i] = 0
+            hits[j] += 1
+            if hits[j] == psi:
+                hits[j] = 0
+                clocks[j] += 1
+                if clocks[j] == kappa_max:
+                    return step
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 16, 17, 64])
+def test_quiet_exit_step_matches_the_scheduler_replay(n):
+    # pins the quiet branch's hit counters and clock ticks, step by step,
+    # to an oracle outside the transition; seeds fixed before the first run
+    p = make_params(n)
+    start = leaderless_settled(p, n)
+    seed = 1000 + n
+    exit_step = _quiet_exit_replay(n, p.psi, p.kappa_max, seed)
+    assert exit_step > n * p.kappa_max  # every tick needs psi hits in a row
+
+    def full_clock(config):
+        return any(a.clock == p.kappa_max for a in config.agents)
+
+    def never(config):
+        return False
+
+    before, _, _ = run(start, SchedulerStream(n, seed), exit_step - 1, never)
+    at, _, _ = run(start, SchedulerStream(n, seed), exit_step, never)
+    assert not full_clock(before) and full_clock(at)
+
+    steps, first = [0], []
+
+    def hook(work, i, trace):
+        steps[0] += 1
+        agents = work.agents
+        if not first and p.kappa_max in (agents[i].clock, agents[(i + 1) % n].clock):
+            first.append(steps[0])
+
+    run(start, SchedulerStream(n, seed), exit_step + n, lambda c: bool(first), on_step=hook)
+    assert first == [exit_step]
+
+
 @pytest.mark.parametrize(
     "field, value",
-    [("token_b", Token(5, 0, 1)), ("clock", 129), ("mode", 2)],
+    [("token_b", token(5, 0, 1)), ("clock", 129), ("mode", 2)],
 )
 @pytest.mark.parametrize("hooked", [False, True])
 def test_run_rejects_an_invalid_start(field, value, hooked):
-    # both paths reject it: the fused loop would otherwise fail on a token
-    # it has no table entry for, and could take a ring whose clock or mode
-    # is out of range for quiet
+    # both paths reject it: the fused loop would otherwise read a relay
+    # table slot that belongs to another token (offset 5 at psi = 4 indexes
+    # as offset -3), and could take a ring whose clock or mode is out of
+    # range for quiet
     cfg = construct_S_PL(P16, 1)
     setattr(cfg.agents[0], field, value)
     on_step = (lambda *args: None) if hooked else None

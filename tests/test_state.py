@@ -1,5 +1,6 @@
 import hashlib
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from ringleader.core.state import (
     DETECT,
     AgentState,
     Configuration,
-    Token,
     legal_tokens,
     random_configuration,
+    token,
+    token_fields,
 )
 
 
@@ -94,7 +96,7 @@ def test_copy_is_deep(params8):
     cfg = random_configuration(params8, 3)
     clone = cfg.copy()
     clone.agents[0].leader ^= 1
-    clone.agents[1].token_b = Token(2, 1, 0)
+    clone.agents[1].token_b = token(2, 1, 0)
     assert cfg != clone
     assert cfg == random_configuration(params8, 3)
 
@@ -136,12 +138,26 @@ def test_snapshot_rejects_bad_fields(params8):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("leader", 1.7), ("dist", "3"), ("leader", True), ("token_b", [1.9, 0, 0])],
+    [("leader", 1.7), ("dist", "3"), ("leader", True), ("token_b", [1.9, 0, 0]),
+     # without a bit check the first two would pack into the legal tokens
+     # (2, 0, 0) and (1, 1, 1)
+     ("token_b", [1, 2, 0]), ("token_b", [2, -1, 1]), ("token_b", [1, True, 0])],
 )
 def test_snapshot_rejects_coercible_values(params8, field, value):
     snap = random_configuration(params8, 1).to_snapshot()
     snap["agents"][4][field] = value
     with pytest.raises(ValueError, match=rf"agents\[4\]: {field}"):
+        Configuration.from_snapshot(snap)
+
+
+@pytest.mark.parametrize("agent", [None, 3])
+def test_snapshot_rejects_unknown_fields(params8, agent):
+    # a misspelt field is an error, not a default
+    snap = random_configuration(params8, 1).to_snapshot()
+    entry = snap if agent is None else snap["agents"][agent]
+    entry["sheild"] = 1
+    where = "" if agent is None else rf"agents\[{agent}\]: .*"
+    with pytest.raises(ValueError, match=rf"{where}unknown field 'sheild'"):
         Configuration.from_snapshot(snap)
 
 
@@ -163,7 +179,7 @@ def test_validate_catches_mode_and_token(params8):
     with pytest.raises(ValueError, match="mode"):
         cfg.validate()
     cfg = random_configuration(params8, 1)
-    cfg.agents[0].token_w = Token(-params8.psi, 0, 0)  # -psi is out of range
+    cfg.agents[0].token_w = token(-params8.psi, 0, 0)  # -psi is out of range
     with pytest.raises(ValueError, match="token_w"):
         cfg.validate()
 
@@ -171,9 +187,10 @@ def test_validate_catches_mode_and_token(params8):
 @pytest.mark.parametrize(
     "field, value",
     [("leader", True), ("leader", 1.0), ("dist", True), ("mode", 1.0),
-     ("token_b", Token(1.5, 0, 0)), ("token_b", Token(1, 1.0, 0)),
-     # a token must be a Token, not a list or plain tuple of the same ints
-     ("token_b", [1, 0, 0]), ("token_w", (1, 0, 0))],
+     # a token is an int: a number equal to a legal token's int, or its
+     # fields as a list or tuple, is not a token
+     ("token_b", np.int64(token(1, 0, 0))), ("token_b", Decimal(token(1, 0, 0))),
+     ("token_b", [1, 0, 0]), ("token_w", (1, 0, 0)), ("token_b", float(token(1, 0, 0)))],
 )
 def test_validate_requires_plain_ints(params8, field, value):
     cfg = random_configuration(params8, 1)
@@ -192,9 +209,9 @@ def test_validate_accepts_exactly_the_legal_tokens(psi):
     for offset in range(-2 * psi, 2 * psi + 1):
         for value in (0, 1):
             for carry in (0, 1):
-                token = Token(offset, value, carry)
+                t = token(offset, value, carry)
                 for slot in ("token_b", "token_w"):
-                    setattr(cfg.agents[1], slot, token)
+                    setattr(cfg.agents[1], slot, t)
                     try:
                         cfg.validate()
                         accepted = True
@@ -202,7 +219,7 @@ def test_validate_accepts_exactly_the_legal_tokens(psi):
                         assert f"agents[1].{slot}" in str(exc)
                         accepted = False
                     setattr(cfg.agents[1], slot, None)
-                    assert accepted == (token in legal), (slot, token)
+                    assert accepted == (t in legal), (slot, t)
 
 
 def test_token_field_distribution(params8):
@@ -210,7 +227,7 @@ def test_token_field_distribution(params8):
     seen = set()
     for seed in range(300):
         for a in random_configuration(params8, seed).agents:
-            seen.add(None if a.token_b is None else a.token_b.offset)
+            seen.add(None if a.token_b is None else token_fields(a.token_b)[0])
     psi = params8.psi
     expected = {None} | set(range(-psi + 1, 0)) | set(range(1, psi + 1))
     assert seen == expected

@@ -21,9 +21,10 @@ from ringleader.core.state import (
     CONSTRUCT,
     DETECT,
     AgentState,
-    Token,
     legal_tokens,
     random_configuration,
+    token,
+    token_fields,
 )
 from ringleader.transition import (
     _determine_mode_inplace,
@@ -31,7 +32,6 @@ from ringleader.transition import (
     _eliminate_inplace,
     _off_track,
     _relay_inplace,
-    _token_table,
 )
 
 from conftest import fused_pair, random_state_pairs, reference_pair
@@ -237,7 +237,7 @@ def test_border_generates_and_forwards_token():
     relay(l, r, "B")
     # payload rule: value 1-b, carry b; the fresh token advances immediately
     assert l.token_b is None
-    assert r.token_b == Token(P4.psi - 1, 0, 1)
+    assert r.token_b == token(P4.psi - 1, 0, 1)
 
 
 def test_no_generation_in_final_segment():
@@ -251,99 +251,105 @@ def test_white_border_generates_white():
     l = AgentState(dist=P4.psi, last=0, b=0)
     r = AgentState(dist=P4.psi + 1)
     relay(l, r, "W")
-    assert r.token_w == Token(P4.psi - 1, 1, 0)
+    assert r.token_w == token(P4.psi - 1, 1, 0)
     assert l.token_w is None
 
 
 def test_left_token_dies_against_occupied_right():
-    l = AgentState(dist=1, token_b=Token(3, 1, 0))
-    r = AgentState(dist=2, token_b=Token(2, 0, 1))
+    l = AgentState(dist=1, token_b=token(3, 1, 0))
+    r = AgentState(dist=2, token_b=token(2, 0, 1))
     relay(l, r, "B")
     assert l.token_b is None
-    assert r.token_b == Token(2, 0, 1)
+    assert r.token_b == token(2, 0, 1)
 
 
 def test_left_token_dies_entering_final_segment():
-    l = AgentState(dist=1, token_b=Token(3, 1, 0))
+    l = AgentState(dist=1, token_b=token(3, 1, 0))
     r = AgentState(dist=2, last=1)
     relay(l, r, "B")
     assert l.token_b is None and r.token_b is None
 
 
 def test_arrival_writes_bit_in_construction():
-    l = AgentState(dist=P4.psi - 1, token_b=Token(1, 1, 0))
+    l = AgentState(dist=P4.psi - 1, token_b=token(1, 1, 0))
     r = AgentState(dist=P4.psi, b=0, mode=CONSTRUCT)
     relay(l, r, "B")
     assert r.b == 1
-    assert r.token_b == Token(1 - P4.psi, 1, 0)
+    assert r.token_b == token(1 - P4.psi, 1, 0)
     assert l.token_b is None
 
 
 def test_arrival_mismatch_in_detection_creates_leader():
-    l = AgentState(dist=P4.psi - 1, token_b=Token(1, 0, 1))
+    l = AgentState(dist=P4.psi - 1, token_b=token(1, 0, 1))
     r = AgentState(dist=P4.psi, b=1, mode=DETECT)
     relay(l, r, "B")
     assert (r.leader, r.bullet, r.shield, r.signal_b) == (1, 2, 1, 0)
     assert r.b == 1  # detection never writes the bit
-    assert r.token_b == Token(1 - P4.psi, 0, 1)
+    assert r.token_b == token(1 - P4.psi, 0, 1)
 
 
 def test_arrival_match_in_detection_is_quiet():
-    l = AgentState(dist=P4.psi - 1, token_b=Token(1, 1, 1))
+    l = AgentState(dist=P4.psi - 1, token_b=token(1, 1, 1))
     r = AgentState(dist=P4.psi, b=1, mode=DETECT)
     relay(l, r, "B")
     assert r.leader == 0
-    assert r.token_b == Token(1 - P4.psi, 1, 1)
+    assert r.token_b == token(1 - P4.psi, 1, 1)
 
 
 def test_rightward_move_decrements_offset():
-    l = AgentState(dist=2, token_b=Token(3, 1, 1))
+    l = AgentState(dist=2, token_b=token(3, 1, 1))
     r = AgentState(dist=3)
     relay(l, r, "B")
     assert l.token_b is None
-    assert r.token_b == Token(2, 1, 1)
+    assert r.token_b == token(2, 1, 1)
 
 
 def test_rearm_with_carry_set():
     l = AgentState(dist=1, b=0)
-    r = AgentState(dist=2, token_b=Token(-1, 0, 1))
+    r = AgentState(dist=2, token_b=token(-1, 0, 1))
     relay(l, r, "B")
-    assert l.token_b == Token(P4.psi, 1, 0)
+    assert l.token_b == token(P4.psi, 1, 0)
     assert r.token_b is None
 
 
 def test_rearm_with_carry_clear():
     l = AgentState(dist=1, b=1)
-    r = AgentState(dist=2, token_b=Token(-1, 0, 0))
+    r = AgentState(dist=2, token_b=token(-1, 0, 0))
     relay(l, r, "B")
-    assert l.token_b == Token(P4.psi, 1, 0)
+    assert l.token_b == token(P4.psi, 1, 0)
     assert r.token_b is None
 
 
 def test_leftward_move_keeps_payload():
     # the moving token's own bits ride along with it
     l = AgentState(dist=2)
-    r = AgentState(dist=3, token_b=Token(-2, 1, 0))
+    r = AgentState(dist=3, token_b=token(-2, 1, 0))
     relay(l, r, "B")
-    assert l.token_b == Token(-1, 1, 0)
+    assert l.token_b == token(-1, 1, 0)
     assert r.token_b is None
 
 
 @pytest.mark.parametrize("psi", range(2, 10))
 def test_token_table_holds_every_legal_token_once(psi):
+    # the fused loop's relay tables are lists of length 8*psi indexed by
+    # the token itself, negative tokens from the end: every legal token
+    # must own one slot, and read back as the fields it was built from
     offsets = [*range(1 - psi, 0), *range(1, psi + 1)]
-    legal = [Token(o, v, c) for o in offsets for v in (0, 1) for c in (0, 1)]
+    triples = [(o, v, c) for o in offsets for v in (0, 1) for c in (0, 1)]
+    legal = [token(*fields) for fields in triples]
     assert legal_tokens(psi) == tuple(legal)  # in random_configuration's draw order
-    table = _token_table(psi)
+    assert [token_fields(t) for t in legal] == triples
+    table = [None] * (8 * psi)
     for t in legal:
-        assert table[4 * t.offset + 2 * t.value_bit + t.carry_bit] == t
+        assert table[t] is None
+        table[t] = t
     assert sorted(t for t in table if t is not None) == sorted(legal)
 
 
 def test_sweep_deletes_off_track_rightward_token():
     # a rightward token whose implied target is inside its own segment is
     # off its trajectory and gets swept after the move
-    l = AgentState(dist=2 * P4.psi - 1, token_b=Token(2, 0, 0))
+    l = AgentState(dist=2 * P4.psi - 1, token_b=token(2, 0, 0))
     r = AgentState(dist=0)
     relay(l, r, "B")
     assert l.token_b is None and r.token_b is None
@@ -352,7 +358,7 @@ def test_sweep_deletes_off_track_rightward_token():
 def test_sweep_deletes_off_track_leftward_token():
     # a leftward token targeting its home border exactly is off-track
     l = AgentState(dist=1)
-    r = AgentState(dist=2, token_b=Token(-2, 1, 1))
+    r = AgentState(dist=2, token_b=token(-2, 1, 1))
     relay(l, r, "B")
     assert l.token_b is None and r.token_b is None
 
@@ -360,7 +366,7 @@ def test_sweep_deletes_off_track_leftward_token():
 def test_branch_chain_runs_before_sweep():
     # an off-track arrival still acts (writes the bit) before the sweep
     # removes its turn-around remnant
-    l = AgentState(dist=2 * P4.psi - 1, token_b=Token(1, 0, 0))
+    l = AgentState(dist=2 * P4.psi - 1, token_b=token(1, 0, 0))
     r = AgentState(dist=0, mode=CONSTRUCT, b=1)
     relay(l, r, "B")
     assert r.b == 0
@@ -369,17 +375,17 @@ def test_branch_chain_runs_before_sweep():
 
 def test_on_track_midleg_token_survives():
     # position 2 offset 3 is round 1's rightward leg: it must not be swept
-    l = AgentState(dist=2, token_b=Token(3, 1, 0))
+    l = AgentState(dist=2, token_b=token(3, 1, 0))
     r = AgentState(dist=3)
     relay(l, r, "B")
-    assert r.token_b == Token(2, 1, 0)
+    assert r.token_b == token(2, 1, 0)
 
 
 def test_white_relay_ignores_black_slots():
-    l = AgentState(dist=0, last=0, b=1, token_w=Token(2, 1, 1))
-    r = AgentState(dist=1, token_b=Token(3, 0, 0))
+    l = AgentState(dist=0, last=0, b=1, token_w=token(2, 1, 1))
+    r = AgentState(dist=1, token_b=token(3, 0, 0))
     relay(l, r, "W")
-    assert r.token_b == Token(3, 0, 0)  # untouched by the white pass
+    assert r.token_b == token(3, 0, 0)  # untouched by the white pass
     assert l.token_b is None  # black slot at l untouched (was empty)
 
 
@@ -628,7 +634,7 @@ def test_valid_tokens_with_consistent_dists_stay_valid():
         offs = legal_by_rel.get(rel)
         if offs is None or rng.integers(0, 3) == 0:
             return None
-        return Token(
+        return token(
             int(offs[rng.integers(0, len(offs))]),
             int(rng.integers(0, 2)),
             int(rng.integers(0, 2)),
@@ -659,7 +665,7 @@ def test_valid_tokens_with_consistent_dists_stay_valid():
                 tok = holder.token_b if color == "B" else holder.token_w
                 if tok is not None:
                     checked += 1
-                    assert not _off_track(holder.dist, tok.offset, d, two_psi, psi)
+                    assert not _off_track(holder.dist, token_fields(tok)[0], d, two_psi, psi)
     assert checked > 10_000
 
 
