@@ -303,15 +303,11 @@ def _targets(p: ProtocolParams, d: int) -> list[dict[int, tuple[int, int]]]:
         anchor = k - rel  # home border, a multiple of psi
         if 0 <= anchor <= psi * (p.zeta - 2):
             for offset in offsets:
+                # an on-track token targets bit window - psi of the next
+                # segment (rightward) or bit window - 1 of its own (leftward)
                 window = rel + offset
-                if anchor + window >= n:
-                    continue
-                # rightward tokens target the next segment, leftward ones
-                # the interior of the home segment
-                if offset > 0 and psi <= window < two_psi:
-                    row[offset] = (anchor // psi, window - psi)
-                elif offset < 0 and 1 <= window < psi:
-                    row[offset] = (anchor // psi, window - 1)
+                if anchor + window < n and not _off_track(k % two_psi, offset, d, two_psi, psi):
+                    row[offset] = (anchor // psi, window - (psi if offset > 0 else 1))
         table.append(row)
     return table
 

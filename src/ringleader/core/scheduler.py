@@ -32,8 +32,10 @@ class SchedulerStream:
         Served from a buffer refilled ``_CHUNK`` indices at a time.  The
         stream does not depend on how it is cut into draws or chunks: PCG64
         keeps the unused half of a 64-bit output in the bit generator between
-        ``integers`` calls.
+        ``integers`` calls.  Raises InvalidSizeError, and consumes nothing,
+        unless ``count`` is an int >= 0.
         """
+        require_count("count", count, 0)
         out = self._buf[self._pos : self._pos + count]
         self._pos += len(out)
         while len(out) < count:

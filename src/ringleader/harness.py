@@ -248,20 +248,17 @@ def _ppl_closure_task(args) -> tuple[int, list[str], bool]:
     if not analysis.in_S_PL(config):
         return seed, [], True  # rejected by the precheck, not a violation
     leader_home = next(i for i, a in enumerate(config.agents) if a.leader)
-    violations: list[str] = []
-    done = 0  # steps run when ``check`` is next called
+    failed: list[str] = []  # what the first failing check found
 
     def check(work: Configuration) -> bool:
-        nonlocal done
         if not analysis.in_S_PL(work):
-            violations.append(f"seed={seed} step={done}: left the safe set")
+            failed.append("left the safe set")
         if not work.agents[leader_home].leader:
-            violations.append(f"seed={seed} step={done}: leader moved or died")
-        done = min(done + n, steps)
-        return len(violations) >= 10
+            failed.append("leader moved or died")
+        return bool(failed)
 
-    run(config, SchedulerStream(n, seed + 1), steps, check)
-    return seed, violations, False
+    _, done, _ = run(config, SchedulerStream(n, seed + 1), steps, check)
+    return seed, [f"seed={seed} step={done}: {what}" for what in failed], False
 
 
 def _por_closure_task(args) -> tuple[int, list[str], bool]:
@@ -292,7 +289,9 @@ def run_closure_suite(
 
     Each trial builds its own start from its seed: ``construct_S_PL`` for
     PPL, ``oriented_configuration`` for POR.  PPL trials assert membership
-    in the safe set and a fixed leader identity at every check interval.
+    in the safe set and a fixed leader identity at each of ``run``'s stop
+    checks; a trial stops at the first check that fails and reports what
+    failed there at the step ``run`` returned.
     POR trials drive oriented starts through ``run_orientation_reference``,
     one transition call per step, and assert that no step changes a
     direction or raises the segment count.  A start that fails its precheck

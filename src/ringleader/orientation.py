@@ -379,9 +379,9 @@ def run_orientation(
     the 2n ordered arcs (``_draw_chunks``).  The segment count is kept
     incrementally; a head fight between legal agents that raises it is a
     monotonicity violation.  The input configuration is not mutated.
-    Raises InvalidSizeError for a ``max_steps`` or ``post_steps`` that is
-    not an int >= 0, and ValueError, naming the agents, for a coloring that
-    is not two-hop; both before any draw.
+    Raises InvalidSizeError for a ``seed``, ``max_steps`` or ``post_steps``
+    that is not an int >= 0, and ValueError, naming the agents, for a
+    coloring that is not two-hop; both before any draw.
 
     This is the fast path; ``run_orientation_reference`` is the reference
     run, and the tests hold the two trials equal.  The run keeps flat
@@ -396,6 +396,7 @@ def run_orientation(
     and ``monotone_violations`` and ``final_segment_count`` are what they
     were at orientation.  The reference draws every post step.
     """
+    require_count("seed", seed, 0)
     require_count("max_steps", max_steps, 0)
     require_count("post_steps", post_steps, 0)
     work = config.copy()
@@ -445,6 +446,7 @@ def run_orientation_reference(
     fast path draws none), and ``post_dir_changes`` counts each ``dir``
     they change.  The POR closure suite runs this.
     """
+    require_count("seed", seed, 0)
     require_count("max_steps", max_steps, 0)
     require_count("post_steps", post_steps, 0)
     work = config.copy()

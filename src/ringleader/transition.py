@@ -32,7 +32,10 @@ reads another token's entry, so the input must pass ``validate``, as
 built by running the reference ``_relay_inplace`` on synthetic pairs and
 by ``_off_track``, so the fused loop holds no second copy of the move and
 sweep rules; arming, destruction and an arrival's construct/detect write
-stay inline.
+stay inline.  Both paths load every bullet through ``_fire``, the one
+firing rule: a leader's fire when its bullet-absence signal is back, and a
+new leader's live bullet (the fused loop's trace keeps nothing).  Bullet
+travel and the bullet-absence signal stay inline in the fused loop.
 
 The fused loop has one shortcut for quiet rings: no agent holds a leader, a
 resetting signal, a bullet or a bullet-absence signal, every agent
@@ -51,6 +54,7 @@ module's only public functions.
 """
 from __future__ import annotations
 
+import collections
 import functools
 from typing import Iterable, Sequence
 
@@ -102,16 +106,16 @@ def _determine_mode_inplace(l: AgentState, r: AgentState, psi: int, kappa_max: i
 # block 2: distance chain, last flag, mismatch-triggered leader creation
 # --------------------------------------------------------------------------
 
-def _dist_last_inplace(l: AgentState, r: AgentState, psi: int, two_psi: int) -> None:
+def _dist_last_inplace(
+    l: AgentState, r: AgentState, psi: int, two_psi: int, trace: list
+) -> None:
     tmp = 0 if r.leader else (l.dist + 1) % two_psi
     if r.mode == DETECT:
         if tmp != r.dist:
-            # the embedded distance chain is broken: r becomes a leader,
-            # shielded and holding a live bullet
+            # the embedded distance chain is broken: r becomes a leader and
+            # fires a live bullet
             r.leader = 1
-            r.bullet = 2
-            r.shield = 1
-            r.signal_b = 0
+            _fire(r, 2, "r", trace)
     else:
         r.dist = tmp
     # l learns whether it sits in the segment that precedes a leader
@@ -168,13 +172,8 @@ def _relay_inplace(l, r, lt, rt, d, psi, two_psi, trace, color):
             # token turns around toward the matching agent of its home segment
             if r.mode == DETECT:
                 if value != r.b:
-                    if r.bullet > 0:
-                        trace.append(("bdel", "r"))
                     r.leader = 1
-                    r.bullet = 2
-                    r.shield = 1
-                    r.signal_b = 0
-                    trace.append(("bfire", "r", 2))
+                    _fire(r, 2, "r", trace)
             else:
                 r.b = value
             rt = token(1 - psi, value, carry)
@@ -207,24 +206,26 @@ def _relay_inplace(l, r, lt, rt, d, psi, two_psi, trace, color):
 # block 5: leader elimination
 # --------------------------------------------------------------------------
 
+def _fire(agent: AgentState, bullet: int, side: str, trace) -> None:
+    """The one firing rule: ``agent`` loads ``bullet``, live (2) with its
+    shield up or dummy (1) with its shield down, and its bullet-absence
+    signal clears.  A bullet it already held is deleted."""
+    if agent.bullet > 0:
+        trace.append(("bdel", side))
+    agent.bullet = bullet
+    agent.shield = 1 if bullet == 2 else 0
+    agent.signal_b = 0
+    trace.append(("bfire", side, bullet))
+
+
 def _eliminate_inplace(l: AgentState, r: AgentState, trace: list) -> None:
-    # a leader that has learned its previous bullet is gone fires again;
-    # firing as initiator means live + shield up, firing as responder means
-    # dummy + shield down (the scheduler supplies the coin flip)
+    # a leader that has learned its previous bullet is gone fires again:
+    # live as initiator, dummy as responder (the scheduler supplies the
+    # coin flip)
     if l.leader and l.signal_b:
-        if l.bullet > 0:
-            trace.append(("bdel", "l"))
-        l.bullet = 2
-        l.shield = 1
-        l.signal_b = 0
-        trace.append(("bfire", "l", 2))
+        _fire(l, 2, "l", trace)
     if r.leader and r.signal_b:
-        if r.bullet > 0:
-            trace.append(("bdel", "r"))
-        r.bullet = 1
-        r.shield = 0
-        r.signal_b = 0
-        trace.append(("bfire", "r", 1))
+        _fire(r, 1, "r", trace)
     lb = l.bullet
     if lb > 0:
         if r.leader:
@@ -259,7 +260,7 @@ def interact_traced(
 ) -> None:
     """The five blocks in order, in place, appending their events to ``trace``."""
     _determine_mode_inplace(l, r, psi, kappa_max)
-    _dist_last_inplace(l, r, psi, two_psi)
+    _dist_last_inplace(l, r, psi, two_psi, trace)
     l.token_b, r.token_b = _relay_inplace(
         l, r, l.token_b, r.token_b, 0, psi, two_psi, trace, "B"
     )
@@ -347,6 +348,9 @@ def _relay_tables(psi: int) -> tuple:
     the white :func:`_color_tables`."""
     armed = (token(psi, 1, 0), token(psi, 0, 1))  # value 1 - b, carry b
     return armed, _color_tables(psi, 0), _color_tables(psi, psi)
+
+
+_NO_TRACE = collections.deque(maxlen=0)  # the fused loop's trace: keeps nothing
 
 
 def _quiet(agents: Iterable[AgentState], kappa_max: int) -> bool:
@@ -444,9 +448,7 @@ def interact_block(
             rd = r.dist
             if (0 if r.leader else (ld + 1) % two_psi) != rd:
                 r.leader = 1
-                r.bullet = 2
-                r.shield = 1
-                r.signal_b = 0
+                _fire(r, 2, "r", _NO_TRACE)
         else:
             rd = 0 if r.leader else (ld + 1) % two_psi
             r.dist = rd
@@ -476,9 +478,7 @@ def interact_block(
                         if rmode == DETECT:
                             if value != r.b:
                                 r.leader = 1
-                                r.bullet = 2
-                                r.shield = 1
-                                r.signal_b = 0
+                                _fire(r, 2, "r", _NO_TRACE)
                         else:
                             r.b = value
                     l.token_b = None
@@ -511,9 +511,7 @@ def interact_block(
                         if rmode == DETECT:
                             if value != r.b:
                                 r.leader = 1
-                                r.bullet = 2
-                                r.shield = 1
-                                r.signal_b = 0
+                                _fire(r, 2, "r", _NO_TRACE)
                         else:
                             r.b = value
                     l.token_w = None
@@ -533,13 +531,9 @@ def interact_block(
         if quiet:
             continue
         if l.leader and l.signal_b:
-            l.bullet = 2
-            l.shield = 1
-            l.signal_b = 0
+            _fire(l, 2, "l", _NO_TRACE)
         if r.leader and r.signal_b:
-            r.bullet = 1
-            r.shield = 0
-            r.signal_b = 0
+            _fire(r, 1, "r", _NO_TRACE)
         lb = l.bullet
         if lb > 0:
             if r.leader:

@@ -537,9 +537,23 @@ def _kill(agent):
 )
 def test_closure_reports_broken_steps(monkeypatch, spoil, message):
     _break_block(monkeypatch, spoil)
+    returned = []  # the step count of each trial's run
+
+    def spy(*args):
+        final, done, stopped = sim.run(*args)
+        returned.append(done)
+        return final, done, stopped
+
+    monkeypatch.setattr(harness, "run", spy)
     report = run_closure_suite(Protocol.PPL, n=8, trials=2, seed=3, steps=1000)
     assert not report.passed and not report.rejected_trials
-    assert len(report.violations) == 20  # each trial stops at 10
+    # each trial stops at its first failing check and reports it at that step
+    steps_by_seed: dict[str, set[int]] = {}
+    for v in report.violations:
+        seed, step = re.match(r"seed=(\d+) step=(\d+): ", v).groups()
+        steps_by_seed.setdefault(seed, set()).add(int(step))
+    assert sorted(step for (step,) in steps_by_seed.values()) == sorted(returned)
+    assert len(returned) == 2 and max(returned) < 1000
     assert any(message in v for v in report.violations)
 
 

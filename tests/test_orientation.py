@@ -401,6 +401,19 @@ def test_run_rejects_negative_step_budgets():
     assert run_orientation(oriented, 2, max_steps=0).steps_to_oriented == 0
 
 
+@pytest.mark.parametrize("run", [run_orientation, run_orientation_reference])
+@pytest.mark.parametrize("seed", [None, True, -1, 2.5])
+def test_runs_reject_a_bad_seed_before_any_draw(monkeypatch, run, seed):
+    cfg = generate_two_hop_coloring(8, 1)
+
+    def no_draws(*args):
+        raise AssertionError("the run seeded a generator")
+
+    monkeypatch.setattr(np.random, "PCG64", no_draws)
+    with pytest.raises(InvalidSizeError):
+        run(cfg, seed, max_steps=1000)
+
+
 # --------------------------------------------------------------------------
 # the fast run loop against a step-by-step reference
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ringleader.core.params import InvalidSizeError
 from ringleader.core.scheduler import SchedulerStream
 
 
@@ -24,6 +25,17 @@ def test_mixed_consumption_is_one_stream():
     b = SchedulerStream(10, 9)
     got = a.draw(3) + a.draw(0) + a.draw(1) + a.draw(10_000) + a.draw(0)
     assert got == b.draw(10_004)
+
+
+@pytest.mark.parametrize(
+    "count", [-10, -1, 2.5, True, None, pytest.param(np.int64(3), id="int64")]
+)
+def test_draw_rejects_a_count_that_is_not_an_int_of_at_least_zero(count):
+    s = SchedulerStream(10, 4)
+    head = s.draw(5)
+    with pytest.raises(InvalidSizeError):
+        s.draw(count)
+    assert head + s.draw(100) == SchedulerStream(10, 4).draw(105)  # nothing consumed
 
 
 def test_range():

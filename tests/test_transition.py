@@ -32,6 +32,7 @@ from ringleader.transition import (
     _eliminate_inplace,
     _off_track,
     _relay_inplace,
+    interact_traced,
 )
 
 from conftest import fused_pair, random_state_pairs, reference_pair
@@ -176,7 +177,7 @@ def test_leader_seeds_signal_on_right_neighbor():
 def test_detect_mismatch_creates_shielded_leader():
     l = AgentState(dist=0)
     r = AgentState(dist=5, mode=DETECT, bullet=0, shield=0, signal_b=1)
-    _dist_last_inplace(l, r, P4.psi, P4.two_psi)
+    _dist_last_inplace(l, r, P4.psi, P4.two_psi, [])
     assert (r.leader, r.bullet, r.shield, r.signal_b) == (1, 2, 1, 0)
     assert r.dist == 5  # detection mode never rewrites dist
     assert l.last == 1  # the new leader is visible to the same statement
@@ -185,28 +186,28 @@ def test_detect_mismatch_creates_shielded_leader():
 def test_construct_copies_incremented_dist():
     l = AgentState(dist=3)
     r = AgentState(dist=7, mode=CONSTRUCT)
-    _dist_last_inplace(l, r, P4.psi, P4.two_psi)
+    _dist_last_inplace(l, r, P4.psi, P4.two_psi, [])
     assert r.dist == 4
 
 
 def test_construct_wraps_mod_two_psi():
     l = AgentState(dist=2 * P4.psi - 1)
     r = AgentState(mode=CONSTRUCT, dist=1)
-    _dist_last_inplace(l, r, P4.psi, P4.two_psi)
+    _dist_last_inplace(l, r, P4.psi, P4.two_psi, [])
     assert r.dist == 0
 
 
 def test_detect_match_stays_follower():
     l = AgentState(dist=4)
     r = AgentState(dist=5, mode=DETECT)
-    _dist_last_inplace(l, r, P4.psi, P4.two_psi)
+    _dist_last_inplace(l, r, P4.psi, P4.two_psi, [])
     assert r.leader == 0
 
 
 def test_last_cleared_at_border_responder():
     l = AgentState(dist=P4.psi - 1, last=1)
     r = AgentState(dist=2, mode=CONSTRUCT, last=1)
-    _dist_last_inplace(l, r, P4.psi, P4.two_psi)
+    _dist_last_inplace(l, r, P4.psi, P4.two_psi, [])
     assert r.dist == P4.psi
     assert l.last == 0
 
@@ -214,7 +215,7 @@ def test_last_cleared_at_border_responder():
 def test_last_copied_from_interior_responder():
     l = AgentState(dist=1, last=0)
     r = AgentState(dist=9, mode=CONSTRUCT, last=1)
-    _dist_last_inplace(l, r, P4.psi, P4.two_psi)
+    _dist_last_inplace(l, r, P4.psi, P4.two_psi, [])
     assert r.dist == 2
     assert l.last == 1
 
@@ -222,7 +223,7 @@ def test_last_copied_from_interior_responder():
 def test_leader_responder_resets_dist_and_sets_last():
     l = AgentState(dist=6)
     r = AgentState(leader=1, dist=3, mode=CONSTRUCT)
-    _dist_last_inplace(l, r, P4.psi, P4.two_psi)
+    _dist_last_inplace(l, r, P4.psi, P4.two_psi, [])
     assert r.dist == 0
     assert l.last == 1
 
@@ -286,6 +287,22 @@ def test_arrival_mismatch_in_detection_creates_leader():
     assert (r.leader, r.bullet, r.shield, r.signal_b) == (1, 2, 1, 0)
     assert r.b == 1  # detection never writes the bit
     assert r.token_b == token(1 - P4.psi, 0, 1)
+
+
+@pytest.mark.parametrize("cause", ["distance", "id_bit"])
+def test_leader_creation_records_a_live_fire_over_the_held_bullet(cause):
+    # r detects and holds a dummy bullet; l breaks either the distance chain
+    # or, with a rightward token, the ID bit r holds
+    id_bit = cause == "id_bit"
+    l = AgentState(dist=P4.psi - 1, token_b=token(1, 0, 1) if id_bit else None)
+    r = AgentState(
+        dist=P4.psi if id_bit else 0, b=1, bullet=1, clock=P4.kappa_max, mode=DETECT
+    )
+    trace: list = []
+    interact_traced(l, r, P4.psi, P4.two_psi, P4.kappa_max, trace)
+    assert (r.leader, r.bullet, r.shield, r.signal_b) == (1, 2, 1, 0)
+    bullet_events = [ev for ev in trace if ev[0] in ("bdel", "bfire")]
+    assert bullet_events == [("bdel", "r"), ("bfire", "r", 2)]
 
 
 def test_arrival_match_in_detection_is_quiet():
