@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..transition import _quiet, interact_block, interact_traced
+from ..transition import _quiet, _settled, interact_block, interact_traced
 from .params import require_count, require_index
 from .scheduler import SchedulerStream
 from .state import Configuration
@@ -42,7 +42,7 @@ def run(
     reported step count is therefore the first multiple of n at which
     ``stop`` held -- an overcount of less than n -- and never exceeds
     ``max_steps``.  ``stop`` is a predicate: it must not modify the
-    configuration it is given, because the run carries state about that
+    configuration it is given, because the run carries two flags about that
     configuration from one block to the next.  The input configuration is
     not mutated.
 
@@ -50,10 +50,14 @@ def run(
     the fused, event-free ``interact_block``.  While the ring is quiet (no
     leader, resetting signal, bullet or bullet-absence signal, and no full
     clock), that call skips the bookkeeping that cannot fire: the signal
-    and mode writes and the elimination block.  The run learns the ring is
-    quiet from an early-exit scan before each block, made only while it
-    does not already know, and ``interact_block`` reports when a clock fills
-    and the quiet stretch ends.  ``on_step(work, i, trace)``, when
+    and mode writes and the elimination block.  While the distance chain is
+    settled (every arc holds the ``dist`` and ``last`` values the distance
+    block computes), it skips the distance block.  The run learns each flag
+    from an early-exit scan before a block, made only while it does not
+    already know (and, for the chain, while the ring is not quiet), and
+    ``interact_block`` reports when a clock fills and the quiet stretch
+    ends, or a leader bit changes and the settled one does.
+    ``on_step(work, i, trace)``, when
     given, is called after every interaction with the working configuration,
     the initiator index and the list of events the transition emitted; such
     runs go through the five reference blocks (``interact_traced``) one
@@ -77,7 +81,7 @@ def run(
     agents = work.agents
     nxt = [(i + 1) % n for i in range(n)]
     trace: list = []
-    quiet = False
+    quiet = settled = False
 
     done = 0
     while done < max_steps:
@@ -85,7 +89,11 @@ def run(
         if on_step is None:
             if not quiet:
                 quiet = _quiet(agents, kmax)
-            quiet = interact_block(agents, scheduler.draw(block), nxt, psi, two_psi, kmax, quiet)
+                if not quiet and not settled:
+                    settled = _settled(agents, psi, two_psi)
+            quiet, settled = interact_block(
+                agents, scheduler.draw(block), nxt, psi, two_psi, kmax, quiet, settled
+            )
         else:
             for i in scheduler.draw(block):
                 interact_traced(agents[i], agents[nxt[i]], psi, two_psi, kmax, trace)

@@ -104,6 +104,11 @@ def trial_seed(base_seed: int, n: int, trial_index: int) -> int:
 
 
 def step_cutoff(n: int, multiplier: float) -> int:
+    """The step budget ``ceil(multiplier * n^2 * log2 n)``.  Raises
+    InvalidSizeError unless ``n`` is an int >= 2 and ``multiplier`` a finite
+    number > 0."""
+    require_count("n", n, 2)
+    require_multiplier("multiplier", multiplier)
     return math.ceil(multiplier * n * n * math.log2(n))
 
 

@@ -37,20 +37,31 @@ firing rule: a leader's fire when its bullet-absence signal is back, and a
 new leader's live bullet (the fused loop's trace keeps nothing).  Bullet
 travel and the bullet-absence signal stay inline in the fused loop.
 
-The fused loop has one shortcut for quiet rings: no agent holds a leader, a
-resetting signal, a bullet or a bullet-absence signal, every agent
-constructs, and no clock is full (``_quiet``).  In such a ring the signal
-and mode writes, every DETECT branch and the whole elimination block change
-nothing, so a quiet step only moves the hit counters and ticks a clock
-before the shared distance and relay code.  A quiet ring stays quiet until a
-tick fills a clock to ``kappa_max``; from that step on the call runs the
-full blocks.  ``run`` carries the flag from block to block.  Leaderless
+The fused loop has two shortcuts, each behind a flag.  The first is for
+quiet rings: no agent holds a leader, a resetting signal, a bullet or a
+bullet-absence signal, every agent constructs, and no clock is full
+(``_quiet``).  In such a ring the signal and mode writes, every DETECT
+branch and the whole elimination block change nothing, so a quiet step only
+moves the hit counters and ticks a clock before the shared distance and
+relay code.  A quiet ring stays quiet until a tick fills a clock to
+``kappa_max``; from that step on the call runs the full blocks.  Leaderless
 rings spend most of their convergence time quiet, waiting for that clock.
 
+The second is for settled chains: every arc already holds the ``dist`` and
+``last`` values the distance block computes (``_settled``).  There that
+block writes what the agents hold and its DETECT check finds no mismatch,
+so a settled step reads ``dist`` and ``last`` and skips it.  Mode
+determination, the relays and elimination write no ``dist`` or ``last``, so
+only a change to a leader bit can break the property: the ID-bit creations
+and the kill end the settled stretch for the rest of the call.  Every step
+of a safe ring runs settled.  ``run`` carries both flags from block to
+block.
+
 The tests assert the fused form and ``interact_traced`` are bit-identical on
-random state pairs, on quiet pairs one tick from a full clock, and on every
-pre-state of one color's relay at psi = 2 and 3.  These two are the
-module's only public functions.
+random state pairs, on quiet pairs one tick from a full clock, on settled
+blocks whose leader bit changes mid-block, and on every pre-state of one
+color's relay at psi = 2 and 3.  These two are the module's only public
+functions.
 """
 from __future__ import annotations
 
@@ -364,6 +375,28 @@ def _quiet(agents: Iterable[AgentState], kappa_max: int) -> bool:
     return True
 
 
+def _settled(agents: Sequence[AgentState], psi: int, two_psi: int) -> bool:
+    """True when every arc ``(l, r)`` of the ring already holds what the
+    distance block would write there: ``r.dist`` is 0 at a leader and
+    ``l.dist + 1`` (mod ``two_psi``) elsewhere, and ``l.last`` is 1 at a
+    leader, 0 when ``r.dist`` is 0 or ``psi``, and ``r.last`` otherwise.
+    Then :func:`interact_block` may run in its settled branch.  Stops at the
+    first arc that is not settled."""
+    l = agents[-1]
+    for r in agents:
+        if r.leader:
+            if r.dist or l.last != 1:
+                return False
+        else:
+            rd = r.dist
+            if rd != (l.dist + 1) % two_psi:
+                return False
+            if l.last != (0 if rd == 0 or rd == psi else r.last):
+                return False
+        l = r
+    return True
+
+
 def interact_block(
     agents: Sequence[AgentState],
     indices: Iterable[int],
@@ -372,7 +405,8 @@ def interact_block(
     two_psi: int,
     kappa_max: int,
     quiet: bool,
-) -> bool:
+    settled: bool,
+) -> tuple[bool, bool]:
     """Apply the full transition on arc ``(i, nxt[i])`` for each ``i`` in turn.
 
     Semantically identical to ``interact_traced`` for every index on
@@ -391,8 +425,15 @@ def interact_block(
     then builds the distance chain and relays tokens as usual, and the ring
     stays quiet -- until a tick fills a clock to ``kappa_max``.  That step
     turns its responder to DETECT and runs the rest of its blocks, and every
-    later step of the call, in full.  Returns whether the ring is still
-    quiet.
+    later step of the call, in full.
+
+    ``settled`` may be True only when :func:`_settled` holds for
+    ``agents``.  A settled step reads ``dist`` and ``last`` and skips the
+    rest of the distance block, which would rewrite the same values and,
+    in DETECT, find no mismatch.  No other block writes ``dist`` or
+    ``last``, so the chain stays settled until a leader bit changes: an
+    ID-bit creation or a kill ends the settled stretch for the rest of the
+    call.  Returns ``(quiet, settled)``: whether each still holds.
     """
     armed, (right_b, left_b, on_b), (right_w, left_w, on_w) = _relay_tables(psi)
     for i in indices:
@@ -444,22 +485,26 @@ def interact_block(
 
         # distance chain
         ld = l.dist
-        if rmode == DETECT:
-            rd = r.dist
-            if (0 if r.leader else (ld + 1) % two_psi) != rd:
-                r.leader = 1
-                _fire(r, 2, "r", _NO_TRACE)
-        else:
-            rd = 0 if r.leader else (ld + 1) % two_psi
-            r.dist = rd
         rlast = r.last
-        if r.leader:
-            llast = 1
-        elif rd == 0 or rd == psi:
-            llast = 0
+        if settled:  # every arc holds its chain values: nothing to write
+            rd = r.dist
+            llast = l.last
         else:
-            llast = rlast
-        l.last = llast
+            if rmode == DETECT:
+                rd = r.dist
+                if (0 if r.leader else (ld + 1) % two_psi) != rd:
+                    r.leader = 1
+                    _fire(r, 2, "r", _NO_TRACE)
+            else:
+                rd = 0 if r.leader else (ld + 1) % two_psi
+                r.dist = rd
+            if r.leader:
+                llast = 1
+            elif rd == 0 or rd == psi:
+                llast = 0
+            else:
+                llast = rlast
+            l.last = llast
 
         # black token relay: home border at relative 0
         lt = l.token_b
@@ -479,6 +524,7 @@ def interact_block(
                             if value != r.b:
                                 r.leader = 1
                                 _fire(r, 2, "r", _NO_TRACE)
+                                settled = False
                         else:
                             r.b = value
                     l.token_b = None
@@ -512,6 +558,7 @@ def interact_block(
                             if value != r.b:
                                 r.leader = 1
                                 _fire(r, 2, "r", _NO_TRACE)
+                                settled = False
                         else:
                             r.b = value
                     l.token_w = None
@@ -539,6 +586,7 @@ def interact_block(
             if r.leader:
                 if lb == 2 and r.shield == 0:
                     r.leader = 0
+                    settled = False
             else:
                 if r.bullet == 0:
                     r.bullet = lb
@@ -550,4 +598,4 @@ def interact_block(
         if r.leader > sb:
             sb = r.leader
         l.signal_b = sb
-    return quiet
+    return quiet, settled

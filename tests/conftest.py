@@ -3,7 +3,13 @@ import pytest
 
 from ringleader.core.params import make_params
 from ringleader.core.state import AgentState, legal_tokens
-from ringleader.transition import _quiet, interact_block, interact_traced
+from ringleader.transition import (
+    _dist_last_inplace,
+    _quiet,
+    _settled,
+    interact_block,
+    interact_traced,
+)
 
 
 @pytest.fixture
@@ -56,9 +62,28 @@ def reference_pair(l: AgentState, r: AgentState, params) -> tuple[AgentState, Ag
 def fused_pair(l: AgentState, r: AgentState, params) -> tuple[AgentState, AgentState]:
     """The fused fast path ``interact_block`` applied to copies.
 
-    The quiet flag is derived as ``run`` derives it, by a scan of the agents
-    the call touches, so quiet pairs go through the quiet branch."""
+    The quiet and settled flags are derived as ``run`` derives them, by scans
+    of the agents the call touches read as a ring of two, so quiet pairs go
+    through the quiet branch and settled ones through the settled branch."""
     l2, r2 = l.copy(), r.copy()
     quiet = _quiet((l2, r2), params.kappa_max)
-    interact_block([l2, r2], (0,), (1,), params.psi, params.two_psi, params.kappa_max, quiet)
+    settled = not quiet and _settled((l2, r2), params.psi, params.two_psi)
+    interact_block(
+        [l2, r2], (0,), (1,), params.psi, params.two_psi, params.kappa_max, quiet, settled
+    )
     return l2, r2
+
+
+def chain_settled(agents, params) -> bool:
+    """The definition ``transition._settled`` implements: the reference
+    distance block, applied to copies of every arc ``(i, i + 1)``, changes
+    nothing and fires nothing (a leader's fire over the same live bullet
+    would change nothing, but it is not a settled chain)."""
+    n = len(agents)
+    for i in range(n):
+        l, r = agents[i].copy(), agents[(i + 1) % n].copy()
+        trace: list = []
+        _dist_last_inplace(l, r, params.psi, params.two_psi, trace)
+        if trace or (l, r) != (agents[i], agents[(i + 1) % n]):
+            return False
+    return True

@@ -35,6 +35,7 @@ from ringleader.core.state import AgentState, Configuration, legal_tokens, token
 from ringleader.core.state import random_configuration
 from ringleader.harness import multi_leader_configuration
 
+from conftest import chain_settled
 from test_transition import legal_shuttle_states
 
 
@@ -766,6 +767,21 @@ def test_predicate_corpus_counts(n):
                 assert token_is_correct(cfg, i, TokenColor.BLACK)
             if a.token_w is not None:
                 assert token_is_correct(cfg, i, TokenColor.WHITE)
+
+
+@pytest.mark.parametrize("n", sorted(_CORPUS_COUNTS))
+def test_settled_agrees_with_the_distance_block_on_the_corpus(n):
+    # the fused loop's settled branch skips the distance block: its scan
+    # must say so exactly when that block would change or fire nothing, and
+    # every configuration in C_DL has such a chain
+    params = make_params(n)
+    verdicts = []
+    for cfg in _predicate_corpus(n):
+        settled = transition._settled(cfg.agents, params.psi, params.two_psi)
+        assert settled == chain_settled(cfg.agents, params)
+        assert settled or not in_C_DL(cfg)
+        verdicts.append(settled)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 # --------------------------------------------------------------------------

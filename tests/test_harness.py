@@ -334,6 +334,18 @@ def test_step_cutoff_formula():
     assert step_cutoff(16, 1e4) == 10_000 * 256 * 4
 
 
+@pytest.mark.parametrize(
+    "n, multiplier",
+    [(1, 3.0), (True, 3.0), (0, 3.0), (8.0, 3.0), (8, -1.0), (8, 0), (8, float("nan")),
+     (8, float("inf")), (8, True)],
+)
+def test_step_cutoff_rejects_a_bad_size_or_multiplier(n, multiplier):
+    # before the check, step_cutoff(1, 3.0) and (True, 3.0) returned 0 and
+    # step_cutoff(8, -1.0) returned -192
+    with pytest.raises(InvalidSizeError):
+        step_cutoff(n, multiplier)
+
+
 def test_cutoff_honesty():
     # a budget too small to stabilize must never be reported as convergence
     records = run_convergence_sweep(
@@ -505,12 +517,12 @@ def _break_block(monkeypatch, spoil):
     """Make unhooked runs apply ``spoil(agent)`` to every touched agent."""
     original = sim.interact_block
 
-    def broken(agents, indices, nxt, psi, two_psi, kappa_max, quiet):
+    def broken(agents, indices, nxt, psi, two_psi, kappa_max, quiet, settled):
         indices = list(indices)
-        quiet = original(agents, indices, nxt, psi, two_psi, kappa_max, quiet)
+        quiet, _ = original(agents, indices, nxt, psi, two_psi, kappa_max, quiet, settled)
         for i in indices:
             spoil(agents[i])
-        return quiet
+        return quiet, False  # spoil may break the chain the flag vouches for
 
     monkeypatch.setattr(sim, "interact_block", broken)
 

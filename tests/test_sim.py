@@ -7,6 +7,7 @@ from ringleader.core.scheduler import SchedulerStream
 from ringleader.core.sim import run, step
 from ringleader.core.state import CONSTRUCT, AgentState, Configuration, token
 from ringleader.core.state import random_configuration
+from ringleader.transition import _quiet, _settled
 
 P16 = make_params(16)
 P8 = make_params(8)
@@ -164,9 +165,9 @@ def test_quiet_stretch_ends_as_the_reference_run_does(n, monkeypatch):
     calls = []
     original = sim.interact_block
 
-    def spy(agents, indices, nxt, psi, two_psi, kappa_max, quiet):
-        still = original(agents, indices, nxt, psi, two_psi, kappa_max, quiet)
-        calls.append((quiet, still))
+    def spy(agents, indices, nxt, psi, two_psi, kappa_max, quiet, settled):
+        still = original(agents, indices, nxt, psi, two_psi, kappa_max, quiet, settled)
+        calls.append((quiet, still[0]))
         return still
 
     def recording(frames):
@@ -185,6 +186,51 @@ def test_quiet_stretch_ends_as_the_reference_run_does(n, monkeypatch):
     assert (True, False) in calls  # the quiet branch ran and was left
     assert plain[1:] == hooked[1:] and plain[2]
     assert plain_frames == hooked_frames
+
+
+@pytest.mark.parametrize("start", sorted(_STARTS))
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 32])
+def test_settled_stretch_runs_as_the_reference_run_does(n, start, monkeypatch):
+    # safe rings are settled from the start; random rings settle once their
+    # chain does; leaderless rings, with clocks one or two ticks short of
+    # full, settle after the detected leader's chain does.  At n = 16,
+    # 2 psi divides n, so the leaderless ring is settled and quiet at once
+    # after its last flags clear.  Both runs go the whole budget and are
+    # compared at every stop check, and the fused one must have run settled
+    # blocks.
+    params = make_params(n)
+    build = _STARTS[start][0]
+    cfg = build(params, 5)
+    if start == "leaderless":
+        for i, agent in enumerate(cfg.agents):
+            agent.clock = params.kappa_max - 1 - i % 2
+    flags = []
+    original = sim.interact_block
+
+    def spy(agents, indices, nxt, psi, two_psi, kappa_max, quiet, settled):
+        flags.append(settled)
+        return original(agents, indices, nxt, psi, two_psi, kappa_max, quiet, settled)
+
+    def recording(frames):
+        def stopped(config):
+            frames.append(config.copy())
+            return False
+        return stopped
+
+    monkeypatch.setattr(sim, "interact_block", spy)
+    plain_frames, hooked_frames = [], []
+    budget = 64 * n * n
+    plain = run(cfg, SchedulerStream(n, 9), budget, recording(plain_frames))
+    hooked = run(cfg, SchedulerStream(n, 9), budget, recording(hooked_frames),
+                 on_step=lambda *args: None)
+    assert plain[1:] == hooked[1:]
+    assert plain_frames == hooked_frames
+    assert any(flags), flags
+    if (n, start) == (16, "leaderless"):
+        assert any(
+            _quiet(f.agents, params.kappa_max) and _settled(f.agents, params.psi, params.two_psi)
+            for f in plain_frames
+        )
 
 
 def _quiet_exit_replay(n: int, psi: int, kappa_max: int, seed: int) -> int:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import ringleader
 from ringleader import transition
+from ringleader.analysis import construct_S_PL
 from ringleader.core.params import ProtocolParams, make_params
 from ringleader.core.scheduler import SchedulerStream
 from ringleader.core.sim import run
@@ -35,7 +36,7 @@ from ringleader.transition import (
     interact_traced,
 )
 
-from conftest import fused_pair, random_state_pairs, reference_pair
+from conftest import chain_settled, fused_pair, random_state_pairs, reference_pair
 
 P4 = make_params(16)  # psi=4, kappa_max=128
 
@@ -768,6 +769,112 @@ def test_quiet_holds_only_without_leader_signal_bullet_or_full_clock():
                          ("mode", DETECT), ("clock", kmax)]:
         agents = [AgentState(), AgentState(**{field: value})]
         assert not transition._quiet(agents, kmax), field
+
+
+# --------------------------------------------------------------------------
+# the fused loop's settled branch
+# --------------------------------------------------------------------------
+
+def _settle_chain(agents, params) -> None:
+    """Write the distance chain the leaders determine: the reference
+    distance block, run in construction mode over every arc twice left to
+    right (dist) and twice right to left (last).  Modes are restored."""
+    n = len(agents)
+    modes = [a.mode for a in agents]
+    for a in agents:
+        a.mode = CONSTRUCT
+    for i in [*range(n), *range(n), *range(n - 1, -1, -1), *range(n - 1, -1, -1)]:
+        _dist_last_inplace(agents[i], agents[(i + 1) % n], params.psi, params.two_psi, [])
+    for a, mode in zip(agents, modes):
+        a.mode = mode
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 17])
+def test_settled_agrees_with_the_distance_block_on_random_rings(n):
+    # uniform rings are almost never settled, so most rings get the chain
+    # their leaders (or, with none, their dists) determine, and then at
+    # most one dist, last or leader bit is changed
+    p = make_params(n)
+    rng = np.random.Generator(np.random.PCG64(n))
+    verdicts = []
+    for seed in range(300):
+        agents = random_configuration(p, seed).agents
+        if seed % 4 == 0:
+            for a in agents:
+                a.leader = 0
+        if seed % 8 != 7:
+            _settle_chain(agents, p)
+        a = agents[int(rng.integers(0, n))]
+        field = ("dist", "last", "leader", None)[int(rng.integers(0, 4))]
+        if field == "dist":
+            a.dist = (a.dist + int(rng.integers(1, p.two_psi))) % p.two_psi
+        elif field is not None:
+            setattr(a, field, 1 - getattr(a, field))
+        expected = chain_settled(agents, p)
+        assert transition._settled(agents, p.psi, p.two_psi) == expected, seed
+        verdicts.append(expected)
+    assert 30 < sum(verdicts) < 270
+
+
+def _detecting_safe_ring(n: int):
+    """A safe ring with every clock full and every agent detecting, leader
+    at agent 0: a step whose initiator is not the leader keeps it so."""
+    p = make_params(n)
+    cfg = construct_S_PL(p, 1)
+    for a in cfg.agents:
+        a.clock = p.kappa_max
+        a.mode = DETECT
+    return p, cfg
+
+
+def _kill_mid_block():
+    # a live bullet left of the unshielded leader kills it on the second
+    # step; on the third the old leader's arc no longer matches its chain
+    p, cfg = _detecting_safe_ring(12)
+    cfg.agents[11].bullet = 2
+    cfg.agents[0].shield = 0
+    return p, cfg, [5, 11, 11, 10, 0, 1], ("bhit", True)
+
+
+def _id_bit_creation_mid_block(slot):
+    # a rightward token one step from its target carries the wrong bit to a
+    # detecting agent on the second step, which becomes a leader; on the
+    # third its chain no longer matches
+    p, cfg = _detecting_safe_ring(12)
+    setattr(cfg.agents[2], slot, token(1, 1 - cfg.agents[3].b, 0))
+    return p, cfg, [5, 2, 2, 1, 3, 4], ("bfire", "r", 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_kill_mid_block, lambda: _id_bit_creation_mid_block("token_b"),
+     lambda: _id_bit_creation_mid_block("token_w")],
+    ids=["kill", "black_id_bit", "white_id_bit"],
+)
+def test_leader_change_mid_block_leaves_the_settled_branch(build):
+    # the block starts settled and a leader bit changes on its second step:
+    # every prefix of the block, run in one fused call with the flags run
+    # derives, must equal the reference applied step by step
+    p, cfg, indices, event = build()
+    assert transition._settled(cfg.agents, p.psi, p.two_psi)
+    assert not transition._quiet(cfg.agents, p.kappa_max)
+    n = p.n
+    reference = cfg.copy()
+    for k, i in enumerate(indices, start=1):
+        trace = []
+        interact_traced(
+            reference.agents[i], reference.agents[(i + 1) % n],
+            p.psi, p.two_psi, p.kappa_max, trace,
+        )
+        if k == 2:
+            assert event in trace
+        fused = cfg.copy()
+        flags = transition.interact_block(
+            fused.agents, indices[:k], [(j + 1) % n for j in range(n)],
+            p.psi, p.two_psi, p.kappa_max, False, True,
+        )
+        assert fused == reference, k
+        assert flags == (False, k < 2)
 
 
 # --------------------------------------------------------------------------
