@@ -10,21 +10,22 @@ nested configuration sets ``C_PB`` (every live bullet peaceful), ``C_DL``
 The ``C_DL``/``S_PL`` predicates rotate indices so the unique leader sits at
 position 0; they are rotation-invariant by construction.
 
-``in_S_PL`` reads the b bits of the full segments as one word.  Its low psi
-bits are the starting ID x0, and the ID chain holds exactly when the word
-equals the chain word for x0, built for the x0 a call meets and kept in a
-small cache.  The tokens are then checked against a table for (parameters,
-x0): for each color and each distance from the leader, the set of correct
-token ints plus ``None``, so one set lookup per agent decides legality,
-validity, working pair and payload at once.  A token's offset is read
-through ``core.state.token_fields`` and a correct token built with
-``core.state.token``.  ``token_is_correct`` applies
-the same rule (``_correct_token``) to its one token and builds no table.
-Only the latest table is kept: a run checks one starting ID for its whole
-length, so a second table would only serve a re-run of the same seeds.
-Nothing here is built for each of the 2**psi possible IDs.  A cached word or
-table depends only on the parameters and x0, never on a configuration, so a
-configuration changed in place is judged afresh.
+``in_S_PL`` judges a ring in one pass per field: it reads each field of the
+agents, rotated to the unique leader, into a plain list and compares it with
+a list it already holds.  Those lists sit in one cached entry, keyed by the
+parameters object and the b bits of S_0 (the starting ID x0): the b bits
+the full segments carry on the +1 chain from x0, the settled dist and last
+values, and for each color and each distance from the leader the set of
+correct token ints plus ``None``, so one set lookup per agent decides
+legality, validity, working pair and payload at once.  Any other key
+rebuilds the entry; a run checks one starting ID for its whole length, so a
+second entry would only serve a re-run of the same seeds.  A token's offset
+is read through ``core.state.token_fields`` and a correct token built with
+``core.state.token``.  ``token_is_correct`` applies the same rule
+(``_correct_token``) to its one token and builds no table.  Nothing here is
+built for each of the 2**psi possible IDs.  The entry depends only on the
+parameters and x0, never on a configuration, so a configuration changed in
+place is judged afresh.
 """
 from __future__ import annotations
 
@@ -227,8 +228,7 @@ def token_is_correct(config: Configuration, i: int, which: TokenColor) -> bool:
         raise PreconditionError("token is not valid")
     ring, layout = _from_leader(config)
     p = config.params
-    leader_pos = next(k for k, a in enumerate(config.agents) if a.leader)
-    k = (i - leader_pos) % p.n
+    k = (i - _leader_at(config.agents)) % p.n
     offset = token_fields(t)[0]
     slot = (layout.black if which is TokenColor.BLACK else layout.white)[k].get(offset)
     if slot is None:
@@ -323,15 +323,6 @@ def _layout(p: ProtocolParams) -> _Layout:
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _chain_word(psi: int, full: int, x0: int) -> int:
-    """The b word (see :func:`_b_word`) of ``full`` segments of ``psi``
-    agents when S_0 has ID ``x0`` and every later segment its predecessor's
-    ID plus one."""
-    mask = (1 << psi) - 1
-    return sum(((x0 + s) & mask) << (s * psi) for s in range(full))
-
-
 def _correct_token(sid: int, x: int, offset: int) -> int:
     """The token with ``offset`` whose payload is correct for ID bit ``x``
     of a home segment with ID ``sid``: ``value`` is bit x of sid plus one
@@ -370,20 +361,32 @@ def _allowed(p: ProtocolParams, x0: int) -> tuple[_TokenSets, _TokenSets]:
     return tuple(map(correct, layout.black)), tuple(map(correct, layout.white))
 
 
+def _leader_at(agents: list[AgentState]) -> int | None:
+    """The index of the one agent whose ``leader`` is truthy, or None when
+    there is no such agent or more than one."""
+    leaders = [a.leader for a in agents]
+    n = len(leaders)
+    zeros = leaders.count(0)
+    if zeros == n:
+        return None
+    if zeros == n - 1 and 1 in leaders:
+        return leaders.index(1)
+    if zeros + leaders.count(1) == n:  # several leaders
+        return None
+    # leader values other than 0 and 1 count by their truth
+    found = [i for i, v in enumerate(leaders) if v]
+    return found[0] if len(found) == 1 else None
+
+
 def _from_leader(config: Configuration) -> tuple[list[AgentState], _Layout] | None:
     """The agents rotated to start at the unique leader, and the ring's
     layout, provided there is exactly one leader and every dist/last field
     is settled; otherwise None."""
     agents = config.agents
-    pos = None
-    for i, a in enumerate(agents):
-        if a.leader:
-            if pos is not None:
-                return None
-            pos = i
+    pos = _leader_at(agents)
     if pos is None:
         return None
-    ring = agents[pos:] + agents[:pos]
+    ring = agents[pos:] + agents[:pos] if pos else agents
     layout = _layout(config.params)
     if [a.dist for a in ring] != layout.dist or [a.last for a in ring] != layout.last:
         return None
@@ -415,29 +418,68 @@ def in_C_DL(config: Configuration) -> bool:
     return found is not None and _bullets_peaceful(found[0])
 
 
+class _Chain(NamedTuple):
+    """What a ring in ``S_PL`` holds, for one parameters object and one
+    starting ID; see the module docstring.  Shared: do not modify."""
+
+    params: ProtocolParams | None
+    x0_bits: list[int]  # the b bits of S_0, the key beside params
+    bits: list[int]  # the full segments' b bits
+    dist: list[int]
+    last: list[int]
+    black: _TokenSets
+    white: _TokenSets
+
+
+def _build_chain(p: ProtocolParams, x0_bits: list[int]) -> _Chain:
+    """The entry for parameters ``p`` and S_0's b bits ``x0_bits``."""
+    psi = p.psi
+    mask = (1 << psi) - 1
+    x0 = sum(bit << j for j, bit in enumerate(x0_bits)) & mask
+    bits = [((x0 + s) & mask) >> j & 1 for s in range(p.zeta - 1) for j in range(psi)]
+    layout = _layout(p)
+    return _Chain(p, x0_bits, bits, layout.dist, layout.last, *_allowed(p, x0))
+
+
+_NO_CHAIN = _Chain(None, [], [], [], [], (), ())
+# the latest entry; a call reads it once, so another thread's rebuild
+# cannot mix two entries in one check
+_chain = _NO_CHAIN
+
+
 def in_S_PL(config: Configuration) -> bool:
     """The safe set: ``C_DL``, all tokens valid and correct, and consecutive
     full segments carrying consecutive IDs.
 
-    It judges tokens by value, in set lookups, so it assumes tokens as
-    ``AgentState.validate`` admits them: a ``float`` equal to a correct
-    token passes here, though ``validate`` and :func:`token_is_valid`
-    reject it.
+    It reads the leader field, then the full segments' b bits, dist, last,
+    both token fields and the bullets, each as one list compared with the
+    cached entry for the ring's parameters and starting ID, and stops at
+    the first that fails.  It judges tokens by value, in set lookups, so it
+    assumes tokens as ``AgentState.validate`` admits them: a ``float``
+    equal to a correct token passes here, though ``validate`` and
+    :func:`token_is_valid` reject it.
     """
-    found = _from_leader(config)
-    if found is None:
+    global _chain
+    agents = config.agents
+    pos = _leader_at(agents)
+    if pos is None:
         return False
-    ring = found[0]
+    ring = agents[pos:] + agents[:pos] if pos else agents
     p = config.params
-    full = p.zeta - 1
-    word = _b_word(ring, p.psi * full)
-    x0 = word & ((1 << p.psi) - 1)
-    if word != _chain_word(p.psi, full, x0):
-        return False
-    black, white = _allowed(p, x0)
+    psi = p.psi
+    bits = [a.b for a in ring[: psi * (p.zeta - 1)]]
+    chain = _chain
+    if chain.params is not p or bits != chain.bits:
+        if chain.params is p and bits[:psi] == chain.x0_bits:
+            return False  # the entry is this ring's, and its ID chain is broken
+        chain = _chain = _build_chain(p, bits[:psi])
+        if bits != chain.bits:
+            return False
     return (
-        all(map(frozenset.__contains__, black, [a.token_b for a in ring]))
-        and all(map(frozenset.__contains__, white, [a.token_w for a in ring]))
+        [a.dist for a in ring] == chain.dist
+        and [a.last for a in ring] == chain.last
+        and all(map(frozenset.__contains__, chain.black, [a.token_b for a in ring]))
+        and all(map(frozenset.__contains__, chain.white, [a.token_w for a in ring]))
         and _bullets_peaceful(ring)
     )
 
@@ -484,11 +526,15 @@ def leaderless_settled(params: ProtocolParams, seed: int) -> Configuration:
     """:func:`construct_S_PL` with its leader's ``leader`` and ``shield``
     bits cleared.
 
-    The distance chain and the segment IDs stay settled, but no leader,
-    signal or bullet is left, so the ring must detect the missing leader
-    (a full clock, then a chain mismatch) before it can make one.  This is
-    the start family whose convergence time shows the log n factor of
-    O(n^2 log n).  Raises InvalidSizeError for a seed that is not an
+    The dist, last and b fields are the safe ring's, but no leader, signal
+    or bullet is left, so the ring must detect the missing leader (a full
+    clock, then a chain mismatch) before it can make one.  Without its
+    leader the chain is not settled (``transition._settled`` is False):
+    the final segment keeps ``last = 1``, which says it precedes a leader,
+    and unless ``two_psi`` divides n, agent 0's dist 0 no longer follows
+    its left neighbour's, so the first interactions there rewrite them.
+    This is the start family whose convergence time shows the log n factor
+    of O(n^2 log n).  Raises InvalidSizeError for a seed that is not an
     int >= 0.
     """
     config = construct_S_PL(params, seed)

@@ -1,5 +1,6 @@
 """Predicate tests, including the exhaustive leaderless-imperfection oracle
 and an increment-arithmetic oracle for token correctness."""
+import hashlib
 import math
 import time
 
@@ -609,12 +610,33 @@ def test_s_pl_verdict_follows_in_place_mutation(mutation):
     assert in_S_PL(cfg)
 
 
+def _fresh_s_pl(cfg):
+    """``in_S_PL`` with the cached chain entry and both tables emptied first."""
+    analysis._chain = analysis._NO_CHAIN
+    analysis._allowed.cache_clear()
+    analysis._layout.cache_clear()
+    return in_S_PL(cfg)
+
+
+@pytest.mark.parametrize("value", [True, 2])
+def test_leader_field_counts_by_its_truth(value):
+    # validate admits only 0 and 1, but the predicates read the field as
+    # ``if a.leader`` does
+    cfg = construct_S_PL(P16, 1)
+    cfg.agents[0].leader = value
+    assert in_C_DL(cfg) and in_S_PL(cfg)
+    cfg.agents[3].leader = value
+    assert not in_C_DL(cfg) and not in_S_PL(cfg)
+    cfg.agents[3].leader = None
+    assert in_C_DL(cfg) and in_S_PL(cfg)
+
+
 def test_s_pl_interleaved_frames_match_fresh_calls():
     """Two safe frames with different starting IDs at each of two ring sizes,
     the same two IDs at both sizes.  Each frame also carries a fresh black
     token at its leader that is correct for its own ID or for the other
     frame's, or a wrong one at a later black border.  Checked in turn, every
-    verdict must be the one a call with no cached table gives."""
+    verdict must be the one a call with no cached entry or table gives."""
     configs = []
     # (n, seeds whose S_0 IDs are 12 and 13, a black border past agent 7)
     for n, seeds, far in ((16, (3, 0), 8), (32, (24, 9), 20)):
@@ -634,11 +656,48 @@ def test_s_pl_interleaved_frames_match_fresh_calls():
             configs.append((work, False))
     order = configs[::2] + configs[1::2]  # alternate sizes and frames
     for cfg, want in order:
-        analysis._allowed.cache_clear()
-        assert in_S_PL(cfg) == want
+        assert _fresh_s_pl(cfg) == want
     for _ in range(3):
         for cfg, want in order:
             assert in_S_PL(cfg) == want
+
+
+def test_s_pl_cache_keys_match_fresh_calls():
+    """Safe frames and variants of them, checked in a seeded shuffled order:
+    frames whose parameters are equal but distinct objects, frames with
+    different starting IDs under one parameters object, and frames at
+    psi = 40.  Every verdict must be the one a call with empty caches gives."""
+    def variants(frame):
+        p = frame.params
+        b0 = frame.agents[0].b
+        out = [frame]
+        for k, tok in ((p.psi, None), (0, None), (0, token(p.psi, 1 - b0, b0)), (0, token(p.psi, b0, b0))):
+            work = frame.copy()
+            if tok is None:
+                work.agents[k].b ^= 1  # bit 0 of S_1's ID, or of S_0's (a new key)
+            else:
+                work.agents[k].token_b = tok  # a correct or a wrong fresh token
+            out.append(work)
+        return out
+
+    configs = []
+    # n = 15 and 16 share psi = 4 and the full-segment length, not the layout
+    makes = (
+        lambda: make_params(16),
+        lambda: make_params(15),
+        lambda: ProtocolParams(n=64, psi=40, kappa_max=1280),
+    )
+    for make in makes:
+        shared = make()
+        for seed in range(3):
+            for p in (shared, make()):  # one object for every seed, then a fresh equal one
+                configs += variants(construct_S_PL(p, seed))
+    fresh = [_fresh_s_pl(cfg) for cfg in configs]
+    assert 0 < sum(fresh) < len(fresh)
+    rng = np.random.Generator(np.random.PCG64(25))
+    for _ in range(3):
+        for k in rng.permutation(len(configs)).tolist():
+            assert in_S_PL(configs[k]) == fresh[k], k
 
 
 @pytest.mark.parametrize("n", [8, 64])
@@ -769,6 +828,25 @@ def test_predicate_corpus_counts(n):
                 assert token_is_correct(cfg, i, TokenColor.WHITE)
 
 
+# SHA-256 of the per-configuration verdicts of in_S_PL and in_C_DL over
+# _predicate_corpus(n), one "01"-style pair per configuration, as evaluated
+# by the predicates that read the b bits as one word through bytes
+_CORPUS_DIGESTS = {
+    2: "03c13cf306527fbbea059ca59cc4f9ed939fbd226bbdd361e9ab4f8426213c70",
+    3: "6fa88ef7eb46318426d3d41f9ca0459f417672cd77a39568fd2902081d27d515",
+    5: "1debba3ec27e595fd778d25d68b9c89dce0ff66eb0d9f9f2d9980907752da5b7",
+    8: "b49e35efed50259fe8f9b7397121843a1c3c3975bc819f0fc02c4e6d198647c8",
+    16: "964573cd583c646b32915daca4b523a23857d6651afacc447ed0c614f5939678",
+    32: "39f639bdf4c9d5ec794feb0b0a65c2f8ddbe2d330fee4b1fd9b87fd44b0b9927",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_CORPUS_COUNTS))
+def test_predicate_corpus_verdicts_match_pinned_digest(n):
+    verdicts = "".join(f"{int(in_S_PL(c))}{int(in_C_DL(c))}" for c in _predicate_corpus(n))
+    assert hashlib.sha256(verdicts.encode()).hexdigest() == _CORPUS_DIGESTS[n]
+
+
 @pytest.mark.parametrize("n", sorted(_CORPUS_COUNTS))
 def test_settled_agrees_with_the_distance_block_on_the_corpus(n):
     # the fused loop's settled branch skips the distance block: its scan
@@ -816,6 +894,18 @@ def test_leaderless_settled_is_the_safe_ring_without_its_leader(n):
     assert leaderless == safe
     with pytest.raises(InvalidSizeError):
         leaderless_settled(params, -1)
+
+
+@pytest.mark.parametrize("start", ["safe", "leaderless"])
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 17, 64])
+def test_only_the_safe_start_has_a_settled_chain(n, start):
+    # the leaderless start keeps the safe ring's last flags, so its final
+    # segment still says it precedes a leader; unless two_psi divides n, the
+    # old leader's dist 0 also no longer follows its left neighbour's
+    params = make_params(n)
+    build = construct_S_PL if start == "safe" else leaderless_settled
+    cfg = build(params, 7)
+    assert transition._settled(cfg.agents, params.psi, params.two_psi) == (start == "safe")
 
 
 def test_construct_chain_values():
