@@ -39,7 +39,6 @@ import numpy as np
 
 from .core.params import ProtocolParams, require_count, require_index, require_member
 from .core.state import (
-    CONSTRUCT,
     AgentState,
     Configuration,
     is_legal_token,
@@ -226,15 +225,16 @@ def token_is_correct(config: Configuration, i: int, which: TokenColor) -> bool:
         raise PreconditionError("configuration is not in C_DL")
     if not token_is_valid(config, i, which):
         raise PreconditionError("token is not valid")
-    ring, layout = _from_leader(config)
     p = config.params
-    k = (i - _leader_at(config.agents)) % p.n
+    layout = _layout(p)
+    leader = _leader_at(config.agents)
+    row = (layout.black if which is TokenColor.BLACK else layout.white)[(i - leader) % p.n]
     offset = token_fields(t)[0]
-    slot = (layout.black if which is TokenColor.BLACK else layout.white)[k].get(offset)
+    slot = row.get(offset)
     if slot is None:
         raise PreconditionError("token is not working for any segment pair")
     seg, x = slot
-    home_id = _b_word(ring[seg * p.psi :], p.psi)
+    home_id = segment_id(config, Segment((leader + seg * p.psi) % p.n, p.psi))
     return t == _correct_token(home_id, x, offset)
 
 
@@ -267,9 +267,6 @@ def in_C_PB(config: Configuration) -> bool:
         if a.bullet == 2 and not is_peaceful(config, i):
             return False
     return True
-
-
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class _Layout(NamedTuple):
@@ -312,15 +309,18 @@ def _targets(p: ProtocolParams, d: int) -> list[dict[int, tuple[int, int]]]:
     return table
 
 
+def _settled_run(psi: int, length: int) -> tuple[list[int], list[int]]:
+    """The settled dist and last values of ``length`` agents that start at
+    a leader and end just left of the next leader (the same one when it is
+    the only one): dist counts k mod 2*psi, and last marks the final
+    segment, which starts at the last border."""
+    last_from = psi * ((length - 1) // psi)
+    return [k % (2 * psi) for k in range(length)], [int(k >= last_from) for k in range(length)]
+
+
 @functools.lru_cache(maxsize=64)
 def _layout(p: ProtocolParams) -> _Layout:
-    last_from = p.psi * (p.zeta - 1)
-    return _Layout(
-        dist=[k % p.two_psi for k in range(p.n)],
-        last=[1 if k >= last_from else 0 for k in range(p.n)],
-        black=_targets(p, 0),
-        white=_targets(p, p.psi),
-    )
+    return _Layout(*_settled_run(p.psi, p.n), _targets(p, 0), _targets(p, p.psi))
 
 
 def _correct_token(sid: int, x: int, offset: int) -> int:
@@ -378,21 +378,6 @@ def _leader_at(agents: list[AgentState]) -> int | None:
     return found[0] if len(found) == 1 else None
 
 
-def _from_leader(config: Configuration) -> tuple[list[AgentState], _Layout] | None:
-    """The agents rotated to start at the unique leader, and the ring's
-    layout, provided there is exactly one leader and every dist/last field
-    is settled; otherwise None."""
-    agents = config.agents
-    pos = _leader_at(agents)
-    if pos is None:
-        return None
-    ring = agents[pos:] + agents[:pos] if pos else agents
-    layout = _layout(config.params)
-    if [a.dist for a in ring] != layout.dist or [a.last for a in ring] != layout.last:
-        return None
-    return ring, layout
-
-
 def _bullets_peaceful(ring: list[AgentState]) -> bool:
     """Every live bullet is peaceful, for a ring that starts at its unique
     leader: the leader is shielded and no bullet-absence signal sits between
@@ -404,18 +389,19 @@ def _bullets_peaceful(ring: list[AgentState]) -> bool:
     return ring[0].shield == 1 and not any([a.signal_b for a in ring[: rightmost + 1]])
 
 
-def _b_word(ring: list[AgentState], length: int) -> int:
-    """The b bits of ``ring[:length]`` as one integer, agent k at bit k."""
-    # the bytes 0/1 become the digits "0"/"1", most significant (rightmost
-    # agent) first
-    digits = bytes([a.b for a in reversed(ring[:length])]).translate(_BIT_CHARS)
-    return int(digits, 2) if digits else 0
-
-
 def in_C_DL(config: Configuration) -> bool:
     """Unique leader, every live bullet peaceful, dist/last fully settled."""
-    found = _from_leader(config)
-    return found is not None and _bullets_peaceful(found[0])
+    agents = config.agents
+    pos = _leader_at(agents)
+    if pos is None:
+        return False
+    ring = agents[pos:] + agents[:pos] if pos else agents
+    layout = _layout(config.params)
+    return (
+        [a.dist for a in ring] == layout.dist
+        and [a.last for a in ring] == layout.last
+        and _bullets_peaceful(ring)
+    )
 
 
 class _Chain(NamedTuple):
@@ -431,14 +417,18 @@ class _Chain(NamedTuple):
     white: _TokenSets
 
 
+def _chain_bits(p: ProtocolParams, x0: int) -> list[int]:
+    """The b bits of the full segments S_0 .. S_{zeta-2} on the +1 chain
+    from ID ``x0``, least significant bit at each segment's border."""
+    mask = (1 << p.psi) - 1
+    return [((x0 + s) & mask) >> j & 1 for s in range(p.zeta - 1) for j in range(p.psi)]
+
+
 def _build_chain(p: ProtocolParams, x0_bits: list[int]) -> _Chain:
     """The entry for parameters ``p`` and S_0's b bits ``x0_bits``."""
-    psi = p.psi
-    mask = (1 << psi) - 1
-    x0 = sum(bit << j for j, bit in enumerate(x0_bits)) & mask
-    bits = [((x0 + s) & mask) >> j & 1 for s in range(p.zeta - 1) for j in range(psi)]
+    x0 = sum(bit << j for j, bit in enumerate(x0_bits)) & ((1 << p.psi) - 1)
     layout = _layout(p)
-    return _Chain(p, x0_bits, bits, layout.dist, layout.last, *_allowed(p, x0))
+    return _Chain(p, x0_bits, _chain_bits(p, x0), layout.dist, layout.last, *_allowed(p, x0))
 
 
 _NO_CHAIN = _Chain(None, [], [], [], [], (), ())
@@ -489,7 +479,8 @@ def in_S_PL(config: Configuration) -> bool:
 # --------------------------------------------------------------------------
 
 def construct_S_PL(params: ProtocolParams, seed: int) -> Configuration:
-    """Build a configuration in the safe set.
+    """Build a configuration in the safe set, from the layout that
+    :func:`in_C_DL` and :func:`in_S_PL` check.
 
     Leader at index 0, settled distance chain and last flags, segment IDs
     forming the +1 chain from a seed-chosen starting ID, no tokens, bullets
@@ -499,26 +490,11 @@ def construct_S_PL(params: ProtocolParams, seed: int) -> Configuration:
     """
     require_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    n, psi, two_psi, zeta = params.n, params.psi, params.two_psi, params.zeta
-    iota0 = int(rng.integers(0, 1 << psi))
-    bits = [0] * n
-    for s in range(zeta - 1):
-        sid = (iota0 + s) % (1 << psi)
-        for j in range(psi):
-            bits[s * psi + j] = (sid >> j) & 1
-    last_from = psi * (zeta - 1)
-    bits[last_from:] = rng.integers(0, 2, size=n - last_from).tolist()
-    agents = [
-        AgentState(
-            leader=1 if i == 0 else 0,
-            b=bits[i],
-            dist=i % two_psi,
-            last=1 if i >= last_from else 0,
-            mode=CONSTRUCT,
-            shield=1 if i == 0 else 0,
-        )
-        for i in range(n)
-    ]
+    bits = _chain_bits(params, int(rng.integers(0, 1 << params.psi)))
+    bits += rng.integers(0, 2, size=params.n - len(bits)).tolist()
+    layout = _layout(params)
+    agents = [AgentState(b=b, dist=d, last=l) for b, d, l in zip(bits, layout.dist, layout.last)]
+    agents[0].leader = agents[0].shield = 1
     return Configuration(params, agents)
 
 

@@ -4,6 +4,9 @@ An agent carries thirteen variables.  ``leader`` is the output bit.  The
 ``b``/``dist``/``last`` trio plus the two token slots implement the segment-ID
 chain; ``mode``/``clock``/``hits``/``signal_r`` implement leader-absence
 detection; ``bullet``/``shield``/``signal_b`` implement leader elimination.
+:func:`field_values` is the one statement of the values each field may hold:
+``validate`` checks against it, ``random_configuration`` draws from it, and
+the state space ``Q`` is its product.
 
 States are plain mutable objects so the simulation loop can update them in
 place; every public operation that promises purity copies first.
@@ -64,6 +67,26 @@ def legal_tokens(psi: int) -> tuple[int, ...]:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def field_values(params: ProtocolParams) -> tuple[tuple[str, range | tuple], ...]:
+    """Every :class:`AgentState` field, in field order, with the values it
+    may hold: a ``range`` from 0 for an int field, so each value is its own
+    index, and ``None`` plus :func:`legal_tokens` for a token slot.
+
+    The one statement of the state space: ``validate`` checks against it,
+    ``random_configuration`` draws from it, and the number of agent states
+    is the product of its lengths.  Cached per parameters.
+    """
+    psi, kmax = params.psi, params.kappa_max
+    bit, tokens = range(2), (None, *legal_tokens(psi))
+    return (
+        ("leader", bit), ("b", bit), ("dist", range(2 * psi)), ("last", bit),
+        ("token_b", tokens), ("token_w", tokens), ("mode", range(CONSTRUCT, DETECT + 1)),
+        ("clock", range(kmax + 1)), ("hits", range(psi + 1)), ("signal_r", range(kmax + 1)),
+        ("bullet", range(3)), ("shield", bit), ("signal_b", bit),
+    )
+
+
 @dataclass(slots=True)
 class AgentState:
     """One agent's full variable block.
@@ -79,8 +102,8 @@ class AgentState:
     # ``mode`` is a function of ``clock`` once an interaction has written
     # it, but it stays a stored field: the reference blocks that
     # ``interact_traced`` runs after mode determination read the mode it
-    # wrote, and the snapshot format and ``random_configuration``'s draw
-    # order both include it.
+    # wrote, and the snapshot format and :func:`field_values` both include
+    # it.
     mode: int = CONSTRUCT
     clock: int = 0
     hits: int = 0
@@ -107,21 +130,17 @@ class AgentState:
         return new
 
     def validate(self, params: ProtocolParams) -> None:
-        """Raise ValueError unless each field is an ``int`` (no ``bool``) in range."""
-        psi, kmax = params.psi, params.kappa_max
-        _check_bit("leader", self.leader)
-        _check_bit("b", self.b)
-        _check_range("dist", self.dist, 0, 2 * psi - 1)
-        _check_bit("last", self.last)
-        _check_token("token_b", self.token_b, psi)
-        _check_token("token_w", self.token_w, psi)
-        _check_range("mode", self.mode, CONSTRUCT, DETECT)
-        _check_range("clock", self.clock, 0, kmax)
-        _check_range("hits", self.hits, 0, psi)
-        _check_range("signal_r", self.signal_r, 0, kmax)
-        _check_range("bullet", self.bullet, 0, 2)
-        _check_bit("shield", self.shield)
-        _check_bit("signal_b", self.signal_b)
+        """Raise ValueError, naming the field, unless each field holds one of
+        its :func:`field_values`: an ``int`` (no ``bool``), or a ``None`` token."""
+        for name, values in field_values(params):
+            value = getattr(self, name)
+            # the type test comes first: ``x in range`` scans for a non-int x
+            if type(value) is int and value in values:
+                continue
+            if isinstance(values, range):
+                raise ValueError(f"{name}: {value!r} out of range [0, {values.stop - 1}]")
+            if value is not None:
+                raise ValueError(f"{name}: {value!r} is not a legal token for psi={params.psi}")
 
 
 def _check_bit(name: str, value: int) -> None:
@@ -129,20 +148,10 @@ def _check_bit(name: str, value: int) -> None:
         raise ValueError(f"{name}: {value!r} is not a bit")
 
 
-def _check_range(name: str, value: int, lo: int, hi: int) -> None:
-    if type(value) is not int or not lo <= value <= hi:
-        raise ValueError(f"{name}: {value!r} out of range [{lo}, {hi}]")
-
-
 def is_legal_token(t: object, psi: int) -> bool:
     """True iff ``t`` is an ``int`` in :func:`legal_tokens`: as in every
     field, a bool or float is no int."""
     return type(t) is int and t in legal_tokens(psi)
-
-
-def _check_token(name: str, t: int | None, psi: int) -> None:
-    if t is not None and not is_legal_token(t, psi):
-        raise ValueError(f"{name}: {t!r} is not a legal token for psi={psi}")
 
 
 class Configuration:
@@ -280,7 +289,7 @@ def _agent_from_dict(entry: dict) -> AgentState:
 
 
 def random_configuration(params: ProtocolParams, seed: int) -> Configuration:
-    """Draw every field of every agent uniformly from its declared range.
+    """Draw every field of every agent uniformly from its :func:`field_values`.
 
     This is the adversary: the draw includes inconsistent combinations
     (no leader, many leaders, stray tokens and signals, clocks out of step
@@ -289,15 +298,12 @@ def random_configuration(params: ProtocolParams, seed: int) -> Configuration:
     """
     require_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    n, psi, kmax = params.n, params.psi, params.kappa_max
-    tokens = (None, *legal_tokens(psi))
-    # one exclusive bound per field, in AgentState's field order
-    highs = [2, 2, 2 * psi, 2, len(tokens), len(tokens), 2,
-             kmax + 1, psi + 1, kmax + 1, 3, 2, 2]
-
-    # one draw for the whole ring, agent by agent and field by field
-    agents = []
-    for row in rng.integers(0, highs * n).reshape(n, len(highs)).tolist():
-        row[4:6] = tokens[row[4]], tokens[row[5]]
-        agents.append(AgentState(*row))
-    return Configuration(params, agents)
+    table = field_values(params)
+    # one draw for the whole ring, agent by agent and field by field, read
+    # back column by column; an int field's index is its value
+    draw = rng.integers(0, [len(values) for _, values in table] * params.n)
+    columns = draw.reshape(params.n, len(table)).T.tolist()
+    for k, (_, values) in enumerate(table):
+        if isinstance(values, tuple):
+            columns[k] = list(map(values.__getitem__, columns[k]))
+    return Configuration(params, map(AgentState, *columns))

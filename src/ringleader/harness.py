@@ -354,37 +354,24 @@ def _require_leaders(name: str, leaders: int, n: int) -> None:
 def multi_leader_configuration(
     params: ProtocolParams, leaders: int, seed: int
 ) -> Configuration:
-    """Evenly spaced shielded leaders, consistent distance chain, no bullets
-    or signals; every live-bullet condition is vacuous, so the configuration
-    sits in the peaceful-bullet set by construction.  Raises
-    InvalidSizeError for ``leaders`` outside [1, n] or a negative ``seed``,
-    or either not an int."""
+    """Evenly spaced shielded leaders, no bullets or signals, and each gap
+    from one leader to the next laid out as a safe ring lays out its whole
+    length: settled dist and last, seed-drawn b bits.  Every live-bullet
+    condition is vacuous, so the configuration sits in the peaceful-bullet
+    set by construction.  Raises InvalidSizeError for ``leaders`` outside
+    [1, n] or a negative ``seed``, or either not an int."""
     n = params.n
     _require_leaders("leaders", leaders, n)
     require_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    positions = {(j * n) // leaders for j in range(leaders)}
-    agents = [
-        AgentState(
-            leader=1 if i in positions else 0,
-            b=int(rng.integers(0, 2)),
-            shield=1 if i in positions else 0,
-        )
-        for i in range(n)
-    ]
-    first = min(positions)
-    d = 0
-    for i in range(first, first + n):
-        idx = i % n
-        d = 0 if agents[idx].leader else (d + 1) % params.two_psi
-        agents[idx].dist = d
-    config = Configuration(params, agents)
-    # mark the segment sitting immediately left of each leader
-    for seg in analysis.segments(config):
-        if agents[(seg.start + seg.length) % n].leader:
-            for j in range(seg.length):
-                agents[(seg.start + j) % n].last = 1
-    return config
+    positions = [(j * n) // leaders for j in range(leaders)]  # the first is 0
+    agents = [AgentState(b=int(rng.integers(0, 2))) for _ in range(n)]
+    for start, end in zip(positions, positions[1:] + [n]):
+        agents[start].leader = agents[start].shield = 1
+        dist, last = analysis._settled_run(params.psi, end - start)
+        for a, d, l in zip(agents[start:end], dist, last):
+            a.dist, a.last = d, l
+    return Configuration(params, agents)
 
 
 def _elimination_task(args) -> tuple[int, bool, int]:

@@ -97,12 +97,13 @@ def generate_two_hop_coloring(n: int, seed: int) -> OrientConfiguration:
     )
 
 
-def oriented_configuration(n: int, seed: int, clockwise: bool = True) -> OrientConfiguration:
-    """A coloring with every agent already pointing the same way."""
+def oriented_configuration(n: int, seed: int) -> OrientConfiguration:
+    """A coloring with every agent already pointing clockwise, at its right
+    neighbour."""
     config = generate_two_hop_coloring(n, seed)
     agents = config.agents
     for i, a in enumerate(agents):
-        a.dir = agents[(i + 1) % n].color if clockwise else agents[(i - 1) % n].color
+        a.dir = agents[(i + 1) % n].color
     return config
 
 

@@ -245,8 +245,10 @@ def test_stray_dir_is_reset_to_the_partner():
 # --------------------------------------------------------------------------
 
 def test_oriented_rings():
-    cw = oriented_configuration(10, 0, clockwise=True)
-    ccw = oriented_configuration(10, 0, clockwise=False)
+    cw = oriented_configuration(10, 0)
+    ccw = oriented_configuration(10, 0)
+    for i, a in enumerate(ccw.agents):
+        a.dir = ccw.agents[i - 1].color  # every agent points at its left neighbour
     assert is_oriented(cw) and is_oriented(ccw)
     assert segment_count(cw) == 1 and segment_count(ccw) == 1
 

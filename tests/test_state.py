@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -13,6 +14,7 @@ from ringleader.core.state import (
     DETECT,
     AgentState,
     Configuration,
+    field_values,
     legal_tokens,
     random_configuration,
     token,
@@ -220,6 +222,45 @@ def test_validate_accepts_exactly_the_legal_tokens(psi):
                         accepted = False
                     setattr(cfg.agents[1], slot, None)
                     assert accepted == (t in legal), (slot, t)
+
+
+# each field's lowest and highest legal value at n = 8 (psi = 3, kappa_max = 96)
+FIELD_ENDS = {
+    "leader": (0, 1), "b": (0, 1), "dist": (0, 5), "last": (0, 1),
+    "token_b": (token(-2, 0, 0), token(3, 1, 1)), "token_w": (token(-2, 0, 0), token(3, 1, 1)),
+    "mode": (0, 1), "clock": (0, 96), "hits": (0, 3), "signal_r": (0, 96),
+    "bullet": (0, 2), "shield": (0, 1), "signal_b": (0, 1),
+}
+
+
+@pytest.mark.parametrize("field", FIELD_ENDS)
+def test_validate_accepts_both_ends_and_rejects_one_past(params8, field):
+    assert [name for name, _ in field_values(params8)] == list(FIELD_ENDS)
+    lo, hi = FIELD_ENDS[field]
+    cfg = Configuration(params8, [AgentState() for _ in range(8)])
+    # one below the lowest is -1 for an int field and token(-3, 1, 1) for a token
+    for value, legal in ((lo, True), (hi, True), (lo - 1, False), (hi + 1, False)):
+        setattr(cfg.agents[3], field, value)
+        if legal:
+            cfg.validate()
+        else:
+            with pytest.raises(ValueError, match=rf"agents\[3\]\.{field}: {value}"):
+                cfg.validate()
+
+
+@pytest.mark.parametrize("psi", [2, 3, 4, 8, 16, 32, 64])
+def test_state_count_is_polylog(psi):
+    # the abstract's claim of polylog(n) states: with 8*psi - 3 values per
+    # token slot (None and 4 per offset), the field table's product is
+    # 2*2*2psi*2*(8psi-3)^2*2*(kmax+1)^2*(psi+1)*3*2*2
+    for kappa_max in (None, 1 << 40):
+        params = make_params(1 << psi, kappa_max)
+        assert params.psi == psi
+        kmax = params.kappa_max
+        count = math.prod(len(values) for _, values in field_values(params))
+        assert count == 384 * psi * (psi + 1) * (8 * psi - 3) ** 2 * (kmax + 1) ** 2
+        if kappa_max is None:  # kmax = 32 psi: |Q| is about 2.6e7 psi^6
+            assert 2.5e7 <= count / psi**6 <= 2.7e7
 
 
 def test_token_field_distribution(params8):
