@@ -13,14 +13,17 @@ position 0; they are rotation-invariant by construction.
 ``in_S_PL`` judges a ring in one pass per field: it reads each field of the
 agents, rotated to the unique leader, into a plain list and compares it with
 a list it already holds.  Those lists sit in one cached entry, keyed by the
-parameters object and the b bits of S_0 (the starting ID x0): the b bits
-the full segments carry on the +1 chain from x0, the settled dist and last
-values, and for each color and each distance from the leader the set of
-correct token ints plus ``None``, so one set lookup per agent decides
-legality, validity, working pair and payload at once.  Any other key
-rebuilds the entry; a run checks one starting ID for its whole length, so a
-second entry would only serve a re-run of the same seeds.  A token's offset
-is read through ``core.state.token_fields`` and a correct token built with
+parameters and the b bits of S_0 (the starting ID x0): the b bits the full
+segments carry on the +1 chain from x0, the settled dist and last values,
+and for each color and each distance from the leader the set of correct
+token ints plus ``None``, so one set lookup per agent decides legality,
+validity, working pair and payload at once.  The parameters match by
+equality, tested after identity: a check on the entry's own parameters
+object makes no equality test, and a fresh object equal to it takes the
+entry over without a rebuild.  Any other key rebuilds the entry; a run
+checks one starting ID for its whole length, so a second entry would only
+serve a re-run of the same seeds.  A token's offset is read through
+``core.state.token_fields`` and a correct token built with
 ``core.state.token``.  ``token_is_correct`` applies the same rule
 (``_correct_token``) to its one token and builds no table.  Nothing here is
 built for each of the 2**psi possible IDs.  The entry depends only on the
@@ -335,32 +338,6 @@ def _correct_token(sid: int, x: int, offset: int) -> int:
 _TokenSets = tuple[frozenset[int | None], ...]
 
 
-@functools.lru_cache(maxsize=1)
-def _allowed(p: ProtocolParams, x0: int) -> tuple[_TokenSets, _TokenSets]:
-    """The correct tokens by distance from the leader, black then white, in
-    a ``C_DL`` ring whose full segments carry the +1 chain from ID ``x0``.
-
-    ``table[k]`` holds ``None`` and, for each offset in the color's
-    :func:`_targets` row k, the one token with that offset whose carry and
-    value bits are correct for its home segment's ID: a token at distance k
-    is legal, valid, working and correct exactly when it is in
-    ``table[k]``.  Equal sets are one object.
-    """
-    psi = p.psi
-    mask = (1 << psi) - 1
-    interned: dict = {}
-
-    def correct(row: dict[int, tuple[int, int]]) -> frozenset[int | None]:
-        allowed: set[int | None] = {None}
-        for offset, (seg, x) in row.items():
-            allowed.add(_correct_token((x0 + seg) & mask, x, offset))
-        frozen = frozenset(allowed)
-        return interned.setdefault(frozen, frozen)
-
-    layout = _layout(p)
-    return tuple(map(correct, layout.black)), tuple(map(correct, layout.white))
-
-
 def _leader_at(agents: list[AgentState]) -> int | None:
     """The index of the one agent whose ``leader`` is truthy, or None when
     there is no such agent or more than one."""
@@ -405,15 +382,15 @@ def in_C_DL(config: Configuration) -> bool:
 
 
 class _Chain(NamedTuple):
-    """What a ring in ``S_PL`` holds, for one parameters object and one
+    """What a ring in ``S_PL`` holds, for one set of parameters and one
     starting ID; see the module docstring.  Shared: do not modify."""
 
-    params: ProtocolParams | None
-    x0_bits: list[int]  # the b bits of S_0, the key beside params
+    params: ProtocolParams | None  # the key with x0_bits, matched by equality
+    x0_bits: list[int]  # the b bits of S_0
     bits: list[int]  # the full segments' b bits
     dist: list[int]
     last: list[int]
-    black: _TokenSets
+    black: _TokenSets  # the correct tokens by distance from the leader
     white: _TokenSets
 
 
@@ -425,15 +402,32 @@ def _chain_bits(p: ProtocolParams, x0: int) -> list[int]:
 
 
 def _build_chain(p: ProtocolParams, x0_bits: list[int]) -> _Chain:
-    """The entry for parameters ``p`` and S_0's b bits ``x0_bits``."""
-    x0 = sum(bit << j for j, bit in enumerate(x0_bits)) & ((1 << p.psi) - 1)
+    """The entry for parameters ``p`` and S_0's b bits ``x0_bits``.
+
+    Its token set at distance k holds ``None`` and, for each offset in the
+    color's :func:`_targets` row k, the one token with that offset whose
+    carry and value bits are correct for its home segment's ID: a token at
+    distance k is legal, valid, working and correct exactly when it is in
+    the set.
+    """
+    mask = (1 << p.psi) - 1
+    x0 = sum(bit << j for j, bit in enumerate(x0_bits)) & mask
     layout = _layout(p)
-    return _Chain(p, x0_bits, _chain_bits(p, x0), layout.dist, layout.last, *_allowed(p, x0))
+
+    def correct(row: dict[int, tuple[int, int]]) -> frozenset[int | None]:
+        return frozenset(
+            [None] + [_correct_token((x0 + seg) & mask, x, off) for off, (seg, x) in row.items()]
+        )
+
+    return _Chain(
+        p, x0_bits, _chain_bits(p, x0), layout.dist, layout.last,
+        tuple(map(correct, layout.black)), tuple(map(correct, layout.white)),
+    )
 
 
 _NO_CHAIN = _Chain(None, [], [], [], [], (), ())
-# the latest entry; a call reads it once, so another thread's rebuild
-# cannot mix two entries in one check
+# the latest entry, for equal parameters and S_0's b bits; a call reads it
+# once, so another thread's rebuild cannot mix two entries in one check
 _chain = _NO_CHAIN
 
 
@@ -460,11 +454,13 @@ def in_S_PL(config: Configuration) -> bool:
     bits = [a.b for a in ring[: psi * (p.zeta - 1)]]
     chain = _chain
     if chain.params is not p or bits != chain.bits:
-        if chain.params is p and bits[:psi] == chain.x0_bits:
-            return False  # the entry is this ring's, and its ID chain is broken
-        chain = _chain = _build_chain(p, bits[:psi])
+        x0_bits = bits[:psi]
+        if x0_bits != chain.x0_bits or (chain.params is not p and chain.params != p):
+            chain = _chain = _build_chain(p, x0_bits)
+        elif chain.params is not p:  # equal parameters take the entry over
+            chain = _chain = chain._replace(params=p)
         if bits != chain.bits:
-            return False
+            return False  # the entry is this ring's, and its ID chain is broken
     return (
         [a.dist for a in ring] == chain.dist
         and [a.last for a in ring] == chain.last

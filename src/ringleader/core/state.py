@@ -224,21 +224,14 @@ class Configuration:
 
 
 def _agent_to_dict(a: AgentState) -> dict:
-    return {
-        "leader": a.leader,
-        "b": a.b,
-        "dist": a.dist,
-        "last": a.last,
-        "token_b": None if a.token_b is None else list(token_fields(a.token_b)),
-        "token_w": None if a.token_w is None else list(token_fields(a.token_w)),
-        "mode": MODE_NAMES[a.mode],
-        "clock": a.clock,
-        "hits": a.hits,
-        "signal_r": a.signal_r,
-        "bullet": a.bullet,
-        "shield": a.shield,
-        "signal_b": a.signal_b,
-    }
+    """Every field in field order; a token as ``[offset, value, carry]`` or
+    None, the mode by its name, any other field as its int."""
+    entry = {f: getattr(a, f) for f in AgentState.__slots__}
+    for name in ("token_b", "token_w"):
+        if entry[name] is not None:
+            entry[name] = list(token_fields(entry[name]))
+    entry["mode"] = MODE_NAMES[a.mode]
+    return entry
 
 
 _INT_FIELDS = tuple(

@@ -3,7 +3,8 @@
 Every run in here is a pure function of its seed arguments.  Per-trial seeds
 derive from ``(base_seed, n, trial_index)`` through numpy's SeedSequence, so
 any single trial can be reproduced in isolation and trials can execute in
-any order or process without changing the merged results.
+any order or process without changing the merged results.  ``_trials`` is
+the one loop that builds a suite's trials and maps them through ``_map``.
 """
 from __future__ import annotations
 
@@ -68,6 +69,8 @@ class ExperimentSpec:
         require_count("trials_per_n", self.trials_per_n, 1)
         require_count("base_seed", self.base_seed, 0)
         require_multiplier("max_steps_multiplier", self.max_steps_multiplier)
+        for n in self.n_values:
+            step_cutoff(n, self.max_steps_multiplier)  # raises if the budget overflows
         require_count("workers", self.workers, 1)
         if self.range_check and self.protocol is not Protocol.PPL:
             raise InvalidSizeError("range_check applies to the ppl protocol only")
@@ -94,9 +97,9 @@ class TrialRecord:
 def trial_seed(base_seed: int, n: int, trial_index: int) -> int:
     """Stable per-trial seed; two related streams hang off it (seed, seed+1).
 
-    Every suite derives its trial seeds here while it builds its task list,
-    before any trial runs, so this is where a base seed is checked: raises
-    InvalidSizeError unless ``base_seed`` is an int >= 0.
+    ``_trials`` derives every suite's trial seeds here while it builds its
+    task list, before any trial runs, so this is where a base seed is
+    checked: raises InvalidSizeError unless ``base_seed`` is an int >= 0.
     """
     require_count("seed", base_seed, 0)
     ss = np.random.SeedSequence([base_seed, n, trial_index])
@@ -105,11 +108,16 @@ def trial_seed(base_seed: int, n: int, trial_index: int) -> int:
 
 def step_cutoff(n: int, multiplier: float) -> int:
     """The step budget ``ceil(multiplier * n^2 * log2 n)``.  Raises
-    InvalidSizeError unless ``n`` is an int >= 2 and ``multiplier`` a finite
-    number > 0."""
+    InvalidSizeError unless ``n`` is an int >= 2, ``multiplier`` a finite
+    number > 0 and the budget finite."""
     require_count("n", n, 2)
     require_multiplier("multiplier", multiplier)
-    return math.ceil(multiplier * n * n * math.log2(n))
+    budget = multiplier * n * n * math.log2(n)
+    if not math.isfinite(budget):
+        raise InvalidSizeError(
+            f"multiplier {multiplier!r} makes the step budget at n = {n} overflow"
+        )
+    return math.ceil(budget)
 
 
 def _map(fn, tasks: list, workers: int) -> list:
@@ -126,16 +134,28 @@ def _map(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=1))
 
 
+def _trials(task, n_values: tuple, trials: int, seed: int, workers: int, *args) -> list:
+    """``task((n, trial_seed(seed, n, t), *args))`` for each n in ``n_values``
+    and each t < ``trials``, in (n, t) order, through ``_map``: the one
+    place a suite builds its trials.  Raises InvalidSizeError, before any
+    trial runs, unless ``trials`` and ``workers`` are ints >= 1 and ``seed``
+    an int >= 0."""
+    require_count("trials", trials, 1)
+    require_count("workers", workers, 1)
+    tasks = [(n, trial_seed(seed, n, t), *args) for n in n_values for t in range(trials)]
+    return _map(task, tasks, workers)
+
+
 # --------------------------------------------------------------------------
 # convergence sweep
 # --------------------------------------------------------------------------
 
 def _ppl_trial(args) -> TrialRecord:
-    n, seed, multiplier, kappa_override, range_check = args
-    params = make_params(n, kappa_override)
+    n, seed, spec = args
+    params = make_params(n, spec.kappa_max_override)
     config = random_configuration(params, seed)
     scheduler = SchedulerStream(n, seed + 1)
-    cutoff = step_cutoff(n, multiplier)
+    cutoff = step_cutoff(n, spec.max_steps_multiplier)
     violations = 0
 
     def check_range(work: Configuration, i: int, trace: list) -> None:
@@ -148,7 +168,7 @@ def _ppl_trial(args) -> TrialRecord:
 
     final, steps, stopped = run(
         config, scheduler, cutoff, analysis.in_S_PL,
-        on_step=check_range if range_check else None,
+        on_step=check_range if spec.range_check else None,
     )
     return TrialRecord(
         protocol=Protocol.PPL.value,
@@ -164,9 +184,20 @@ def _ppl_trial(args) -> TrialRecord:
 
 
 def _orientation_task(args) -> OrientationTrial:
-    n, seed, cutoff, post_steps = args
+    n, seed, multiplier, post_steps = args
     coloring = generate_two_hop_coloring(n, seed)
-    return run_orientation(coloring, seed + 1, cutoff, post_steps=post_steps)
+    return run_orientation(coloring, seed + 1, step_cutoff(n, multiplier), post_steps=post_steps)
+
+
+def _por_trial(args) -> TrialRecord:
+    n, seed, spec = args
+    trial = _orientation_task((n, seed, spec.max_steps_multiplier, 0))
+    return TrialRecord(
+        protocol=Protocol.POR.value, n=n, psi=None, kappa_max=None, seed=seed,
+        steps=step_cutoff(n, spec.max_steps_multiplier) if trial.steps_to_oriented is None
+        else trial.steps_to_oriented,
+        converged=trial.converged, final_leader_count=None, violations=trial.monotone_violations,
+    )
 
 
 def run_orientation_sweep(
@@ -181,52 +212,25 @@ def run_orientation_sweep(
 
     Raises InvalidSizeError, before any trial runs, for ring sizes below 3
     or not ints, ``trials`` < 1, ``post_steps`` < 0, a bad ``seed`` or
-    ``multiplier`` (see ``ExperimentSpec``) or ``workers`` < 1.
+    ``multiplier`` (see ``ExperimentSpec``; ``step_cutoff`` checks every
+    n's budget) or ``workers`` < 1.
     """
     _require_sizes(Protocol.POR, n_values)
-    require_count("trials", trials, 1)
     require_count("post_steps", post_steps, 0)
-    require_multiplier("multiplier", multiplier)
-    require_count("workers", workers, 1)
-    tasks = [
-        (n, trial_seed(seed, n, t), step_cutoff(n, multiplier), post_steps)
-        for n in n_values
-        for t in range(trials)
-    ]
-    return _map(_orientation_task, tasks, workers)
+    for n in n_values:
+        step_cutoff(n, multiplier)
+    return _trials(_orientation_task, n_values, trials, seed, workers, multiplier, post_steps)
 
 
 def run_convergence_sweep(spec: ExperimentSpec) -> list[TrialRecord]:
     """Run every (n, trial) cell of the spec; deterministic in the spec.
 
-    Orientation rows come from ``run_orientation_sweep``'s trials."""
-    if spec.protocol is Protocol.POR:
-        multiplier = spec.max_steps_multiplier
-        trials = run_orientation_sweep(
-            spec.n_values, spec.trials_per_n, spec.base_seed, multiplier, workers=spec.workers
-        )
-        return [
-            TrialRecord(
-                protocol=Protocol.POR.value, n=t.n, psi=None, kappa_max=None,
-                seed=t.seed - 1,  # the trial seed; t.seed, one more, is the scheduler's
-                steps=step_cutoff(t.n, multiplier) if t.steps_to_oriented is None
-                else t.steps_to_oriented,
-                converged=t.converged, final_leader_count=None, violations=t.monotone_violations,
-            )
-            for t in trials
-        ]
-    tasks = [
-        (
-            n,
-            trial_seed(spec.base_seed, n, t),
-            spec.max_steps_multiplier,
-            spec.kappa_max_override,
-            spec.range_check,
-        )
-        for n in spec.n_values
-        for t in range(spec.trials_per_n)
-    ]
-    return _map(_ppl_trial, tasks, spec.workers)
+    Each trial builds its row from its own seed: a PPL trial runs a
+    uniform-random start to ``S_PL``, a POR trial runs ``run_orientation``
+    on a two-hop coloring, as ``run_orientation_sweep``'s trials do, and
+    reports its cutoff as ``steps`` when the ring does not orient."""
+    task = _ppl_trial if spec.protocol is Protocol.PPL else _por_trial
+    return _trials(task, spec.n_values, spec.trials_per_n, spec.base_seed, spec.workers, spec)
 
 
 # --------------------------------------------------------------------------
@@ -308,15 +312,13 @@ def run_closure_suite(
     ``ExperimentSpec``) or ``workers`` < 1.
     """
     _require_sizes(protocol, (n,))
-    require_count("trials", trials, 1)
     require_count("steps", steps, 1)
-    require_count("workers", workers, 1)
+    task = _ppl_closure_task if protocol is Protocol.PPL else _por_closure_task
+    results = _trials(task, (n,), trials, seed, workers, steps)
     report = ClosureReport(
         protocol=protocol.value, n=n, trials=trials, steps_per_trial=steps
     )
-    task = _ppl_closure_task if protocol is Protocol.PPL else _por_closure_task
-    tasks = [(n, trial_seed(seed, n, t), steps) for t in range(trials)]
-    for tseed, violations, rejected in _map(task, tasks, workers):
+    for tseed, violations, rejected in results:
         report.violations.extend(violations)
         if rejected:
             report.rejected_trials.append(tseed)
@@ -375,7 +377,7 @@ def multi_leader_configuration(
 
 
 def _elimination_task(args) -> tuple[int, bool, int]:
-    n, leaders, tseed, cutoff = args
+    n, tseed, leaders, cutoff = args
     params = make_params(n)
     config = multi_leader_configuration(params, leaders, tseed)
     final, done, _ = run(
@@ -403,16 +405,11 @@ def run_elimination_suite(
     (see ``ExperimentSpec``), ``workers`` < 1 or ``initial_leaders``
     outside [1, n]."""
     _require_sizes(Protocol.PPL, (n,))
-    require_count("trials", trials, 1)
-    require_multiplier("multiplier", multiplier)
-    require_count("workers", workers, 1)
     _require_leaders("initial_leaders", initial_leaders, n)
-    report = EliminationReport(n=n, initial_leaders=initial_leaders, trials=trials)
     cutoff = step_cutoff(n, multiplier)
-    tasks = [
-        (n, initial_leaders, trial_seed(seed, n, t), cutoff) for t in range(trials)
-    ]
-    for done, converged, zero_events in _map(_elimination_task, tasks, workers):
+    results = _trials(_elimination_task, (n,), trials, seed, workers, initial_leaders, cutoff)
+    report = EliminationReport(n=n, initial_leaders=initial_leaders, trials=trials)
+    for done, converged, zero_events in results:
         report.steps.append(done)
         report.converged.append(converged)
         report.zero_leader_events += zero_events

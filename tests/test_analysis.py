@@ -613,7 +613,6 @@ def test_s_pl_verdict_follows_in_place_mutation(mutation):
 def _fresh_s_pl(cfg):
     """``in_S_PL`` with the cached chain entry and both tables emptied first."""
     analysis._chain = analysis._NO_CHAIN
-    analysis._allowed.cache_clear()
     analysis._layout.cache_clear()
     return in_S_PL(cfg)
 
@@ -698,6 +697,34 @@ def test_s_pl_cache_keys_match_fresh_calls():
     for _ in range(3):
         for k in rng.permutation(len(configs)).tolist():
             assert in_S_PL(configs[k]) == fresh[k], k
+
+
+def test_equal_parameters_take_the_cached_entry_over(monkeypatch):
+    # the entry is keyed by equal parameters: a copy of a safe ring under a
+    # fresh make_params(n) is judged without a rebuild, and only a new
+    # starting ID under that object builds a new entry
+    builds = []
+    build = analysis._build_chain
+
+    def counting_build(p, x0_bits):
+        builds.append(x0_bits)
+        return build(p, x0_bits)
+
+    monkeypatch.setattr(analysis, "_build_chain", counting_build)
+    safe = construct_S_PL(make_params(32), 0)
+    assert in_S_PL(safe)
+    builds.clear()
+    fresh = make_params(32)
+    assert fresh is not safe.params
+    assert in_S_PL(Configuration(fresh, [a.copy() for a in safe.agents]))
+    assert builds == []
+    x0 = segment_id(safe, Segment(0, fresh.psi))
+    other = next(
+        c for c in (construct_S_PL(fresh, seed) for seed in range(1, 20))
+        if segment_id(c, Segment(0, fresh.psi)) != x0
+    )
+    assert in_S_PL(other)
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("n", [8, 64])

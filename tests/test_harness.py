@@ -142,6 +142,7 @@ def test_sweep_por_reports_cutoff_when_not_oriented():
         dict(protocol=Protocol.POR, kappa_max_override=200),
         dict(protocol=Protocol.POR, range_check=True),
         dict(protocol="ppl"),
+        dict(n_values=(8, 64), max_steps_multiplier=1e308),  # the budget overflows
     ],
 )
 def test_spec_rejects_bad_input(overrides):
@@ -165,6 +166,7 @@ def test_spec_rejects_bad_input(overrides):
         dict(multiplier=float("inf")),
         dict(multiplier=0),
         dict(workers=0),
+        dict(n_values=(8, 64), multiplier=1e308),
     ],
 )
 def test_orientation_sweep_rejects_bad_input_before_any_trial(monkeypatch, overrides):
@@ -211,7 +213,7 @@ ELIMINATION_ARGS = dict(n=8, initial_leaders=2, trials=2, seed=3, multiplier=1.0
         dict(workers=True),
         dict(protocol="por"),
         dict(steps=0),
-    )],
+    )] + [("elimination", dict(n=64, multiplier=1e308))],
 )
 def test_suites_reject_bad_input_before_any_trial(monkeypatch, suite, overrides):
     def no_trial(args):
@@ -237,6 +239,12 @@ REJECTED_CALLS = {
         **{**ELIMINATION_ARGS, "initial_leaders": 9}
     ),
     "orientation sweep workers": lambda: run_orientation_sweep((8,), 1, 0, workers=0),
+    "step cutoff overflow": lambda: step_cutoff(64, 1e308),
+    "spec budget overflow": lambda: small_spec(n_values=(64,), max_steps_multiplier=1e308),
+    "orientation sweep budget overflow": lambda: run_orientation_sweep((64,), 1, 0, 1e308),
+    "elimination budget overflow": lambda: run_elimination_suite(
+        **{**ELIMINATION_ARGS, "n": 64, "multiplier": 1e308}
+    ),
     "trial seed": lambda: trial_seed(-1, 8, 0),
     "random seed": lambda: random_configuration(P16, -1),
     "safe seed": lambda: analysis.construct_S_PL(P16, -1),
@@ -862,6 +870,7 @@ def test_cli_sweep_range_check(capsys):
         ["dump", "--n", "8", "--kappa-max", "3"],
         ["lottery", "--bound", "lower", "--k", "1"],
         ["sweep", "--protocol", "por", "--n", "8", "--range-check"],
+        ["sweep", "--n", "64", "--trials", "1", "--multiplier", "1e308"],
     ],
 )
 def test_cli_rejects_bad_sizes_and_workers(argv, capsys):

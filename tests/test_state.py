@@ -116,6 +116,13 @@ def test_snapshot_round_trip(params16):
         assert Configuration.from_snapshot(json.loads(blob)) == cfg
 
 
+def test_snapshot_agent_keys_follow_field_order(params8):
+    # the dumped JSON lists each agent's fields in this order
+    for cfg in (random_configuration(params8, 3), construct_S_PL(params8, 3)):
+        for entry in cfg.to_snapshot()["agents"]:
+            assert list(entry) == list(AgentState.__slots__)
+
+
 def test_snapshot_mode_strings(params8):
     cfg = random_configuration(params8, 5)
     snap = cfg.to_snapshot()
