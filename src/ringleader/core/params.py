@@ -7,8 +7,9 @@ Everything else -- the distance modulus ``2*psi``, the clock ceiling
 else.
 
 The ``require_*`` helpers are the one place where a size, count, seed,
-agent index, multiplier or enum choice coming from outside the library is
-checked; every public entry point calls them before it does any work.
+agent index, multiplier, drawable clock ceiling or enum choice coming from
+outside the library is checked; every public entry point calls them before
+it does any work.
 """
 from __future__ import annotations
 
@@ -74,6 +75,17 @@ def require_multiplier(name: str, value: object) -> None:
         math.isfinite(value) and value > 0
     ):
         raise InvalidSizeError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def require_drawable(params: ProtocolParams) -> None:
+    """Raise InvalidSizeError unless one int64 draw covers every field's
+    values: the clock and ``signal_r`` each take ``kappa_max + 1`` values,
+    and numpy's bounded draws stop at ``2**63 - 1``.  Only a random start
+    needs this; rings built field by field take any ``kappa_max``."""
+    if params.kappa_max > 2**63 - 2:
+        raise InvalidSizeError(
+            f"kappa_max must be <= {2**63 - 2} for a random draw, got {params.kappa_max}"
+        )
 
 
 @dataclass(frozen=True, slots=True)

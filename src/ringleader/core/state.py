@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .params import ProtocolParams, require_count, require_int
+from .params import ProtocolParams, require_count, require_drawable, require_int
 
 # mode values; an agent is in detection mode exactly when its clock is full,
 # except transiently in adversarial initial states (repaired on first contact)
@@ -286,10 +286,12 @@ def random_configuration(params: ProtocolParams, seed: int) -> Configuration:
 
     This is the adversary: the draw includes inconsistent combinations
     (no leader, many leaders, stray tokens and signals, clocks out of step
-    with modes).  Deterministic in ``seed``; raises InvalidSizeError for a
-    seed that is not an int >= 0.
+    with modes).  Deterministic in ``seed``; raises InvalidSizeError, before
+    any draw, for a seed that is not an int >= 0 and for a ``kappa_max``
+    above ``2**63 - 2`` (see ``require_drawable``).
     """
     require_count("seed", seed, 0)
+    require_drawable(params)
     rng = np.random.Generator(np.random.PCG64(seed))
     table = field_values(params)
     # one draw for the whole ring, agent by agent and field by field, read

@@ -21,6 +21,7 @@ from .core.params import (
     ProtocolParams,
     make_params,
     require_count,
+    require_drawable,
     require_member,
     require_multiplier,
     require_sizes,
@@ -78,7 +79,8 @@ class ExperimentSpec:
             if self.protocol is not Protocol.PPL:
                 raise InvalidSizeError("kappa_max_override applies to the ppl protocol only")
             for n in self.n_values:
-                make_params(n, self.kappa_max_override)  # raises if unusable at n
+                # raises if unusable at n, or too large for a random start
+                require_drawable(make_params(n, self.kappa_max_override))
 
 
 @dataclass(frozen=True)

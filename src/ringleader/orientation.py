@@ -172,13 +172,6 @@ def _neighbor_colors(colors: list[int]) -> tuple[list[int], list[int]]:
     return left, right
 
 
-def _interleave(a: list, b: list) -> list:
-    """``[a[0], b[0], a[1], b[1], ...]``: one entry per arc from two per edge."""
-    out = a + b
-    out[::2], out[1::2] = a, b
-    return out
-
-
 def _boundaries(sides: list[int], edges) -> int:
     """Edges e in ``edges`` whose agents e and e + 1 differ in ``_side``, or
     both point at neither neighbor: a stray ``dir`` is a boundary each side."""
@@ -219,49 +212,34 @@ class OrientationTrial:
 
 
 _FIGHT = -1  # ``act`` entry of an arc whose two agents point at each other
-_REPAIR = -2  # ``act`` entry of an arc that touches an agent that is not legal
 
 
 class _ArcRing:
-    """Flat state and per-arc tables for one ``run_orientation`` call.
+    """Flat state and a per-arc action table for one ``run_orientation`` call
+    on a ring whose agents are all ``_legal``.
 
     ``color``, ``dir`` and ``strong`` are per-agent lists; ``strong`` has one
-    scratch slot at index n.  Arc ``t`` of the 2n ordered arcs has initiator
-    ``us[t]`` and responder ``vs[t]`` (arc ``2i`` is ``(i, i + 1)``, arc
-    ``2i + 1`` is ``(i + 1, i)``); a side that loses a head fight on it
-    turns to ``redirect_u[t]`` or ``redirect_v[t]``, its other neighbor.
+    scratch slot at index n.  Arc ``2i`` of the 2n ordered arcs has initiator
+    i and responder i + 1, arc ``2i + 1`` the reverse.  ``act[t]`` is what
+    arc ``t`` does now: ``_FIGHT``, or the agent whose ``strong`` it clears
+    (n, the scratch slot, if neither points at the other).
 
-    ``act[t]`` is what arc ``t`` does now: ``_REPAIR`` when an agent of it
-    is not ``_legal`` (``bad``), else ``_FIGHT`` or the agent whose
-    ``strong`` it clears (n, the scratch slot, if neither points at the
-    other).  A repair runs the reference transition on the two ``agents``,
-    which hold the memories, then refreshes their ``bad``, ``sides`` and
-    edges; a head fight refreshes the edges of the agent it redirects.
-    ``boundaries`` counts the ``_boundaries`` of ``sides`` and
-    ``violations`` the head fights that raised it.  Raises ValueError for a
-    coloring that is not two-hop, where a loser could not turn away.
+    Legal agents stay legal: the transition writes no correct memory, and a
+    head fight turns the loser to its other neighbor.  So a draw needs no
+    memory, and ``_fight`` reads both agents and the loser's new ``dir``
+    off the arc and the colors.  ``sides`` holds each agent's ``_side``,
+    ``boundaries`` counts their ``_boundaries`` and ``violations`` the head
+    fights that raised it.
     """
 
-    __slots__ = (
-        "n", "agents", "color", "dir", "strong", "us", "vs", "redirect_u",
-        "redirect_v", "act", "sides", "bad", "boundaries", "violations",
-    )
+    __slots__ = ("n", "color", "dir", "strong", "act", "sides", "boundaries", "violations")
 
     def __init__(self, agents: list[OrientAgentState]):
         n = self.n = len(agents)
-        self.agents = agents
         c = self.color = [a.color for a in agents]
         self.dir = [a.dir for a in agents]
         self.strong = [a.strong for a in agents] + [0]
-        left, right = _neighbor_colors(c)
-        far = _around(right)[1]  # color of agent i + 2
-        idx = list(range(n))
-        nxt = _around(idx)[1]
-        # the loser of a fight on edge (i, i + 1) turns to i - 1 or i + 2
-        self.us, self.vs = _interleave(idx, nxt), _interleave(nxt, idx)
-        self.redirect_u, self.redirect_v = _interleave(left, far), _interleave(far, left)
-        self.sides = list(map(_side, self.dir, left, right))
-        self.bad = [not ok for ok in map(_legal, agents, left, right)]
+        self.sides = list(map(_side, self.dir, *_around(c)))
         self.act = [0] * (2 * n)
         for e in range(n):
             self._set_edge(e)
@@ -269,12 +247,10 @@ class _ArcRing:
         self.violations = 0
 
     def _set_edge(self, e: int) -> None:
-        # both arcs of edge (e, e + 1) repair, demote the same agent or fight
+        # both arcs of edge (e, e + 1) demote the same agent or fight
         x, y = e, (e + 1) % self.n
         d, c = self.dir, self.color
-        if self.bad[x] or self.bad[y]:
-            a = _REPAIR
-        elif d[x] == c[y]:
+        if d[x] == c[y]:
             a = _FIGHT if d[y] == c[x] else x
         elif d[y] == c[x]:
             a = y
@@ -282,52 +258,31 @@ class _ArcRing:
             a = self.n
         self.act[2 * e] = self.act[2 * e + 1] = a
 
-    def _fight(self, t: int) -> int:
-        """Head fight on arc ``t``; return the redirected agent."""
-        u, v = self.us[t], self.vs[t]
-        strong = self.strong
+    def _fight(self, t: int) -> bool:
+        """Head fight on arc ``t``: turn the loser and flip its side.
+        Return True once the ring is oriented."""
+        n, strong, sides = self.n, self.strong, self.sides
+        x = t >> 1
+        y = (x + 1) % n
+        u, v = (y, x) if t & 1 else (x, y)
         if strong[u] == 0 and strong[v] == 1:
-            k, new = u, self.redirect_u[t]
+            k = u
             strong[u], strong[v] = 1, 0
         else:
-            k, new = v, self.redirect_v[t]
+            k = v
             strong[u], strong[v] = 0, 1
-        self.dir[k] = new
-        self._set_edge((k - 1) % self.n)
+        # the loser turns away from the winner, to its other neighbor
+        self.dir[k] = self.color[x - 1] if k == x else self.color[(y + 1) % n]
+        self._set_edge((k - 1) % n)
         self._set_edge(k)
-        return k
-
-    def _flip_side(self, k: int) -> bool:
-        """Flip legal agent ``k``'s side; return True once the ring is oriented."""
-        sides, n = self.sides, self.n
-        left, right = sides[(k - 1) % n], sides[(k + 1) % n]
+        left, right = sides[k - 1], sides[(k + 1) % n]
         before = (left != sides[k]) + (sides[k] != right)
         sides[k] = -sides[k]
         after = (left != sides[k]) + (sides[k] != right)
         if after > before:
             self.violations += 1
         self.boundaries += after - before
-        return self.boundaries == 0 and not any(self.bad)
-
-    def _repair(self, t: int) -> bool:
-        """Reference transition on arc ``t``; True once the ring is oriented."""
-        n, d, s, c = self.n, self.dir, self.strong, self.color
-        u, v = self.us[t], self.vs[t]
-        a, b = self.agents[u], self.agents[v]
-        a.dir, a.strong, b.dir, b.strong = d[u], s[u], d[v], s[v]
-        _interact_or_inplace(a, b)
-        d[u], s[u], d[v], s[v] = a.dir, a.strong, b.dir, b.strong
-        e = t >> 1
-        edges = ((e - 1) % n, e, (e + 1) % n)
-        self.boundaries -= _boundaries(self.sides, edges)
-        for k in (e, (e + 1) % n):
-            left, right = c[k - 1], c[(k + 1) % n]
-            self.sides[k] = _side(d[k], left, right)
-            self.bad[k] = not _legal(self.agents[k], left, right)
-        self.boundaries += _boundaries(self.sides, edges)
-        for f in edges:
-            self._set_edge(f)
-        return self.boundaries == 0 and not any(self.bad)
+        return self.boundaries == 0
 
     def drive(self, draws: list[int]) -> int | None:
         """Apply the arcs ``draws`` in order, keeping ``sides``,
@@ -342,20 +297,10 @@ class _ArcRing:
             a = act[t]
             if a >= 0:
                 strong[a] = 0
-                continue
-            if a == _FIGHT:
-                if not self._flip_side(self._fight(t)):
-                    continue
-            elif not self._repair(t):
-                continue
-            # a list iterator's length hint is the exact number left
-            return len(draws) - length_hint(rest)
+            elif self._fight(t):
+                # a list iterator's length hint is the exact number left
+                return len(draws) - length_hint(rest)
         return None
-
-    def write_back(self) -> None:
-        for a, d, s in zip(self.agents, self.dir, self.strong):
-            a.dir = d
-            a.strong = s
 
 
 def _draw_chunks(rng: np.random.Generator, n: int, budget: int):
@@ -384,27 +329,32 @@ def run_orientation(
     that is not an int >= 0, and ValueError, naming the agents, for a
     coloring that is not two-hop; both before any draw.
 
-    This is the fast path; ``run_orientation_reference`` is the reference
-    run, and the tests hold the two trials equal.  The run keeps flat
-    lists and a per-arc action table (``_ArcRing``): a draw is one lookup
-    and a demotion one store.  Only a head fight, the one event that changes
-    a legal agent's ``dir``, runs the fight rule; an arc touching an agent
-    that is not legal runs the reference transition (generated rings have
-    none).  The ``post_steps`` stretch after orientation is worked out, not
-    drawn: on an oriented two-hop ring no arc is a head fight (neighbors x
-    and x + 1 point at each other only if agents x and x + 2 share a
-    color), so no post step changes a ``dir``.  ``post_dir_changes`` is 0,
-    and ``monotone_violations`` and ``final_segment_count`` are what they
-    were at orientation.  The reference draws every post step.
+    This is the fast path for rings whose agents are all ``_legal``, as
+    ``generate_two_hop_coloring`` and ``oriented_configuration`` build
+    them; any other ring is handed to ``run_orientation_reference`` with
+    the same arguments, and its trial is returned.  The tests hold the two
+    runs equal.  A legal ring stays legal, so the fast path keeps no
+    memories: ``_ArcRing`` holds flat lists and a per-arc action table, a
+    draw is one lookup and a demotion one store, and only a head fight, the
+    one event that changes a legal agent's ``dir``, runs the fight rule.
+    The ``post_steps`` stretch after orientation is worked out, not drawn:
+    on an oriented two-hop ring no arc is a head fight (neighbors x and
+    x + 1 point at each other only if agents x and x + 2 share a color), so
+    no post step changes a ``dir``.  ``post_dir_changes`` is 0, and
+    ``monotone_violations`` and ``final_segment_count`` are what they were
+    at orientation.  The reference draws every post step.
     """
     require_count("seed", seed, 0)
     require_count("max_steps", max_steps, 0)
     require_count("post_steps", post_steps, 0)
+    left, right = _neighbor_colors([a.color for a in config.agents])
+    if not all(map(_legal, config.agents, left, right)):
+        return run_orientation_reference(config, seed, max_steps, post_steps)
     work = config.copy()
     n = len(work)
     ring = _ArcRing(work.agents)
     rng = np.random.Generator(np.random.PCG64(seed))
-    steps_to_oriented = 0 if ring.boundaries == 0 and not any(ring.bad) else None
+    steps_to_oriented = 0 if ring.boundaries == 0 else None
 
     step_no = 0
     chunks = _draw_chunks(rng, n, max_steps)
@@ -415,7 +365,8 @@ def run_orientation(
         step_no += len(draws)
 
     converged = steps_to_oriented is not None
-    ring.write_back()
+    for a, d, s in zip(work.agents, ring.dir, ring.strong):
+        a.dir, a.strong = d, s
     final_count = segment_count(work)
     monotone_violations = ring.violations
     if converged and final_count != 1:
@@ -438,7 +389,8 @@ def run_orientation_reference(
 
     The one reference orientation run: the same arguments, input checks,
     draws up to orientation and result, with bookkeeping that shares
-    nothing with ``_ArcRing``.  Draw t joins agents i = t // 2 and i + 1,
+    nothing with ``_ArcRing``.  ``run_orientation`` hands it every ring
+    with an agent that is not ``_legal``.  Draw t joins agents i = t // 2 and i + 1,
     with i as the initiator for even t and as the responder for odd t.  After each step
     the two agents' ``_side`` and ``_legal`` and the ``_boundaries`` of the
     three edges around them are recomputed; a step between legal agents

@@ -5,8 +5,11 @@ tolerance and prints a single PASS line on success (failures surface as
 ordinary assertion errors).  The heavy criteria parallelize across two
 worker processes; every result is still a pure function of the seeds.
 """
+import ast
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,3 +272,20 @@ def test_c8_fused_equals_chained_100k():
             checked += 1
     assert checked == 100_000
     _report("C8 fused vs reference transition, 100000 random pairs bit-exact")
+
+
+# --------------------------------------------------------------------------
+# the README's claims table
+# --------------------------------------------------------------------------
+
+def test_readme_claims_table_names_existing_tests():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    claims = readme[readme.index("## The abstract's claims") :]
+    claims = claims[: claims.index("\n## ")]
+    ids = set(re.findall(r"(tests/\w+\.py)::(test_\w+)", claims))
+    assert len(ids) >= 8, ids
+    for path, name in sorted(ids):
+        tree = ast.parse((root / path).read_text(encoding="utf-8"))
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert name in defined, f"{path}::{name}"

@@ -778,6 +778,28 @@ def test_peaceful_bullet_set_is_closed():
         assert not failures, f"seed {seed} {failures[0]} by step {steps}"
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_every_arc_keeps_a_sampled_safe_ring_safe(n):
+    # one-step closure: C2 checks a safe walk every n steps; here every arc's
+    # step from each of those checks must stay in S_PL with the same leader
+    for seed in range(3):
+        start = construct_S_PL(make_params(n), seed)
+        home = next(i for i, a in enumerate(start.agents) if a.leader)
+        samples = []
+
+        def sample(work):
+            samples.append(work.copy())
+            return False
+
+        run(start, SchedulerStream(n, seed + 1), 200 * n, sample)
+        assert len(samples) == 201
+        for k, c in enumerate(samples):
+            assert in_S_PL(c) and c.agents[home].leader, (seed, k)
+            for i in range(n):
+                after = step(c, i)
+                assert in_S_PL(after) and after.agents[home].leader, (seed, k, i)
+
+
 _MUTABLE_FIELDS = (
     "leader", "b", "dist", "last", "bullet", "shield", "signal_b", "token",
 )

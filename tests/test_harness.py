@@ -143,6 +143,7 @@ def test_sweep_por_reports_cutoff_when_not_oriented():
         dict(protocol=Protocol.POR, range_check=True),
         dict(protocol="ppl"),
         dict(n_values=(8, 64), max_steps_multiplier=1e308),  # the budget overflows
+        dict(kappa_max_override=10**20),  # no int64 draw covers the clock
     ],
 )
 def test_spec_rejects_bad_input(overrides):
@@ -269,6 +270,7 @@ REJECTED_CALLS = {
     "scheduler tiny n": lambda: SchedulerStream(1, 1),
     "scheduler negative seed": lambda: SchedulerStream(8, -1),
     "scheduler float seed": lambda: SchedulerStream(8, 1.5),
+    "random kappa overflow": lambda: random_configuration(make_params(8, 10**20), 0),
 }
 
 
@@ -751,6 +753,16 @@ def test_cli_dumps_a_leaderless_settled_ring(tmp_path, capsys):
     assert cli_main(["check", "s-pl", str(snap)]) == 1
 
 
+@pytest.mark.parametrize("kind", ["safe", "leaderless"])
+def test_cli_built_rings_take_a_kappa_max_no_draw_covers(tmp_path, capsys, kind):
+    # only a random start draws the clocks; ``dump --kind random`` exits 2
+    snap = tmp_path / f"{kind}.json"
+    assert cli_main(["dump", "--kind", kind, "--n", "8", "--kappa-max", str(10**20),
+                     "--out", str(snap)]) == 0
+    assert cli_main(["load", str(snap)]) == 0
+    assert f"kappa_max={10**20}" in capsys.readouterr().out
+
+
 def test_cli_check_random_not_safe(tmp_path):
     snap = tmp_path / "rand.json"
     assert cli_main(["dump", "--kind", "random", "--n", "8", "--seed", "1",
@@ -871,6 +883,8 @@ def test_cli_sweep_range_check(capsys):
         ["lottery", "--bound", "lower", "--k", "1"],
         ["sweep", "--protocol", "por", "--n", "8", "--range-check"],
         ["sweep", "--n", "64", "--trials", "1", "--multiplier", "1e308"],
+        ["dump", "--kind", "random", "--n", "8", "--kappa-max", "100000000000000000000"],
+        ["sweep", "--n", "8", "--trials", "1", "--kappa-max", "100000000000000000000"],
     ],
 )
 def test_cli_rejects_bad_sizes_and_workers(argv, capsys):

@@ -523,6 +523,53 @@ def test_run_matches_step_by_step_reference(monkeypatch, n, post_steps, starts, 
         assert seen == ({True} if budgets == (0,) else {True, False}), kind
 
 
+def _one_illegal(n, seed, field):
+    """Seeded coloring whose agent n // 2 alone is not legal: a wrong ``c1``,
+    a ``None`` ``c2`` or a ``dir`` that names neither neighbor."""
+    cfg = generate_two_hop_coloring(n, seed)
+    a = cfg.agents[n // 2]
+    stray = next(c for c in range(XI) if c not in (a.c1, a.c2))
+    if field == "c1":
+        a.c1 = stray
+    elif field == "c2":
+        a.c2 = None
+    else:
+        a.dir = stray
+    return cfg
+
+
+def _reference_calls(monkeypatch):
+    """Record every call ``run_orientation`` makes to the reference run."""
+    calls = []
+    original = orientation.run_orientation_reference
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(orientation, "run_orientation_reference", spy)
+    return calls
+
+
+@pytest.mark.parametrize("start", [generate_two_hop_coloring, oriented_configuration])
+def test_legal_rings_take_the_fast_path(monkeypatch, start):
+    calls = _reference_calls(monkeypatch)
+    for n in (3, 16, 64):
+        trial = run_orientation(start(n, 2), 3, 200_000, 500)
+        assert trial.converged and trial.monotone_violations == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", ["c1", "c2", "dir"])
+def test_a_ring_with_an_illegal_agent_goes_to_the_reference(monkeypatch, field):
+    cfg = _one_illegal(16, 4, field)
+    want = run_orientation_reference(cfg, 5, 200_000, 300)
+    calls = _reference_calls(monkeypatch)
+    assert run_orientation(cfg, 5, 200_000, 300) == want
+    assert calls == [(cfg, 5, 200_000, 300)]
+    assert want.converged
+
+
 @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
 @pytest.mark.parametrize("kind", ["blank", "scrambled"])
 def test_repaired_starts_converge_within_band(kind, n):

@@ -1,6 +1,12 @@
 import pytest
 
-from ringleader.core.params import InvalidSizeError, ProtocolParams, make_params
+from ringleader.core.params import (
+    InvalidSizeError,
+    ProtocolParams,
+    make_params,
+    require_drawable,
+)
+from ringleader.core.state import random_configuration
 
 
 def test_minimum_ring():
@@ -76,3 +82,10 @@ def test_params_reject_non_int_fields(field, value):
     fields[field] = value
     with pytest.raises(InvalidSizeError, match=field):
         ProtocolParams(**fields)
+
+
+def test_drawable_clock_ceiling_stops_below_int64_max():
+    # the clock's kappa_max + 1 values must fit one int64 draw bound
+    random_configuration(make_params(8, 2**63 - 2), 0)
+    with pytest.raises(InvalidSizeError, match="random draw"):
+        require_drawable(make_params(8, 2**63 - 1))
