@@ -247,29 +247,29 @@ def token_is_correct(config: Configuration, i: int, which: TokenColor) -> bool:
 
 def is_peaceful(config: Configuration, i: int) -> bool:
     """A live bullet is peaceful when its nearest left leader is shielded
-    and no bullet-absence signal sits between that leader and the bullet."""
+    and no bullet-absence signal sits between that leader and the bullet
+    (both ends included): :func:`_bullets_peaceful` on the run from that
+    leader to agent ``i``.  False in a leaderless ring."""
     require_index("i", i, config.params.n)
     agents = config.agents
     if agents[i].bullet != 2:
         raise NoLiveBulletError(f"agent {i} holds no live bullet")
-    n = config.params.n
-    for j in range(n):
-        a = agents[(i - j) % n]
-        if a.signal_b:
-            return False
-        if a.leader:
-            return a.shield == 1
-    return False  # no leader anywhere
+    back = nearest_leader_distances(config, i)[0]
+    if back == math.inf:
+        return False
+    return _bullets_peaceful([agents[k] for k in range(i - back, i + 1)])  # k < 0 wraps
 
 
 def in_C_PB(config: Configuration) -> bool:
-    """At least one leader, and every live bullet is peaceful."""
-    if leader_count(config) == 0:
+    """At least one leader, and every live bullet is peaceful: one
+    :func:`_bullets_peaceful` call per gap from a leader to the next."""
+    agents = config.agents
+    leaders = [i for i, a in enumerate(agents) if a.leader]
+    if not leaders:
         return False
-    for i, a in enumerate(config.agents):
-        if a.bullet == 2 and not is_peaceful(config, i):
-            return False
-    return True
+    ring = agents + agents
+    ends = leaders[1:] + [leaders[0] + len(agents)]
+    return all(_bullets_peaceful(ring[start:end]) for start, end in zip(leaders, ends))
 
 
 class _Layout(NamedTuple):
@@ -356,9 +356,10 @@ def _leader_at(agents: list[AgentState]) -> int | None:
 
 
 def _bullets_peaceful(ring: list[AgentState]) -> bool:
-    """Every live bullet is peaceful, for a ring that starts at its unique
-    leader: the leader is shielded and no bullet-absence signal sits between
-    it and the rightmost live bullet (both ends included)."""
+    """The one peaceful-bullet rule, for a run of agents that starts at a
+    leader and holds no other leader: every live bullet in the run is
+    peaceful when the leader is shielded and no bullet-absence signal sits
+    between it and the rightmost live bullet (both ends included)."""
     bullets = [a.bullet for a in ring]
     if 2 not in bullets:
         return True

@@ -364,22 +364,9 @@ def run_orientation(
             steps_to_oriented = step_no + pos
         step_no += len(draws)
 
-    converged = steps_to_oriented is not None
     for a, d, s in zip(work.agents, ring.dir, ring.strong):
         a.dir, a.strong = d, s
-    final_count = segment_count(work)
-    monotone_violations = ring.violations
-    if converged and final_count != 1:
-        monotone_violations += 1  # incremental counter disagreed with recount
-    return OrientationTrial(
-        seed=seed,
-        n=n,
-        steps_to_oriented=steps_to_oriented,
-        converged=converged,
-        monotone_violations=monotone_violations,
-        post_dir_changes=0,
-        final_segment_count=final_count,
-    )
+    return _trial(work, seed, steps_to_oriented, ring.violations, 0)
 
 
 def run_orientation_reference(
@@ -437,14 +424,23 @@ def run_orientation_reference(
             if boundaries == 0 and all(legal):
                 steps_to_oriented = step_no
                 break
-    converged = steps_to_oriented is not None
     dir_changes = 0  # only the post-orientation steps count
-    if converged:
+    if steps_to_oriented is not None:
         for t in draws(post_steps):
             step(t)
+    return _trial(work, seed, steps_to_oriented, violations, dir_changes)
+
+
+def _trial(
+    work: OrientConfiguration, seed: int, steps: int | None, violations: int, dir_changes: int
+) -> OrientationTrial:
+    """The one ending of both orientation runs: recount ``work``'s
+    segments, and count one more violation when a converged ring does not
+    recount to one segment (the run's own count disagreed)."""
     final_count = segment_count(work)
+    converged = steps is not None
     if converged and final_count != 1:
-        violations += 1  # the recount, as in ``run_orientation``
+        violations += 1
     return OrientationTrial(
-        seed, n, steps_to_oriented, converged, violations, dir_changes, final_count
+        seed, len(work), steps, converged, violations, dir_changes, final_count
     )

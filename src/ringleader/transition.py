@@ -28,9 +28,9 @@ token lands after the sweep, the bit a rightward arrival carries, and
 which tokens stay on track at each dist.  An int outside ``legal_tokens``
 reads another token's entry, so the input must pass ``validate``, as
 ``run`` enforces.  The reference blocks read a token's fields through
-``token_fields``.  The tables are
-built by running the reference ``_relay_inplace`` on synthetic pairs and
-by ``_off_track``, so the fused loop holds no second copy of the move and
+``token_fields``.  Each move entry of the tables is one reference
+``_relay_inplace`` call on its own pair, and each on-track entry one
+``_off_track`` call, so the fused loop holds no second copy of the move and
 sweep rules; arming, destruction and an arrival's construct/detect write
 stay inline.  Both paths load every bullet through ``_fire``, the one
 firing rule: a leader's fire when its bullet-absence signal is back, and a
@@ -285,51 +285,23 @@ def interact_traced(
 # fused block loop
 # --------------------------------------------------------------------------
 
-def _moved(psi: int, d: int, t: int, b: int | None) -> tuple[int, int | None] | None:
-    """What the reference ``_relay_inplace`` makes of ``t`` when it moves
-    onto an empty agent outside the final segment: right from an initiator
-    (``b`` None), or left onto an initiator whose bit is ``b``.
-
-    Returns the moved token, read at the first dist whose sweep keeps it,
-    and the bit its arrival wrote into the responder (None if it wrote
-    none); None when ``t`` does not move that way.  Dists are tried in the
-    order 0, psi, 1, psi+1, ...: any token is on track at one of the first
-    four.
-    """
-    two_psi = 2 * psi
-    for x in sorted(range(two_psi), key=lambda x: x % psi):
-        trace: list = []
-        if b is None:
-            r = AgentState(dist=x, b=-1)  # -1: no arrival wrote r.b
-            moved = _relay_inplace(AgentState(), r, t, None, d, psi, two_psi, trace, None)[1]
-            wrote = None if r.b == -1 else r.b
-        else:
-            l = AgentState(dist=x, b=b)
-            moved = _relay_inplace(l, AgentState(), None, t, d, psi, two_psi, trace, None)[0]
-            wrote = None
-        if not any(event[0] == "tmove" for event in trace):
-            return None
-        if moved is not None:
-            return moved, wrote
-    raise AssertionError(f"{t} moves, but the sweep removes it at every dist")
-
-
 def _color_tables(psi: int, d: int) -> tuple[tuple, tuple, tuple]:
     """One color's relay as lookups, indexed by dist, then by legal token.
 
     Each row is a list of length ``8*psi`` indexed by the token itself;
     negative tokens index from the end, and at that length the rightward
-    and the leftward tokens do not overlap.  ``right[rd][t]`` is
-    ``(successor, value)`` when ``t`` moves right onto an empty responder
-    with dist ``rd`` outside the final segment: the token the responder
-    holds after the sweep (None if swept), and the bit its arrival writes
-    or checks (None if it passes through).  ``left[ld][t]`` is, by the
-    initiator's ``b``, the token an initiator with dist ``ld`` outside the
-    final segment holds after ``t`` moved onto it and the sweep.  Either
-    entry is None for a token that does not move that way.
-    ``on_track[x][t]`` is whether the sweep keeps ``t`` at dist ``x``.
-    Moves come from :func:`_moved` and sweeps from ``_off_track``, so the
-    fused loop holds no second copy of either rule.
+    and the leftward tokens do not overlap.  ``right[x][t]`` is
+    ``(successor, value)`` when ``t`` moves right from an initiator onto an
+    empty responder with dist ``x`` outside the final segment: the token
+    the responder holds after the sweep (None if swept), and the bit its
+    arrival writes or checks (None if it passes through).  ``left[x][t]``
+    is, by the initiator's ``b``, the token an initiator with dist ``x``
+    outside the final segment holds after ``t`` moved onto it from the
+    responder and the sweep.  Either entry is None for a token that does
+    not move that way.  Each entry is one reference ``_relay_inplace`` call
+    on its pair (``left`` one per bit), so the fused loop holds no second
+    copy of the move and sweep rules.  ``on_track[x][t]`` is whether
+    ``_off_track`` keeps ``t`` at dist ``x``.
     """
     two_psi = 2 * psi
     tokens = legal_tokens(psi)
@@ -337,18 +309,25 @@ def _color_tables(psi: int, d: int) -> tuple[tuple, tuple, tuple]:
     on_track = tuple([False] * (8 * psi) for _ in rows)
     right = tuple([None] * (8 * psi) for _ in rows)
     left = tuple([None] * (8 * psi) for _ in rows)
+    responder = AgentState()
+    initiators = AgentState(b=0), AgentState(b=1)
+
+    def relay(l, lt, rt, trace):
+        return _relay_inplace(l, responder, lt, rt, d, psi, two_psi, trace, None)
+
     for x in rows:
+        responder.dist = initiators[0].dist = initiators[1].dist = x
         for t in tokens:
             on_track[x][t] = not _off_track(x, token_fields(t)[0], d, two_psi, psi)
-    for t in tokens:
-        rightward = _moved(psi, d, t, None)
-        leftward = _moved(psi, d, t, 0), _moved(psi, d, t, 1)
-        for kept, right_row, left_row in zip(on_track, right, left):
-            if rightward is not None:
-                moved, value = rightward
-                right_row[t] = (moved if kept[moved] else None, value)
-            if leftward[0] is not None:
-                left_row[t] = tuple(moved if kept[moved] else None for moved, _ in leftward)
+            trace: list = []
+            responder.b = -1  # stays -1 unless an arrival writes it
+            moved = relay(initiators[0], t, None, trace)[1]
+            if ("tmove", None, "lr") in trace:
+                right[x][t] = moved, None if responder.b == -1 else responder.b
+            trace = []
+            moved = relay(initiators[0], None, t, trace)[0]
+            if ("tmove", None, "rl") in trace:
+                left[x][t] = moved, relay(initiators[1], None, t, [])[0]
     return right, left, on_track
 
 

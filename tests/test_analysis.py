@@ -896,6 +896,33 @@ def test_predicate_corpus_verdicts_match_pinned_digest(n):
     assert hashlib.sha256(verdicts.encode()).hexdigest() == _CORPUS_DIGESTS[n]
 
 
+# per ring size: (in_C_PB-true, live bullets, peaceful live bullets) over
+# _predicate_corpus(n), and the SHA-256 of one "v:bits;" entry per
+# configuration -- v the in_C_PB verdict, bits is_peaceful at each live
+# bullet, left to right -- as evaluated by the is_peaceful that walked left
+# from each bullet and the in_C_PB that called it once per live bullet
+_PEACEFUL_VERDICTS = {
+    2: (2704, 645, 412, "3226ebc11eb7380536f295b0d86d09805d7f4edec35de0d80e82339b22338064"),
+    3: (2737, 723, 478, "20cfac4c5d2a4fdec1d7fb4077ac95454c1ab1cc31e4cfcb9b5d6037eea3cddc"),
+    5: (2730, 1017, 699, "f7ffbc26f57632f24ef949634618db6536be15982e7c8e39b5179934229681cf"),
+    8: (2806, 886, 578, "f36207e9eb6ca4c2a1e48058e972ed6bd23795bb109a34b512397590ca245554"),
+    16: (2802, 1174, 763, "8e2fc1a0877825807643a9c050b99e1ac2e63f3d2ee485afd33607a8fedcf83b"),
+    32: (2826, 1368, 777, "bac9622c0ad3aa95dc3648e065be49324dbc3b78bd4cd4b4d505b7205c15b538"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PEACEFUL_VERDICTS))
+def test_c_pb_and_peaceful_verdicts_match_pinned_digest(n):
+    entries, in_pb, live, peaceful = [], 0, 0, 0
+    for cfg in _predicate_corpus(n):
+        bits = [int(is_peaceful(cfg, i)) for i, a in enumerate(cfg.agents) if a.bullet == 2]
+        verdict = in_C_PB(cfg)
+        in_pb, live, peaceful = in_pb + verdict, live + len(bits), peaceful + sum(bits)
+        entries.append(f"{int(verdict)}:{''.join(map(str, bits))};")
+    digest = hashlib.sha256("".join(entries).encode()).hexdigest()
+    assert (in_pb, live, peaceful, digest) == _PEACEFUL_VERDICTS[n]
+
+
 @pytest.mark.parametrize("n", sorted(_CORPUS_COUNTS))
 def test_settled_agrees_with_the_distance_block_on_the_corpus(n):
     # the fused loop's settled branch skips the distance block: its scan

@@ -4,6 +4,7 @@ The token-validity oracle here enumerates the legal shuttle trajectory
 directly (every round's rightward and leftward leg, plus the turn-around
 states) and is kept independent of the arithmetic formula it checks.
 """
+import hashlib
 import itertools
 import time
 
@@ -717,6 +718,27 @@ def test_fused_relay_equals_reference_on_every_prestate(psi, slot):
         assert fused_pair(l, r, p) == reference_pair(l, r, p)
         checked += 1
     assert checked == len(slots) ** 2 * p.two_psi**2 * 2**4 * len(pinned) ** 2
+
+
+# SHA-256 of repr(_relay_tables(psi)), as built by the earlier builder that
+# searched the dists for one that keeps a moved token: the prestate test
+# above covers psi = 2 and 3 only, and C8 draws random pairs
+_RELAY_TABLE_DIGESTS = {
+    2: "2926e18fbbbd8e1771867d131bac12e70234634774c9cc6d158c98aedc89c760",
+    3: "7b3267deb9f199eed6b0b88ac6f681fa8a233988472f7f7331e9350eacd4048b",
+    4: "e8758f6ac4202a5d652d12a72a03729c58fc498b576370ca7f4a72157ad1515c",
+    5: "f473a067565461121edfdb12a55315a41947d0817d1b87480ab526fe1419a9e5",
+    6: "fa874f5f222b36023d45d1a848a3aac79c6ecaf8fe2a03090f8601919532df10",
+    7: "16ba5bd4d66af3d47bc768560c8173de7891d75583bb4dc51e1159a6879ac1c5",
+    8: "4f7e669d0a949fc6aafcce4ae9ef07aad9846c1ebdf129ad70290d87b73ca8bc",
+    12: "70c837c16de18bff10d925e79422ee482073baf4328e1c500a8c518c5aa15a04",
+}
+
+
+@pytest.mark.parametrize("psi", sorted(_RELAY_TABLE_DIGESTS))
+def test_relay_tables_match_pinned_digest(psi):
+    digest = hashlib.sha256(repr(transition._relay_tables(psi)).encode()).hexdigest()
+    assert digest == _RELAY_TABLE_DIGESTS[psi]
 
 
 @pytest.mark.parametrize("n", [8, 64])
