@@ -250,14 +250,16 @@ def is_peaceful(config: Configuration, i: int) -> bool:
     and no bullet-absence signal sits between that leader and the bullet
     (both ends included): :func:`_bullets_peaceful` on the run from that
     leader to agent ``i``.  False in a leaderless ring."""
-    require_index("i", i, config.params.n)
+    n = config.params.n
+    require_index("i", i, n)
     agents = config.agents
     if agents[i].bullet != 2:
         raise NoLiveBulletError(f"agent {i} holds no live bullet")
-    back = nearest_leader_distances(config, i)[0]
-    if back == math.inf:
+    back = next((k for k in range(n) if agents[i - k].leader), None)  # i - k < 0 wraps
+    if back is None:
         return False
-    return _bullets_peaceful([agents[k] for k in range(i - back, i + 1)])  # k < 0 wraps
+    run = agents[i - back : i + 1] if back <= i else agents[i - back :] + agents[: i + 1]
+    return _bullets_peaceful(run)
 
 
 def in_C_PB(config: Configuration) -> bool:

@@ -72,29 +72,28 @@ def generate_two_hop_coloring(n: int, seed: int) -> OrientConfiguration:
     the colors they wrap onto; then one array of 2n bits, read as (dir,
     strong) per agent.  Every bounded draw below 2**32 consumes the same
     32-bit outputs whether it is made alone or in an array, so this is the
-    stream of one call per value in that order.
+    stream of one call per value in that order.  An interior agent's pick p
+    among the colors other than c = colors[i - 2], in increasing order, is
+    the color ``p + (p >= c)``.
     """
     require_count("n", n, 3)
     require_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    colors: list[int | None] = [None] * n
-    picks = rng.integers(0, [XI if i < 2 else XI - 1 for i in range(n - 2)]).tolist()
-    for i in range(n):
-        banned = (colors[i - 2], colors[(i + 2) % n])  # None: not colored yet
+    counts = np.full(n - 2, XI - 1)
+    counts[:2] = XI
+    picks = rng.integers(0, counts).tolist()
+    colors: list[int | None] = picks[:2]
+    for p in picks[2:]:
+        colors.append(p + (p >= colors[-2]))
+    colors += [None, None]  # the two wrap agents, not colored yet
+    for i in (n - 2, n - 1):
+        banned = (colors[i - 2], colors[(i + 2) % n])
         choices = [c for c in range(XI) if c not in banned]
-        colors[i] = choices[picks[i] if i < n - 2 else rng.integers(0, len(choices))]
+        colors[i] = choices[rng.integers(0, len(choices))]
     bits = rng.integers(0, 2, size=2 * n).tolist()
     left, right = _neighbor_colors(colors)  # the postcondition: two-hop
-    return OrientConfiguration(
-        OrientAgentState(
-            color=colors[i],
-            c1=left[i],
-            c2=right[i],
-            dir=right[i] if bits[2 * i] else left[i],
-            strong=bits[2 * i + 1],
-        )
-        for i in range(n)
-    )
+    dirs = [r if b else l for l, r, b in zip(left, right, bits[::2])]
+    return OrientConfiguration(map(OrientAgentState, colors, left, right, dirs, bits[1::2]))
 
 
 def oriented_configuration(n: int, seed: int) -> OrientConfiguration:
@@ -211,60 +210,52 @@ class OrientationTrial:
     final_segment_count: int
 
 
-_FIGHT = -1  # ``act`` entry of an arc whose two agents point at each other
+_FIGHT = -1  # ``act`` entry of an edge whose two agents point at each other
 
 
 class _ArcRing:
-    """Flat state and a per-arc action table for one ``run_orientation`` call
-    on a ring whose agents are all ``_legal``.
+    """Flat state and a per-edge action table for one ``run_orientation``
+    call on a ring whose agents are all ``_legal``.
 
-    ``color``, ``dir`` and ``strong`` are per-agent lists; ``strong`` has one
-    scratch slot at index n.  Arc ``2i`` of the 2n ordered arcs has initiator
-    i and responder i + 1, arc ``2i + 1`` the reverse.  ``act[t]`` is what
-    arc ``t`` does now: ``_FIGHT``, or the agent whose ``strong`` it clears
-    (n, the scratch slot, if neither points at the other).
+    Edge ``e`` joins agents e and e + 1 (mod n); of the 2n ordered arcs,
+    arc ``2e`` has initiator e and arc ``2e + 1`` initiator e + 1.  Both
+    arcs of an edge do the same thing unless its agents fight, so
+    ``act[e]`` is what edge ``e`` does now: ``_FIGHT``, or the agent whose
+    ``strong`` it clears (n, the scratch slot at the end of ``strong``, if
+    neither points at the other).
 
     Legal agents stay legal: the transition writes no correct memory, and a
-    head fight turns the loser to its other neighbor.  So a draw needs no
-    memory, and ``_fight`` reads both agents and the loser's new ``dir``
-    off the arc and the colors.  ``sides`` holds each agent's ``_side``,
-    ``boundaries`` counts their ``_boundaries`` and ``violations`` the head
-    fights that raised it.
+    head fight turns the loser to its other neighbor.  So a legal agent's
+    ``_side``, which ``sides`` holds (+1 or -1), fixes its ``dir``, and a
+    draw needs no memory or color.  Only ``_fight`` needs the arc, to know
+    which agent initiated.  ``boundaries`` counts the ``_boundaries`` of
+    ``sides`` and ``violations`` the head fights that raised it.
     """
 
-    __slots__ = ("n", "color", "dir", "strong", "act", "sides", "boundaries", "violations")
+    __slots__ = ("n", "strong", "act", "sides", "boundaries", "violations")
 
-    def __init__(self, agents: list[OrientAgentState]):
-        n = self.n = len(agents)
-        c = self.color = [a.color for a in agents]
-        self.dir = [a.dir for a in agents]
-        self.strong = [a.strong for a in agents] + [0]
-        self.sides = list(map(_side, self.dir, *_around(c)))
-        self.act = [0] * (2 * n)
-        for e in range(n):
-            self._set_edge(e)
-        self.boundaries = _boundaries(self.sides, range(n))
+    def __init__(self, sides: list[int], strong: list[int]):
+        n = self.n = len(sides)
+        self.sides = sides
+        self.strong = strong + [0]
+        self.act = list(map(self._act, range(n), sides, _around(sides)[1]))
+        self.boundaries = _boundaries(sides, range(n))
         self.violations = 0
 
-    def _set_edge(self, e: int) -> None:
-        # both arcs of edge (e, e + 1) demote the same agent or fight
-        x, y = e, (e + 1) % self.n
-        d, c = self.dir, self.color
-        if d[x] == c[y]:
-            a = _FIGHT if d[y] == c[x] else x
-        elif d[y] == c[x]:
-            a = y
-        else:
-            a = self.n
-        self.act[2 * e] = self.act[2 * e + 1] = a
+    def _act(self, x: int, sx: int, sy: int) -> int:
+        """``act`` entry of edge x, whose agents x and x + 1 have sides
+        ``sx`` and ``sy``: x points at x + 1 iff sx is +1, x + 1 at x iff
+        sy is -1."""
+        if sx == 1:
+            return _FIGHT if sy == -1 else x
+        return (x + 1) % self.n if sy == -1 else self.n
 
-    def _fight(self, t: int) -> bool:
-        """Head fight on arc ``t``: turn the loser and flip its side.
-        Return True once the ring is oriented."""
-        n, strong, sides = self.n, self.strong, self.sides
-        x = t >> 1
-        y = (x + 1) % n
-        u, v = (y, x) if t & 1 else (x, y)
+    def _fight(self, e: int, arc: int) -> bool:
+        """Head fight on edge ``e``, drawn as ``arc``: turn the loser and
+        flip its side.  Return True once the ring is oriented."""
+        n, strong, sides, act = self.n, self.strong, self.sides, self.act
+        y = (e + 1) % n
+        u, v = (y, e) if arc & 1 else (e, y)
         if strong[u] == 0 and strong[v] == 1:
             k = u
             strong[u], strong[v] = 1, 0
@@ -272,42 +263,51 @@ class _ArcRing:
             k = v
             strong[u], strong[v] = 0, 1
         # the loser turns away from the winner, to its other neighbor
-        self.dir[k] = self.color[x - 1] if k == x else self.color[(y + 1) % n]
-        self._set_edge((k - 1) % n)
-        self._set_edge(k)
-        left, right = sides[k - 1], sides[(k + 1) % n]
+        x, z = (k - 1) % n, (k + 1) % n
+        left, right = sides[x], sides[z]
         before = (left != sides[k]) + (sides[k] != right)
         sides[k] = -sides[k]
         after = (left != sides[k]) + (sides[k] != right)
+        act[x] = self._act(x, left, sides[k])
+        act[k] = self._act(k, sides[k], right)
         if after > before:
             self.violations += 1
         self.boundaries += after - before
         return self.boundaries == 0
 
-    def drive(self, draws: list[int]) -> int | None:
-        """Apply the arcs ``draws`` in order, keeping ``sides``,
-        ``boundaries`` and ``violations`` up to date.
+    def drive(self, chunk: np.ndarray) -> int | None:
+        """Apply the arcs of ``chunk``, one ``_draw_chunks`` array, in
+        order, keeping ``sides``, ``boundaries`` and ``violations`` up to
+        date.
 
-        Stop at the draw that leaves the ring oriented and return its
-        1-based position in ``draws``; return None when no draw does so.
+        The loop reads each arc's edge, arc // 2, as a Python int: edges
+        run below n, and CPython caches the ints up to 256, so up to
+        n = 257 the conversion allocates none.  The arc itself is read back
+        from ``chunk`` only at a head fight.  Stop at the draw that leaves
+        the ring oriented and return its 1-based position in ``chunk``;
+        return None when no draw does so.
         """
         act, strong = self.act, self.strong
-        rest = iter(draws)
-        for t in rest:
-            a = act[t]
+        edges = (chunk >> 1).tolist()
+        rest = iter(edges)
+        for e in rest:
+            a = act[e]
             if a >= 0:
                 strong[a] = 0
-            elif self._fight(t):
+            else:
                 # a list iterator's length hint is the exact number left
-                return len(draws) - length_hint(rest)
+                pos = len(edges) - length_hint(rest)
+                if self._fight(e, int(chunk[pos - 1])):
+                    return pos
         return None
 
 
 def _draw_chunks(rng: np.random.Generator, n: int, budget: int):
-    """Up to ``budget`` uniform draws of the 2n arcs, as lists of at most
-    4096: the stream both orientation runs read, so their trials agree."""
+    """Up to ``budget`` uniform draws of the 2n arcs, as int64 arrays of at
+    most 4096: the stream both orientation runs read, so their trials
+    agree."""
     for done in range(0, budget, 4096):
-        yield rng.integers(0, 2 * n, size=min(4096, budget - done)).tolist()
+        yield rng.integers(0, 2 * n, size=min(4096, budget - done))
 
 
 def run_orientation(
@@ -334,9 +334,11 @@ def run_orientation(
     them; any other ring is handed to ``run_orientation_reference`` with
     the same arguments, and its trial is returned.  The tests hold the two
     runs equal.  A legal ring stays legal, so the fast path keeps no
-    memories: ``_ArcRing`` holds flat lists and a per-arc action table, a
-    draw is one lookup and a demotion one store, and only a head fight, the
-    one event that changes a legal agent's ``dir``, runs the fight rule.
+    memories or directions, only each agent's side: ``_ArcRing`` holds flat
+    lists and a per-edge action table, a draw is one lookup by its edge and
+    a demotion one store, and only a head fight, the one event that changes
+    a legal agent's ``dir``, runs the fight rule.  Each agent's ``dir`` is
+    written back from its side at the end.
     The ``post_steps`` stretch after orientation is worked out, not drawn:
     on an oriented two-hop ring no arc is a head fight (neighbors x and
     x + 1 point at each other only if agents x and x + 2 share a color), so
@@ -352,20 +354,23 @@ def run_orientation(
         return run_orientation_reference(config, seed, max_steps, post_steps)
     work = config.copy()
     n = len(work)
-    ring = _ArcRing(work.agents)
+    agents = work.agents
+    ring = _ArcRing(
+        list(map(_side, [a.dir for a in agents], left, right)), [a.strong for a in agents]
+    )
     rng = np.random.Generator(np.random.PCG64(seed))
     steps_to_oriented = 0 if ring.boundaries == 0 else None
 
     step_no = 0
     chunks = _draw_chunks(rng, n, max_steps)
-    while steps_to_oriented is None and (draws := next(chunks, None)):
-        pos = ring.drive(draws)
+    while steps_to_oriented is None and (chunk := next(chunks, None)) is not None:
+        pos = ring.drive(chunk)
         if pos is not None:
             steps_to_oriented = step_no + pos
-        step_no += len(draws)
+        step_no += len(chunk)
 
-    for a, d, s in zip(work.agents, ring.dir, ring.strong):
-        a.dir, a.strong = d, s
+    for a, side, s, l, r in zip(agents, ring.sides, ring.strong, left, right):
+        a.dir, a.strong = (r if side == 1 else l), s
     return _trial(work, seed, steps_to_oriented, ring.violations, 0)
 
 
@@ -400,7 +405,7 @@ def run_orientation_reference(
     violations = dir_changes = 0
 
     def draws(budget: int):
-        return chain.from_iterable(_draw_chunks(rng, n, budget))
+        return chain.from_iterable(c.tolist() for c in _draw_chunks(rng, n, budget))
 
     def step(t: int) -> None:
         nonlocal boundaries, violations, dir_changes

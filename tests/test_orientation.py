@@ -46,8 +46,10 @@ def test_coloring_valid_all_sizes(n):
 
 
 # (color, c1, c2, dir, strong) digits of every agent, recorded on the
-# one-call-per-value generator that the batched draws replaced; n = 256 rings
-# are pinned by the SHA-256 of the same digit string
+# one-call-per-value generator that the batched draws replaced; rings of
+# n >= 256 are pinned by the SHA-256 of the same digit string (n = 257 and
+# 300 recorded on the per-agent choice-list generator that the closed-form
+# interior colors replaced)
 PINNED_COLORINGS = {
     (3, 0): "412102414012420",
     (3, 1): "243303242143220",
@@ -97,6 +99,12 @@ PINNED_COLORINGS = {
     (256, 0): "7418f062a181cf5d6f7d8fdd43b36435aec9fb04a02656e90addf8f74dfa32a2",
     (256, 1): "3061fa2330db44d5a59ba7bffe5fcb49ea662870cf941c5b144b6f666bf2f76d",
     (256, 7): "04845cc9a61e80938ac12a34608ef548bdb4fa5c9fe0243bd079518788bbef5e",
+    (257, 0): "d19935a395f3ff7f14aa585c0d47c85dc5eabd12d39e6cd1c2d75e683b9990e6",
+    (257, 1): "bdd84cd00188cf893ce636ff3326199d166614e665ae3ac364fc680c845f2027",
+    (257, 7): "f2e8c105eee9f154f3d040a8aad3115162f03c68ae92723f20180e6a8e700542",
+    (300, 0): "f4e9548f2e749810a6b7e8b1d0428b9a910fbb50476df5ab1408ea6a8c1adc7c",
+    (300, 1): "d56a4637d38119908c5c79ca2148095977ac76144f97972a0ab2b7ec12c3f3bc",
+    (300, 7): "56265e4ea77f9fe5e25c408cd3042da595a449822bf30365f99018fcb24c0cf4",
 }
 
 
@@ -107,7 +115,7 @@ def _coloring_digits(cfg):
 @pytest.mark.parametrize("n, seed", sorted(PINNED_COLORINGS))
 def test_pinned_coloring_stream(n, seed):
     digits = _coloring_digits(generate_two_hop_coloring(n, seed))
-    if n == 256:
+    if n >= 256:
         digits = hashlib.sha256(digits.encode()).hexdigest()
     assert digits == PINNED_COLORINGS[n, seed]
 
@@ -497,11 +505,17 @@ def _reference_inputs():
 
     The ``STARTS`` families get one budget below convergence and one
     spanning several 4096-draw chunks, neither a multiple of 4096; oriented
-    starts get none, so the whole run is the post-orientation stretch."""
+    starts get none, so the whole run is the post-orientation stretch.
+    Intact starts at n >= 64 fight for up to 18 chunks, on rings whose edge
+    indices reach 256 and pass it."""
     for post_steps in (0, 7, 3000):
         for n in (3, 4, 5, 8, 16, 33):
             budgets = (n // 2 + 1, 9_001)
             yield pytest.param(n, post_steps, STARTS, budgets, 4, id=f"{n}-{post_steps}")
+    intact = {"intact": STARTS["intact"]}
+    for n in (64, 256, 300):
+        budgets = (n // 2 + 1, 4 * n * n + 1)
+        yield pytest.param(n, 3000, intact, budgets, 3, id=f"intact-{n}")
     oriented = {"oriented": oriented_configuration}
     for post_steps in (1, 4097, 20_000, 100_000):
         for n in (9, 64, 256):
