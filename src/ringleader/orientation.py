@@ -214,8 +214,8 @@ _FIGHT = -1  # ``act`` entry of an edge whose two agents point at each other
 
 
 class _ArcRing:
-    """Flat state and a per-edge action table for one ``run_orientation``
-    call on a ring whose agents are all ``_legal``.
+    """Flat state and a per-edge action table for the part of a
+    ``run_orientation`` call in which every agent is ``_legal``.
 
     Edge ``e`` joins agents e and e + 1 (mod n); of the 2n ordered arcs,
     arc ``2e`` has initiator e and arc ``2e + 1`` initiator e + 1.  Both
@@ -227,79 +227,147 @@ class _ArcRing:
     Legal agents stay legal: the transition writes no correct memory, and a
     head fight turns the loser to its other neighbor.  So a legal agent's
     ``_side``, which ``sides`` holds (+1 or -1), fixes its ``dir``, and a
-    draw needs no memory or color.  Only ``_fight`` needs the arc, to know
-    which agent initiated.  ``boundaries`` counts the ``_boundaries`` of
-    ``sides`` and ``violations`` the head fights that raised it.
+    draw needs no memory or color.  An edge is one of the ``_boundaries``
+    exactly when its agents' sides differ, that is when its ``act`` is
+    ``_FIGHT`` or n, so ``boundaries`` is counted from ``act``.
     """
 
-    __slots__ = ("n", "strong", "act", "sides", "boundaries", "violations")
+    __slots__ = ("n", "strong", "act", "sides", "boundaries")
 
     def __init__(self, sides: list[int], strong: list[int]):
         n = self.n = len(sides)
         self.sides = sides
         self.strong = strong + [0]
-        self.act = list(map(self._act, range(n), sides, _around(sides)[1]))
-        self.boundaries = _boundaries(sides, range(n))
-        self.violations = 0
-
-    def _act(self, x: int, sx: int, sy: int) -> int:
-        """``act`` entry of edge x, whose agents x and x + 1 have sides
-        ``sx`` and ``sy``: x points at x + 1 iff sx is +1, x + 1 at x iff
-        sy is -1."""
-        if sx == 1:
-            return _FIGHT if sy == -1 else x
-        return (x + 1) % self.n if sy == -1 else self.n
-
-    def _fight(self, e: int, arc: int) -> bool:
-        """Head fight on edge ``e``, drawn as ``arc``: turn the loser and
-        flip its side.  Return True once the ring is oriented."""
-        n, strong, sides, act = self.n, self.strong, self.sides, self.act
-        y = (e + 1) % n
-        u, v = (y, e) if arc & 1 else (e, y)
-        if strong[u] == 0 and strong[v] == 1:
-            k = u
-            strong[u], strong[v] = 1, 0
-        else:
-            k = v
-            strong[u], strong[v] = 0, 1
-        # the loser turns away from the winner, to its other neighbor
-        x, z = (k - 1) % n, (k + 1) % n
-        left, right = sides[x], sides[z]
-        before = (left != sides[k]) + (sides[k] != right)
-        sides[k] = -sides[k]
-        after = (left != sides[k]) + (sides[k] != right)
-        act[x] = self._act(x, left, sides[k])
-        act[k] = self._act(k, sides[k], right)
-        if after > before:
-            self.violations += 1
-        self.boundaries += after - before
-        return self.boundaries == 0
+        # agent x points at x + 1 iff sx is +1, x + 1 points at x iff sy is -1
+        act = self.act = [
+            (_FIGHT if sy == -1 else x) if sx == 1 else ((x + 1) % n if sy == -1 else n)
+            for x, sx, sy in zip(range(n), sides, _around(sides)[1])
+        ]
+        self.boundaries = act.count(_FIGHT) + act.count(n)
 
     def drive(self, chunk: np.ndarray) -> int | None:
-        """Apply the arcs of ``chunk``, one ``_draw_chunks`` array, in
-        order, keeping ``sides``, ``boundaries`` and ``violations`` up to
-        date.
+        """Apply the arcs of ``chunk``, a ``_draw_chunks`` array or a tail
+        of one, in order, keeping ``sides``, ``act`` and ``boundaries`` up
+        to date.
 
         The loop reads each arc's edge, arc // 2, as a Python int: edges
         run below n, and CPython caches the ints up to 256, so up to
-        n = 257 the conversion allocates none.  The arc itself is read back
-        from ``chunk`` only at a head fight.  Stop at the draw that leaves
+        n = 257 the conversion allocates none.  The head fight is inline:
+        the arc, read back with ``chunk.item`` only there, names the
+        initiator, which wins unless it is weak and the responder strong;
+        the loser turns to the winner's side and becomes strong, and the
+        winner weak.  So the fought edge stops being a boundary, and the
+        loser's other edge becomes one (a new fight) unless its neighbor
+        already points the new way, in which case the count falls by two.
+        A fight between legal agents never raises the count, so the fast
+        path finds no monotonicity violation.  Stop at the draw that leaves
         the ring oriented and return its 1-based position in ``chunk``;
         return None when no draw does so.
         """
-        act, strong = self.act, self.strong
+        n, act, strong, sides = self.n, self.act, self.strong, self.sides
         edges = (chunk >> 1).tolist()
         rest = iter(edges)
         for e in rest:
             a = act[e]
             if a >= 0:
                 strong[a] = 0
+                continue
+            # a list iterator's length hint is the exact number left
+            pos = len(edges) - length_hint(rest)
+            y = (e + 1) % n  # e points at y (side +1), y at e (side -1)
+            u, v = (y, e) if chunk.item(pos - 1) & 1 else (e, y)
+            if strong[u] == 0 and strong[v] == 1:
+                u, v = v, u
+            strong[u], strong[v] = 0, 1  # u won, v lost
+            if v == e:
+                # e turns to -1; edge e - 1 (index -1 is edge n - 1) fights
+                # unless agent e - 1 also points at -1
+                sides[e] = -1
+                act[e] = y
+                if sides[e - 1] == 1:
+                    act[e - 1] = _FIGHT
+                    continue
+                act[e - 1] = e
             else:
-                # a list iterator's length hint is the exact number left
-                pos = len(edges) - length_hint(rest)
-                if self._fight(e, int(chunk[pos - 1])):
-                    return pos
+                # y turns to +1; edge y fights unless agent y + 1 points at +1
+                sides[y] = 1
+                act[e] = e
+                if sides[(y + 1) % n] == -1:
+                    act[y] = _FIGHT
+                    continue
+                act[y] = y
+            self.boundaries -= 2
+            if self.boundaries == 0:
+                return pos
         return None
+
+
+class _ReferenceRing:
+    """The reference's working ring: ``agents`` and, per agent, its
+    ``_side`` and whether it is ``_legal``, with the count of illegal
+    agents, the ``_boundaries`` count and the monotonicity violations and
+    ``dir`` changes so far, all kept up to date by ``step``."""
+
+    __slots__ = (
+        "agents", "left", "right", "sides", "legal",
+        "illegal", "boundaries", "violations", "dir_changes",
+    )
+
+    def __init__(
+        self, agents, left: list[int], right: list[int], sides: list[int], legal: list[bool]
+    ):
+        self.agents, self.left, self.right = agents, left, right
+        self.sides, self.legal = sides, legal
+        self.illegal = legal.count(False)
+        self.boundaries = _boundaries(sides, range(len(sides)))
+        self.violations = self.dir_changes = 0
+
+    def step(self, t: int) -> None:
+        """Apply arc ``t`` with one ``_interact_or_inplace`` call.  Arc t
+        joins agents i = t // 2 and i + 1, with i as the initiator for even
+        t and as the responder for odd t.  The two agents' ``_side`` and
+        ``_legal`` and the ``_boundaries`` of the three edges around them
+        are recomputed; a step between legal agents that raises that count
+        is a monotonicity violation."""
+        agents, sides, legal = self.agents, self.sides, self.legal
+        left, right = self.left, self.right
+        n = len(agents)
+        i, j = t >> 1, ((t >> 1) + 1) % n
+        edges = ((i - 1) % n, i, j)
+        before, was_legal = _boundaries(sides, edges), legal[i] and legal[j]
+        dirs = agents[i].dir, agents[j].dir
+        _interact_or_inplace(*((agents[j], agents[i]) if t & 1 else (agents[i], agents[j])))
+        for k, d in zip((i, j), dirs):
+            self.dir_changes += agents[k].dir != d
+            sides[k] = _side(agents[k].dir, left[k], right[k])
+            now = _legal(agents[k], left[k], right[k])
+            self.illegal += legal[k] - now
+            legal[k] = now
+        after = _boundaries(sides, edges)
+        self.violations += was_legal and after > before
+        self.boundaries += after - before
+
+    def walk(self, draws, oriented: bool) -> int | None:
+        """``step`` through ``draws`` in order.  Stop at the first draw
+        that leaves every agent legal and, if ``oriented``, the ring
+        oriented, and return its 1-based position; None if none does."""
+        for pos, t in enumerate(draws, 1):
+            self.step(t)
+            if not self.illegal and not (oriented and self.boundaries):
+                return pos
+        return None
+
+
+def _sides_and_legality(agents, left: list[int], right: list[int]) -> tuple[list[int], list[bool]]:
+    """``_side`` and ``_legal`` of every agent, read in one pass with their
+    tests inline: ``run_orientation`` pays this once per run."""
+    sides, legal = [], []
+    for a, l, r in zip(agents, left, right):
+        d, c1, c2 = a.dir, a.c1, a.c2
+        side = 1 if d == r else (-1 if d == l else 0)
+        sides.append(side)
+        legal.append(side != 0 and (c1 == l and c2 == r or c1 == r and c2 == l))
+    return sides, legal
 
 
 def _draw_chunks(rng: np.random.Generator, n: int, budget: int):
@@ -329,16 +397,19 @@ def run_orientation(
     that is not an int >= 0, and ValueError, naming the agents, for a
     coloring that is not two-hop; both before any draw.
 
-    This is the fast path for rings whose agents are all ``_legal``, as
-    ``generate_two_hop_coloring`` and ``oriented_configuration`` build
-    them; any other ring is handed to ``run_orientation_reference`` with
-    the same arguments, and its trial is returned.  The tests hold the two
-    runs equal.  A legal ring stays legal, so the fast path keeps no
-    memories or directions, only each agent's side: ``_ArcRing`` holds flat
-    lists and a per-edge action table, a draw is one lookup by its edge and
-    a demotion one store, and only a head fight, the one event that changes
-    a legal agent's ``dir``, runs the fight rule.  Each agent's ``dir`` is
-    written back from its side at the end.
+    One pass reads every agent's side and legality.  While some agent is
+    not ``_legal`` (a wrong or ``None`` memory, a stray ``dir``), each draw
+    is the reference's ``_ReferenceRing.step``, as in
+    ``run_orientation_reference``.  Legality is absorbing, so from the draw
+    that makes the last agent legal (at once, on a ring that
+    ``generate_two_hop_coloring`` or ``oriented_configuration`` built) the
+    rest of the same draw stream goes to the fast path, ``_ArcRing``: it
+    keeps no memories or directions, only each agent's side and ``strong``
+    flag, a draw is one lookup by its edge and a demotion one store, and
+    only a head fight, the one event that changes a legal agent's ``dir``,
+    runs the fight rule.  Each agent's ``dir`` is written back from its
+    side at the end.  The tests hold the trial and the final ring equal to
+    the reference's.
     The ``post_steps`` stretch after orientation is worked out, not drawn:
     on an oriented two-hop ring no arc is a head fight (neighbors x and
     x + 1 point at each other only if agents x and x + 2 share a color), so
@@ -349,20 +420,27 @@ def run_orientation(
     require_count("seed", seed, 0)
     require_count("max_steps", max_steps, 0)
     require_count("post_steps", post_steps, 0)
-    left, right = _neighbor_colors([a.color for a in config.agents])
-    if not all(map(_legal, config.agents, left, right)):
-        return run_orientation_reference(config, seed, max_steps, post_steps)
     work = config.copy()
-    n = len(work)
     agents = work.agents
-    ring = _ArcRing(
-        list(map(_side, [a.dir for a in agents], left, right)), [a.strong for a in agents]
-    )
-    rng = np.random.Generator(np.random.PCG64(seed))
-    steps_to_oriented = 0 if ring.boundaries == 0 else None
+    left, right = _neighbor_colors([a.color for a in agents])
+    sides, legal = _sides_and_legality(agents, left, right)
+    chunks = _draw_chunks(np.random.Generator(np.random.PCG64(seed)), len(agents), max_steps)
+    step_no = violations = 0
+    if not all(legal):
+        prefix = _ReferenceRing(agents, left, right, sides, legal)
+        for chunk in chunks:
+            pos = prefix.walk(chunk.tolist(), oriented=False)
+            if pos is not None:
+                break
+            step_no += len(chunk)
+        else:
+            return _trial(work, seed, None, prefix.violations, 0)
+        step_no += pos
+        chunks = chain([chunk[pos:]], chunks)
+        violations = prefix.violations
+    ring = _ArcRing(sides, [a.strong for a in agents])
+    steps_to_oriented = step_no if ring.boundaries == 0 else None
 
-    step_no = 0
-    chunks = _draw_chunks(rng, n, max_steps)
     while steps_to_oriented is None and (chunk := next(chunks, None)) is not None:
         pos = ring.drive(chunk)
         if pos is not None:
@@ -371,7 +449,7 @@ def run_orientation(
 
     for a, side, s, l, r in zip(agents, ring.sides, ring.strong, left, right):
         a.dir, a.strong = (r if side == 1 else l), s
-    return _trial(work, seed, steps_to_oriented, ring.violations, 0)
+    return _trial(work, seed, steps_to_oriented, violations, 0)
 
 
 def run_orientation_reference(
@@ -380,13 +458,12 @@ def run_orientation_reference(
     """``run_orientation`` with one ``_interact_or_inplace`` call per draw.
 
     The one reference orientation run: the same arguments, input checks,
-    draws up to orientation and result, with bookkeeping that shares
-    nothing with ``_ArcRing``.  ``run_orientation`` hands it every ring
-    with an agent that is not ``_legal``.  Draw t joins agents i = t // 2 and i + 1,
-    with i as the initiator for even t and as the responder for odd t.  After each step
-    the two agents' ``_side`` and ``_legal`` and the ``_boundaries`` of the
-    three edges around them are recomputed; a step between legal agents
-    that raises that count is a monotonicity violation, before orientation
+    draws up to orientation and result, with every draw a
+    ``_ReferenceRing.step``, whose bookkeeping shares nothing with
+    ``_ArcRing``.  ``run_orientation`` runs the same step while some agent
+    is not ``_legal``, and hands the rest of the draws to ``_ArcRing``; this
+    run steps every draw.  A step between legal agents that raises the
+    ``_boundaries`` count is a monotonicity violation, before orientation
     or after it.  Every one of the ``post_steps`` draws is applied (the
     fast path draws none), and ``post_dir_changes`` counts each ``dir``
     they change.  The POR closure suite runs this.
@@ -396,44 +473,21 @@ def run_orientation_reference(
     require_count("post_steps", post_steps, 0)
     work = config.copy()
     agents = work.agents
-    n = len(agents)
     left, right = _neighbor_colors([a.color for a in agents])
+    ring = _ReferenceRing(agents, left, right, *_sides_and_legality(agents, left, right))
     rng = np.random.Generator(np.random.PCG64(seed))
-    sides = list(map(_side, [a.dir for a in agents], left, right))
-    legal = list(map(_legal, agents, left, right))
-    boundaries = _boundaries(sides, range(n))
-    violations = dir_changes = 0
 
     def draws(budget: int):
-        return chain.from_iterable(c.tolist() for c in _draw_chunks(rng, n, budget))
+        return chain.from_iterable(c.tolist() for c in _draw_chunks(rng, len(agents), budget))
 
-    def step(t: int) -> None:
-        nonlocal boundaries, violations, dir_changes
-        i, j = t >> 1, ((t >> 1) + 1) % n
-        edges = ((i - 1) % n, i, j)
-        before, was_legal = _boundaries(sides, edges), legal[i] and legal[j]
-        dirs = agents[i].dir, agents[j].dir
-        _interact_or_inplace(*((agents[j], agents[i]) if t & 1 else (agents[i], agents[j])))
-        for k, d in zip((i, j), dirs):
-            dir_changes += agents[k].dir != d
-            sides[k] = _side(agents[k].dir, left[k], right[k])
-            legal[k] = _legal(agents[k], left[k], right[k])
-        after = _boundaries(sides, edges)
-        violations += was_legal and after > before
-        boundaries += after - before
-
-    steps_to_oriented = 0 if boundaries == 0 and all(legal) else None
-    if steps_to_oriented is None:
-        for step_no, t in enumerate(draws(max_steps), 1):
-            step(t)
-            if boundaries == 0 and all(legal):
-                steps_to_oriented = step_no
-                break
-    dir_changes = 0  # only the post-orientation steps count
+    steps_to_oriented = 0
+    if ring.illegal or ring.boundaries:
+        steps_to_oriented = ring.walk(draws(max_steps), oriented=True)
+    ring.dir_changes = 0  # only the post-orientation steps count
     if steps_to_oriented is not None:
         for t in draws(post_steps):
-            step(t)
-    return _trial(work, seed, steps_to_oriented, violations, dir_changes)
+            ring.step(t)
+    return _trial(work, seed, steps_to_oriented, ring.violations, ring.dir_changes)
 
 
 def _trial(

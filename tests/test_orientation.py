@@ -552,22 +552,50 @@ def _one_illegal(n, seed, field):
     return cfg
 
 
-def _reference_calls(monkeypatch):
-    """Record every call ``run_orientation`` makes to the reference run."""
+def _interactions(monkeypatch):
+    """Record every ``_interact_or_inplace`` call made from now on: one per
+    draw that runs the reference's step."""
     calls = []
-    original = orientation.run_orientation_reference
+    original = orientation._interact_or_inplace
 
-    def spy(*args):
-        calls.append(args)
-        return original(*args)
+    def spy(u, v):
+        calls.append((u.color, v.color))
+        original(u, v)
 
-    monkeypatch.setattr(orientation, "run_orientation_reference", spy)
+    monkeypatch.setattr(orientation, "_interact_or_inplace", spy)
     return calls
+
+
+def _legal_from(cfg, seed, budget):
+    """The draw after which every agent of ``cfg`` remembers both neighbors'
+    colors and points at one: where ``run_orientation`` hands off to its
+    fast path.  Found by replaying the runs' draw stream with
+    ``interact_or`` and checking each agent the draw joins; 0 if every
+    agent starts legal, None if no draw within ``budget`` makes them so."""
+    agents = [a.copy() for a in cfg.agents]
+    n = len(agents)
+
+    def legal(i):
+        a, left, right = agents[i], agents[i - 1].color, agents[(i + 1) % n].color
+        return {a.c1, a.c2} == {left, right} and a.dir in (left, right)
+
+    illegal = {i for i in range(n) if not legal(i)}
+    if not illegal:
+        return 0
+    chunks = orientation._draw_chunks(np.random.Generator(np.random.PCG64(seed)), n, budget)
+    for t, arc in enumerate((arc for chunk in chunks for arc in chunk.tolist()), 1):
+        i, j = arc >> 1, ((arc >> 1) + 1) % n
+        u, v = (j, i) if arc & 1 else (i, j)
+        agents[u], agents[v] = interact_or(agents[u], agents[v])
+        illegal -= {k for k in (i, j) if legal(k)}
+        if not illegal:
+            return t
+    return None
 
 
 @pytest.mark.parametrize("start", [generate_two_hop_coloring, oriented_configuration])
 def test_legal_rings_take_the_fast_path(monkeypatch, start):
-    calls = _reference_calls(monkeypatch)
+    calls = _interactions(monkeypatch)
     for n in (3, 16, 64):
         trial = run_orientation(start(n, 2), 3, 200_000, 500)
         assert trial.converged and trial.monotone_violations == 0
@@ -576,12 +604,80 @@ def test_legal_rings_take_the_fast_path(monkeypatch, start):
 
 @pytest.mark.parametrize("field", ["c1", "c2", "dir"])
 def test_a_ring_with_an_illegal_agent_goes_to_the_reference(monkeypatch, field):
+    # the reference steps the draws up to the hand-off, and no more
     cfg = _one_illegal(16, 4, field)
     want = run_orientation_reference(cfg, 5, 200_000, 300)
-    calls = _reference_calls(monkeypatch)
+    hand_off = _legal_from(cfg, 5, 200_000)
+    calls = _interactions(monkeypatch)
     assert run_orientation(cfg, 5, 200_000, 300) == want
-    assert calls == [(cfg, 5, 200_000, 300)]
-    assert want.converged
+    assert len(calls) == hand_off
+    assert want.converged and 0 < hand_off < want.steps_to_oriented
+
+
+def _check_hand_off(monkeypatch, cfg, seed, post_steps=0):
+    """Hold ``run_orientation`` equal to the reference on budgets that end
+    one draw before the hand-off, on it and one draw after it, and its
+    reference steps to the hand-off (or the budget, if that ends first).
+    Return the hand-off draw."""
+    hand_off = _legal_from(cfg, seed, 10**6)
+    assert hand_off > 0
+    for max_steps in (hand_off - 1, hand_off, hand_off + 1):
+        _same_runs(monkeypatch, cfg, seed, max_steps, post_steps)
+        with monkeypatch.context() as m:
+            calls = _interactions(m)
+            run_orientation(cfg, seed, max_steps, post_steps)
+        assert len(calls) == min(hand_off, max_steps)
+    return hand_off
+
+
+@pytest.mark.parametrize("n", [16, 33])
+@pytest.mark.parametrize("kind", ["corrupted", "scrambled", "blank"])
+def test_hand_off_budgets_match_the_reference(monkeypatch, kind, n):
+    for seed in range(3):
+        _check_hand_off(monkeypatch, STARTS[kind](n, 31 * n + seed), seed)
+
+
+def _stray_dirs(n, seed):
+    """Seeded coloring whose every agent points at neither neighbor: each
+    is legal from the first draw that joins it on."""
+    cfg = generate_two_hop_coloring(n, seed)
+    for a in cfg.agents:
+        a.dir = next(c for c in range(XI) if c not in (a.c1, a.c2))
+    return cfg
+
+
+def test_hand_off_on_the_last_draw_of_a_chunk(monkeypatch):
+    # run seed searched for: the last agent is first joined by draw 4096,
+    # the end of the first ``_draw_chunks`` array
+    assert _check_hand_off(monkeypatch, _stray_dirs(1100, 0), 239) == 4096
+
+
+def test_hand_off_on_the_draw_that_orients(monkeypatch):
+    # run seed searched for: the stray agent first meets its right
+    # neighbor, turns to it like the rest and so orients the ring
+    cfg = oriented_configuration(16, 4)
+    stray = cfg.agents[8]
+    stray.dir = next(c for c in range(XI) if c not in (stray.c1, stray.c2))
+    assert _check_hand_off(monkeypatch, cfg, 0, post_steps=7) == 3
+    trial, _ = _same_runs(monkeypatch, cfg, 0, 1000, 7)
+    assert trial.steps_to_oriented == 3
+
+
+def test_hand_off_keeps_the_violations_of_the_prefix(monkeypatch):
+    # the POR closure test's spoil raises the segment count between legal
+    # agents while one agent is still illegal; on a budget that ends at the
+    # hand-off, both runs report what the reference step counted
+    original = orientation._interact_or_inplace
+
+    def broken(u, v):
+        original(u, v)
+        _turn_demoted_responder_back(u, v)
+
+    monkeypatch.setattr(orientation, "_interact_or_inplace", broken)
+    cfg = STARTS["blank"](16, 7)
+    hand_off = _legal_from(cfg, 5, 200_000)
+    trial, _ = _same_runs(monkeypatch, cfg, 5, hand_off, 0)
+    assert trial.monotone_violations > 0
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
