@@ -73,7 +73,7 @@ class PreconditionError(ValueError):
 # --------------------------------------------------------------------------
 
 def leader_count(config: Configuration) -> int:
-    return sum(a.leader for a in config.agents)
+    return sum(1 for a in config.agents if a.leader)
 
 
 def nearest_leader_distances(
@@ -159,10 +159,8 @@ def is_perfect(config: Configuration) -> bool:
         required = 0 if a.leader else (agents[(i - 1) % n].dist + 1) % two_psi
         if a.dist != required:
             return False
-    try:
-        segs = segments(config)
-    except NoBorderError:
-        return False
+    # a passed chain has a border: a leader at dist 0, or, leaderless, every dist value
+    segs = segments(config)
     modulus = 1 << p.psi
     ids = [segment_id(config, s) for s in segs]
     for k, s in enumerate(segs):

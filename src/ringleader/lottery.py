@@ -1,10 +1,11 @@
 """The consecutive-heads lottery game.
 
 One round of the game ends at the first tail (a loss) or at the k-th
-consecutive head (a win).  The clock/TTL machinery of the ring protocol
-paces itself with exactly this game -- an agent's hit counter filling up is
-a win -- so the empirical win statistics double as a cross-check of that
-machinery's timing assumptions.
+consecutive head (a win).  The ring protocol's clocks pace themselves with
+this game (an agent's hit counter filling up is a win), but this module
+plays it on fair numpy coin flips, not on the ring: its win statistics check
+the lemma's win-count bounds (``estimate_bound``) for fair coins, not the
+clock machinery itself.
 """
 from __future__ import annotations
 

@@ -145,15 +145,19 @@ def interact_or(
     return u2, v2
 
 
-def _side(d: int | None, left: int, right: int) -> int:
-    """+1 if ``d`` names the right neighbor's color, -1 the left's, 0 neither."""
-    return 1 if d == right else (-1 if d == left else 0)
-
-
-def _legal(a: OrientAgentState, left: int, right: int) -> bool:
-    """True iff ``a`` remembers exactly its neighbors' colors and points at one."""
-    c1, c2 = a.c1, a.c2
-    return (c1 == left and c2 == right or c1 == right and c2 == left) and a.dir in (left, right)
+def _sides_and_legality(agents, left: list[int], right: list[int]) -> tuple[list[int], list[bool]]:
+    """Per agent, with ``left``/``right`` its neighbors' colors: its side,
+    +1 if ``dir`` names the right neighbor's color, -1 the left's, 0 neither;
+    and whether it is legal: it remembers exactly its neighbors' colors and
+    points at one.  The one statement of both rules, for the predicates,
+    the reference step and the fast path's set-up."""
+    sides, legal = [], []
+    for a, l, r in zip(agents, left, right):
+        d, c1, c2 = a.dir, a.c1, a.c2
+        side = 1 if d == r else (-1 if d == l else 0)
+        sides.append(side)
+        legal.append(side != 0 and (c1 == l and c2 == r or c1 == r and c2 == l))
+    return sides, legal
 
 
 def _around(values: list) -> tuple[list, list]:
@@ -172,29 +176,26 @@ def _neighbor_colors(colors: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _boundaries(sides: list[int], edges) -> int:
-    """Edges e in ``edges`` whose agents e and e + 1 differ in ``_side``, or
+    """Edges e in ``edges`` whose agents e and e + 1 differ in side, or
     both point at neither neighbor: a stray ``dir`` is a boundary each side."""
     n = len(sides)
     return sum(sides[e] != sides[(e + 1) % n] or not sides[e] for e in edges)
 
 
-def _directions(config: OrientConfiguration) -> list[int]:
-    """``_side`` of every agent: +1 right, -1 left, 0 at neither neighbor."""
-    agents = config.agents
-    return list(map(_side, [a.dir for a in agents], *_around([a.color for a in agents])))
-
-
 def is_oriented(config: OrientConfiguration) -> bool:
-    """True iff every agent is ``_legal`` and all point the same way."""
+    """True iff every agent is legal and all point the same way
+    (``_sides_and_legality``).  ValueError as in ``_neighbor_colors``."""
     agents = config.agents
-    legal = map(_legal, agents, *_around([a.color for a in agents]))
-    return all(legal) and len(set(_directions(config))) == 1
+    sides, legal = _sides_and_legality(agents, *_neighbor_colors([a.color for a in agents]))
+    return all(legal) and len(set(sides)) == 1
 
 
 def segment_count(config: OrientConfiguration) -> int:
-    """Number of ``_boundaries``; 1 exactly when all agents point one way."""
-    dirs = _directions(config)
-    return max(_boundaries(dirs, range(len(dirs))), 1)
+    """Number of ``_boundaries``; 1 exactly when all agents point one way.
+    ValueError as in ``_neighbor_colors``."""
+    agents = config.agents
+    sides = _sides_and_legality(agents, *_neighbor_colors([a.color for a in agents]))[0]
+    return max(_boundaries(sides, range(len(sides))), 1)
 
 
 @dataclass
@@ -215,7 +216,8 @@ _FIGHT = -1  # ``act`` entry of an edge whose two agents point at each other
 
 class _ArcRing:
     """Flat state and a per-edge action table for the part of a
-    ``run_orientation`` call in which every agent is ``_legal``.
+    ``run_orientation`` call in which every agent is legal
+    (``_sides_and_legality``).
 
     Edge ``e`` joins agents e and e + 1 (mod n); of the 2n ordered arcs,
     arc ``2e`` has initiator e and arc ``2e + 1`` initiator e + 1.  Both
@@ -226,7 +228,7 @@ class _ArcRing:
 
     Legal agents stay legal: the transition writes no correct memory, and a
     head fight turns the loser to its other neighbor.  So a legal agent's
-    ``_side``, which ``sides`` holds (+1 or -1), fixes its ``dir``, and a
+    side, which ``sides`` holds (+1 or -1), fixes its ``dir``, and a
     draw needs no memory or color.  An edge is one of the ``_boundaries``
     exactly when its agents' sides differ, that is when its ``act`` is
     ``_FIGHT`` or n, so ``boundaries`` is counted from ``act``.
@@ -304,7 +306,7 @@ class _ArcRing:
 
 class _ReferenceRing:
     """The reference's working ring: ``agents`` and, per agent, its
-    ``_side`` and whether it is ``_legal``, with the count of illegal
+    side and legality (``_sides_and_legality``), with the count of illegal
     agents, the ``_boundaries`` count and the monotonicity violations and
     ``dir`` changes so far, all kept up to date by ``step``."""
 
@@ -325,8 +327,8 @@ class _ReferenceRing:
     def step(self, t: int) -> None:
         """Apply arc ``t`` with one ``_interact_or_inplace`` call.  Arc t
         joins agents i = t // 2 and i + 1, with i as the initiator for even
-        t and as the responder for odd t.  The two agents' ``_side`` and
-        ``_legal`` and the ``_boundaries`` of the three edges around them
+        t and as the responder for odd t.  The two agents' side and
+        legality and the ``_boundaries`` of the three edges around them
         are recomputed; a step between legal agents that raises that count
         is a monotonicity violation."""
         agents, sides, legal = self.agents, self.sides, self.legal
@@ -337,10 +339,10 @@ class _ReferenceRing:
         before, was_legal = _boundaries(sides, edges), legal[i] and legal[j]
         dirs = agents[i].dir, agents[j].dir
         _interact_or_inplace(*((agents[j], agents[i]) if t & 1 else (agents[i], agents[j])))
-        for k, d in zip((i, j), dirs):
+        pair = (agents[i], agents[j]), (left[i], left[j]), (right[i], right[j])
+        for k, d, side, now in zip((i, j), dirs, *_sides_and_legality(*pair)):
             self.dir_changes += agents[k].dir != d
-            sides[k] = _side(agents[k].dir, left[k], right[k])
-            now = _legal(agents[k], left[k], right[k])
+            sides[k] = side
             self.illegal += legal[k] - now
             legal[k] = now
         after = _boundaries(sides, edges)
@@ -356,18 +358,6 @@ class _ReferenceRing:
             if not self.illegal and not (oriented and self.boundaries):
                 return pos
         return None
-
-
-def _sides_and_legality(agents, left: list[int], right: list[int]) -> tuple[list[int], list[bool]]:
-    """``_side`` and ``_legal`` of every agent, read in one pass with their
-    tests inline: ``run_orientation`` pays this once per run."""
-    sides, legal = [], []
-    for a, l, r in zip(agents, left, right):
-        d, c1, c2 = a.dir, a.c1, a.c2
-        side = 1 if d == r else (-1 if d == l else 0)
-        sides.append(side)
-        legal.append(side != 0 and (c1 == l and c2 == r or c1 == r and c2 == l))
-    return sides, legal
 
 
 def _draw_chunks(rng: np.random.Generator, n: int, budget: int):
@@ -398,7 +388,7 @@ def run_orientation(
     coloring that is not two-hop; both before any draw.
 
     One pass reads every agent's side and legality.  While some agent is
-    not ``_legal`` (a wrong or ``None`` memory, a stray ``dir``), each draw
+    not legal (a wrong or ``None`` memory, a stray ``dir``), each draw
     is the reference's ``_ReferenceRing.step``, as in
     ``run_orientation_reference``.  Legality is absorbing, so from the draw
     that makes the last agent legal (at once, on a ring that
@@ -461,7 +451,7 @@ def run_orientation_reference(
     draws up to orientation and result, with every draw a
     ``_ReferenceRing.step``, whose bookkeeping shares nothing with
     ``_ArcRing``.  ``run_orientation`` runs the same step while some agent
-    is not ``_legal``, and hands the rest of the draws to ``_ArcRing``; this
+    is not legal, and hands the rest of the draws to ``_ArcRing``; this
     run steps every draw.  A step between legal agents that raises the
     ``_boundaries`` count is a monotonicity violation, before orientation
     or after it.  Every one of the ``post_steps`` draws is applied (the

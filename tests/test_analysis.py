@@ -251,6 +251,13 @@ def test_no_token_error():
         token_is_valid(cfg, 3, TokenColor.BLACK)
 
 
+def test_correctness_needs_a_token():
+    cfg = construct_S_PL(P16, 1)
+    assert cfg.agents[3].token_w is None
+    with pytest.raises(NoTokenError, match="agent 3 holds no white token"):
+        token_is_correct(cfg, 3, TokenColor.WHITE)
+
+
 @pytest.mark.parametrize("which", ["black", "white", None])
 @pytest.mark.parametrize("check", [token_is_valid, token_is_correct])
 def test_token_color_must_be_a_token_color(check, which):
@@ -624,10 +631,13 @@ def test_leader_field_counts_by_its_truth(value):
     cfg = construct_S_PL(P16, 1)
     cfg.agents[0].leader = value
     assert in_C_DL(cfg) and in_S_PL(cfg)
+    assert leader_count(cfg) == 1
     cfg.agents[3].leader = value
     assert not in_C_DL(cfg) and not in_S_PL(cfg)
+    assert leader_count(cfg) == 2
     cfg.agents[3].leader = None
     assert in_C_DL(cfg) and in_S_PL(cfg)
+    assert leader_count(cfg) == 1
 
 
 def test_s_pl_interleaved_frames_match_fresh_calls():

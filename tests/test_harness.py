@@ -713,6 +713,28 @@ def test_load_bad_field(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda agents: agents.pop(), r"agents: expected a list of 16 entries"),
+        (lambda agents: agents.__setitem__(3, list(agents[3].values())),
+         r"agents\[3\]: agent entry is not an object"),
+        (lambda agents: agents[3].update(mode="Sleep"), r"agents\[3\]: mode: unknown value 'Sleep'"),
+        (lambda agents: agents[3].update(token_b=[1, 0]), r"agents\[3\]: token_b: expected null"),
+        (lambda agents: agents[3].update(token_b=1), r"agents\[3\]: token_b: expected null"),
+    ],
+    ids=["one-short", "entry-is-a-list", "mode-sleep", "token-pair", "token-int"],
+)
+def test_load_names_the_agent_and_field_of_a_malformed_entry(tmp_path, edit, message):
+    path = tmp_path / "cfg.json"
+    dump_config(random_configuration(P16, 9), path)
+    data = json.loads(path.read_text())
+    edit(data["agents"])
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigFormatError, match=message):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
     "name, blob",
     [("missing.json", None), (".", None), ("utf16.json", b"\xff\xfe")],
     ids=["missing", "directory", "not-utf8"],
@@ -951,3 +973,36 @@ def test_cli_closure(capsys):
     ])
     assert code == 0
     assert "0 violations" in capsys.readouterr().out
+
+
+CLOSURE_ARGV = ["closure", "--protocol", "ppl", "--n", "8", "--trials", "2",
+                "--seed", "3", "--steps", "2000"]
+
+
+def test_cli_closure_prints_rejected_starts(monkeypatch, capsys):
+    seeds = [trial_seed(3, 8, t) for t in range(2)]
+    # built first: leaderless_settled itself calls construct_S_PL
+    starts = {seed: analysis.leaderless_settled(P8, seed) for seed in seeds}
+    monkeypatch.setattr(harness.analysis, "construct_S_PL", lambda params, seed: starts[seed])
+    assert cli_main(CLOSURE_ARGV) == 1
+    out = capsys.readouterr().out
+    assert f"rejected by precheck: {seeds}\n" in out
+    assert "0 violations" in out and "VIOLATION" not in out
+
+
+def test_cli_closure_prints_violations(monkeypatch, capsys):
+    # each trial's precheck passes and its first stop check, at step 0, fails
+    calls = []
+
+    def in_S_PL(config):
+        calls.append(config)
+        return len(calls) % 2 == 1
+
+    monkeypatch.setattr(harness.analysis, "in_S_PL", in_S_PL)
+    assert cli_main(CLOSURE_ARGV) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        f"VIOLATION seed={trial_seed(3, 8, t)} step=0: left the safe set" for t in range(2)
+    ]
+    assert len(calls) == 4 and "2 violations" in lines[-1]
+    assert not any(line.startswith("rejected") for line in lines)

@@ -11,8 +11,8 @@ from ringleader.orientation import (
     XI,
     OrientAgentState,
     OrientConfiguration,
-    _directions,
     _neighbor_colors,
+    _sides_and_legality,
     generate_two_hop_coloring,
     interact_or,
     is_oriented,
@@ -281,7 +281,8 @@ def test_direction_validity_enforced():
     cfg = oriented_configuration(6, 0)
     bad = next(c for c in range(5) if c not in (cfg.agents[2].c1, cfg.agents[2].c2))
     cfg.agents[2].dir = bad
-    assert _directions(cfg) == [1, 1, 0, 1, 1, 1]
+    colors = _neighbor_colors([a.color for a in cfg.agents])
+    assert _sides_and_legality(cfg.agents, *colors)[0] == [1, 1, 0, 1, 1, 1]
     assert not is_oriented(cfg)
     assert segment_count(cfg) == 2  # one boundary on each side of agent 2
 
@@ -302,6 +303,15 @@ def test_wrong_memory_is_not_oriented():
     cfg.agents[3].c1 = None
     assert not is_oriented(cfg)
     assert segment_count(cfg) == 1  # the directions alone agree
+
+
+def test_predicates_reject_a_ring_without_two_hop_coloring():
+    # agents 0 and 2, and 1 and 3, share a color: on a 4-ring every agent
+    # sees one color on both sides, as the runs reject it
+    cfg = OrientConfiguration(agent(c, 1 - c, 1 - c, 1 - c) for c in (0, 1, 0, 1))
+    for check in (is_oriented, segment_count, lambda c: run_orientation(c, 0, 10)):
+        with pytest.raises(ValueError, match=r"agents \[0, 1, 2, 3\]"):
+            check(cfg)
 
 
 # --------------------------------------------------------------------------

@@ -270,6 +270,11 @@ def test_state_count_is_polylog(psi):
             assert 2.5e7 <= count / psi**6 <= 2.7e7
 
 
+def test_token_rejects_a_float_offset():
+    with pytest.raises(ValueError, match="offset: 1.0 is not an int"):
+        token(1.0, 0, 0)
+
+
 def test_token_field_distribution(params8):
     # every legal token offset (and the empty slot) is actually drawn
     seen = set()
